@@ -78,7 +78,8 @@ def _dispatch(args) -> int:
         print(
             f"F={fmt(summary.fidelity_raw)} "
             f"F_normalized={fmt(summary.fidelity_normalized)} "
-            f"norm_drift={fmt(summary.norm_drift)} steps={summary.step_count}"
+            f"norm_drift={fmt(summary.norm_drift)} steps={summary.step_count} "
+            f"error_estimate={fmt(summary.error_estimate)}"
         )
     elif args.command == "rj-sweep":
         result = sweeps.run_rj_sweep(cfg, threads=args.threads)

@@ -68,6 +68,7 @@ class RampResult:
     symmetric_leakage: float
     step_count: int
     target_energy: float
+    error_estimate: float
 
 
 def _run_plan(ctx: SimContext, plan: RampPlan, checkpoints: int = 0):
@@ -98,6 +99,7 @@ def _run_plan(ctx: SimContext, plan: RampPlan, checkpoints: int = 0):
         symmetric_leakage=result.symmetric_leakage,
         step_count=result.step_count,
         target_energy=target.energy,
+        error_estimate=result.error_estimate,
     )
 
 
@@ -117,9 +119,11 @@ def run_ramp(cfg: RunConfig, ctx: SimContext | None = None) -> RampResult:
              "overlap_with_instantaneous_ground", "symmetric_weight"),
             rows,
             footer_comments=[
-                "summary F=%s F_normalized=%s norm_drift=%s step_count=%d"
+                "summary F=%s F_normalized=%s norm_drift=%s step_count=%d "
+                "error_estimate=%s"
                 % (fmt(summary.fidelity_raw), fmt(summary.fidelity_normalized),
-                   fmt(summary.norm_drift), summary.step_count)
+                   fmt(summary.norm_drift), summary.step_count,
+                   fmt(summary.error_estimate))
             ],
         )
     return summary

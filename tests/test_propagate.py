@@ -22,6 +22,11 @@ def plan_mi_sf(T, rj=1.0, jt=0.5):
                     RampSchedule(0.0, 0.0), T)
 
 
+def plan_sf_mi(T, rj):
+    return RampPlan(RampSchedule(0.0, 1.0, rj), RampSchedule(0.5, 0.0, rj),
+                    RampSchedule(0.0, 0.0, rj), T)
+
+
 def constant_plan(T, g=1.0, J=0.2, d=0.0):
     return RampPlan(RampSchedule(g, g), RampSchedule(J, J),
                     RampSchedule(d, d), T)
@@ -93,7 +98,7 @@ def test_landau_zener_against_closed_form():
     plan = RampPlan(RampSchedule(g, g), RampSchedule(0.0, 0.0),
                     RampSchedule(-width, width, 1.0), T)
     psi0 = np.array([1.0, 0.0], complex)  # photon = diabatic ground at -width
-    res = evolve(tpl, plan, psi0, initial_steps=80000)
+    res = evolve(tpl, plan, psi0, initial_steps=8000)
     stay = abs(res.final_state[0]) ** 2
     rate = 2 * width / T
     lz = math.exp(-2 * math.pi * g**2 / rate)
@@ -163,3 +168,82 @@ def test_checkpoints_schema(table33, templates33):
 def test_dimension_mismatch(table33, templates33):
     with pytest.raises(ValueError):
         evolve(templates33, plan_mi_sf(1.0), np.ones(5, complex))
+
+
+TOL_CASES = {
+    "hermitian r=1": dict(start="mi", rj=1.0, rates=None),
+    "sf->mi r=1/3": dict(start="sf", rj=1 / 3, rates=None),
+    "dissipative r=1": dict(start="mi", rj=1.0, rates=(0.05, 0.01)),
+}
+
+
+def _tol_run(table, templates, case, tol, initial_steps=16):
+    c = TOL_CASES[case]
+    if c["start"] == "mi":
+        plan, psi0 = plan_mi_sf(4 * math.pi, c["rj"]), mi_ground_state(table, 0.0, 1.0)
+    else:
+        plan, psi0 = plan_sf_mi(4 * math.pi, c["rj"]), sf_ground_state(table)
+    if c["rates"] is None:
+        return evolve(templates, plan, psi0, tol=tol, initial_steps=initial_steps)
+    kappa, gamma = c["rates"]
+    return evolve_dissipative(templates, plan, psi0, kappa, gamma,
+                              convention="number-conserving", tol=tol,
+                              initial_steps=initial_steps)
+
+
+@pytest.mark.parametrize("case", sorted(TOL_CASES))
+def test_tol_bounds_the_state_error(table33, templates33, case):
+    reference = _tol_run(table33, templates33, case, 1e-12, 512).final_state
+    for tol in (1e-4, 1e-6, 1e-8):
+        # a coarse start leaves the accuracy to the doubling rule
+        res = _tol_run(table33, templates33, case, tol)
+        scale = max(1.0, np.linalg.norm(res.final_state))
+        assert np.linalg.norm(res.final_state - reference) <= tol * scale
+        assert res.error_estimate <= tol * scale
+
+
+@pytest.mark.parametrize("rj", [1 / 3, 0.233])
+def test_small_index_ramp_keeps_fourth_order(table33, templates33, rj):
+    # dH/dt diverges at t = 0 for r < 1; on a uniform time grid the default
+    # tolerance ran out of refinements
+    res = evolve(templates33, plan_sf_mi(15 * math.pi, rj),
+                 sf_ground_state(table33))
+    assert res.step_count <= 4 * 512
+    assert res.error_estimate <= 1e-8
+
+
+def test_checkpoints_at_exact_times_with_one_solve_each(table33, templates33,
+                                                        monkeypatch):
+    import jclattice.propagate as propagate
+
+    solves = []
+
+    def counting(h):
+        solves.append(h.shape)
+        return ground_state(h)
+
+    monkeypatch.setattr(propagate, "ground_state", counting)
+    T = 2 * math.pi
+    plan = plan_sf_mi(T, 1 / 3)
+    res = evolve(templates33, plan, sf_ground_state(table33),
+                 initial_steps=8, checkpoints=7)
+    assert len(solves) == 7
+    assert [c.t for c in res.checkpoints] == pytest.approx(
+        [k / 6 * T for k in range(7)], rel=1e-15, abs=0.0)
+    # a checkpoint holds the state of a run that ends at its time
+    half = RampPlan(*(RampSchedule(s.start, s.value_at_fraction(0.5), s.index)
+                      for s in (plan.g, plan.J, plan.delta)), T / 2)
+    psi = evolve(templates33, half, sf_ground_state(table33)).final_state
+    p = plan.params_at_fraction(0.5)
+    gs = ground_state(templates33.assemble_copy(p.g, p.J, p.delta)).vector
+    assert res.checkpoints[3].overlap_instantaneous_ground == pytest.approx(
+        fidelity(psi, gs), abs=1e-7)
+
+
+def test_norm_blowup_guard_short_runs(table33, templates33):
+    # the guard checks every step, so a single short run trips it
+    plan = constant_plan(40.0, g=0.0, J=0.3)
+    with pytest.raises(NormBlowUp):
+        evolve_dissipative(templates33, plan, sf_ground_state(table33),
+                           kappa=0.0, gamma=2.0, convention="literal-sigma-z",
+                           initial_steps=64, max_refinements=0, tol=1e-3)
