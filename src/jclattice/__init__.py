@@ -25,6 +25,8 @@ from .operators import (
     build_hamiltonian,
     build_hopping,
     build_translation,
+    k0_sector,
+    symmetric_isometry,
 )
 from .propagate import EvolutionResult, evolve, evolve_dissipative, fidelity
 from .ramp import RampPlan, RampSchedule, optimal_index, sweep_rate_at_gap, trajectory_point
@@ -50,7 +52,7 @@ __all__ = [
     "dimension_oracle", "enumerate_basis", "index_of", "translate_config",
     "HamiltonianTemplates", "LatticeParams", "build_correlator",
     "build_dissipative_diagonal", "build_h0", "build_hamiltonian",
-    "build_hopping", "build_translation",
+    "build_hopping", "build_translation", "k0_sector", "symmetric_isometry",
     "EvolutionResult", "evolve", "evolve_dissipative", "fidelity",
     "RampPlan", "RampSchedule", "optimal_index", "sweep_rate_at_gap",
     "trajectory_point",

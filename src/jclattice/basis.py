@@ -6,10 +6,16 @@ excitations, sum_j (n_j + s_j) = N, belong to the sector; the Hamiltonian
 conserves this number, so the sector is closed under all operators built
 on top of it. For N = L = 6 the sector holds 5336 states instead of the
 (2N+1)^L = 4826809 states of the truncated product space.
+
+The table stores configurations as integer arrays (photons, qubits) and
+ranks them by a mixed-radix int64 key, so operator builders map whole
+arrays of configurations to ordinals with one binary search instead of
+a per-state dictionary lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,34 +86,60 @@ def dimension_oracle(shape: LatticeShape, product_cap: int = 1 << 26) -> int:
 
 
 class BasisTable:
-    """Ordered enumeration of all fixed-N configurations with index maps.
+    """Ordered enumeration of all fixed-N configurations, ranked by array keys.
 
-    A configuration is a tuple of per-site (photons, qubit) pairs. The
-    ordering is lexicographic over sites left to right with per-site key
-    (qubit, photons): qubit down sorts before up, photon number ascending.
+    Site j carries the digit s_j (N+1) + n_j, and a configuration's int64
+    key reads its digits left to right in radix 2N+2. The table is ordered
+    lexicographically over sites with per-site key (qubit, photons): qubit
+    down sorts before up, photon number ascending. That is ascending key
+    order, so `rank` maps any array of keys to ordinals by binary search.
     This puts (1, down) before (0, up) in the one-excitation doublet and
     is byte-stable across runs.
 
     Immutable after construction; safe for concurrent reads.
     """
 
-    def __init__(self, shape: LatticeShape, states: tuple):
+    def __init__(self, shape: LatticeShape, photons: np.ndarray, qubits: np.ndarray):
+        L, N = shape.sites, shape.excitations
         self.shape = shape
-        self.states = states
-        self.index = {c: i for i, c in enumerate(states)}
-        arr = np.asarray(states, dtype=np.int64).reshape(len(states), shape.sites, 2)
-        # Read-only array views used by the operator builders.
-        self.photons = arr[:, :, 0]
-        self.qubits = arr[:, :, 1]
-        self.photons.flags.writeable = False
-        self.qubits.flags.writeable = False
+        self._weights = (2 * N + 2) ** np.arange(L - 1, -1, -1, dtype=np.int64)
+        # Read-only arrays used by the operator builders.
+        self.photons = photons
+        self.qubits = qubits
+        self.keys = self.key_of(photons, qubits)
+        for arr in (self._weights, self.keys, self.photons, self.qubits):
+            arr.flags.writeable = False
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.keys)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.keys)
+
+    @functools.cached_property
+    def states(self) -> tuple:
+        """Configurations as tuples of per-site (photons, qubit) pairs."""
+        return tuple(
+            tuple(zip(n, s))
+            for n, s in zip(self.photons.tolist(), self.qubits.tolist())
+        )
+
+    def key_of(self, photons, qubits) -> np.ndarray:
+        """Keys of configurations given as (..., L) photon and qubit arrays."""
+        return (qubits * (self.shape.excitations + 1) + photons) @ self._weights
+
+    def key_shift(self, sites, photons=0, qubits=0) -> np.ndarray:
+        """Key change from adding `photons` and `qubits` on `sites`."""
+        return (qubits * (self.shape.excitations + 1) + photons) * self._weights[sites]
+
+    def rank(self, keys) -> np.ndarray:
+        """Ordinals of the configurations with the given keys."""
+        idx = np.searchsorted(self.keys, keys)
+        found = self.keys[np.minimum(idx, self.dim - 1)] == keys
+        if not np.all(found):
+            raise SectorError("configuration key outside the table")
+        return idx
 
     def __repr__(self):
         return (
@@ -120,37 +152,35 @@ def enumerate_basis(shape: LatticeShape, dim_cap: int = DEFAULT_DIM_CAP) -> Basi
     """Enumerate every configuration with exactly N total excitations.
 
     Raises ResourceLimitError when the predicted dimension exceeds
-    `dim_cap` (the dense fallback eigensolver must stay feasible).
+    `dim_cap` (the dense fallback eigensolver must stay feasible) or when
+    the configuration keys would overflow int64.
     """
     predicted = sector_dimension(shape)
     if predicted > dim_cap:
         raise ResourceLimitError(
             f"sector dimension {predicted} exceeds cap {dim_cap}"
         )
-    L = shape.sites
-    out = []
-    acc = []
-
-    def recurse(site: int, remaining: int):
-        if site == L:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        # Per-site key (qubit, photons): down states first, photons ascending.
-        for s in (0, 1):
-            if s > remaining:
-                break
-            for n in range(remaining - s + 1):
-                acc.append((n, s))
-                recurse(site + 1, remaining - s - n)
-                acc.pop()
-
-    recurse(0, shape.excitations)
-    if len(out) != predicted:
-        raise AssertionError(
-            f"enumeration produced {len(out)} states, expected {predicted}"
+    L, N = shape.sites, shape.excitations
+    if (2 * N + 2) ** L > np.iinfo(np.int64).max:
+        raise ResourceLimitError(
+            f"configuration keys in radix {2 * N + 2} overflow int64 at L={L}"
         )
-    return BasisTable(shape, tuple(out))
+    digit = np.arange(2 * N + 2)
+    cost = digit // (N + 1) + digit % (N + 1)  # excitations of each digit
+    digits = np.zeros((1, 0), dtype=np.int64)
+    remaining = np.array([N])
+    for site in range(L):
+        # row-major nonzero keeps prefixes in order and digits ascending
+        fits = cost <= remaining[:, None] if site < L - 1 \
+            else cost == remaining[:, None]
+        row, d = np.nonzero(fits)
+        digits = np.column_stack([digits[row], d])
+        remaining = remaining[row] - cost[d]
+    if len(digits) != predicted:
+        raise AssertionError(
+            f"enumeration produced {len(digits)} states, expected {predicted}"
+        )
+    return BasisTable(shape, digits % (N + 1), digits // (N + 1))
 
 
 def index_of(table: BasisTable, config) -> int:
@@ -160,16 +190,16 @@ def index_of(table: BasisTable, config) -> int:
         raise SectorError(
             f"config has {len(config)} sites, table has {table.shape.sites}"
         )
+    N = table.shape.excitations
     total = sum(n + s for n, s in config)
-    if total != table.shape.excitations:
+    if total != N:
         raise SectorError(
-            f"config holds {total} excitations, sector requires "
-            f"{table.shape.excitations}"
+            f"config holds {total} excitations, sector requires {N}"
         )
-    try:
-        return table.index[config]
-    except KeyError:
-        raise SectorError(f"malformed configuration {config}") from None
+    if any(not (0 <= n <= N and s in (0, 1)) for n, s in config):
+        raise SectorError(f"malformed configuration {config}")
+    photons, qubits = np.array(config, dtype=np.int64).T
+    return int(table.rank(table.key_of(photons, qubits)))
 
 
 def translate_config(config, shift: int):

@@ -15,6 +15,12 @@ constant N*omega_z is restored.
 All Hermitian builders insert mirrored (row, col) / (col, row) entries
 with identical values, so the assembled matrices equal their transpose
 exactly, not merely to rounding.
+
+The builders work on whole arrays of configurations: each one shifts the
+configuration keys of every state it acts on and ranks the results with
+`BasisTable.rank`. `symmetric_isometry` turns the translation permutation
+into the isometry P onto the k = 0 sector, and `k0_sector` builds
+`HamiltonianTemplates` there (blocks P^T B P).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import BasisTable, translate_config
+from .basis import BasisTable
 
 DISSIPATION_CONVENTIONS = ("literal-sigma-z", "number-conserving")
 
@@ -53,15 +59,6 @@ class LatticeParams:
             object.__setattr__(self, "delta", self.omega_c - self.omega_z)
 
 
-def _mirrored_csr(rows, cols, vals, dim) -> sp.csr_matrix:
-    m = sp.csr_matrix(
-        (np.asarray(vals, dtype=float), (rows, cols)), shape=(dim, dim)
-    )
-    m.sum_duplicates()
-    m.sort_indices()
-    return m
-
-
 def number_diagonal(table: BasisTable) -> np.ndarray:
     """Diagonal of sum_j a_j^dag a_j as a dense vector."""
     return table.photons.sum(axis=1).astype(float)
@@ -79,20 +76,12 @@ def build_number_operator(table: BasisTable) -> sp.csr_matrix:
 
 def build_coupling(table: BasisTable) -> sp.csr_matrix:
     """sum_j (a_j^dag sig_j^- + sig_j^+ a_j) = dH/dg."""
-    dim = table.dim
-    rows, cols, vals = [], [], []
-    for i, config in enumerate(table.states):
-        for j, (n, s) in enumerate(config):
-            if s != 1:
-                continue
-            flipped = list(config)
-            flipped[j] = (n + 1, 0)
-            k = table.index[tuple(flipped)]
-            amp = np.sqrt(n + 1)
-            rows += [k, i]
-            cols += [i, k]
-            vals += [amp, amp]
-    return _mirrored_csr(rows, cols, vals, dim)
+    states, sites = np.nonzero(table.qubits)
+    n = table.photons[states, sites]
+    flipped = table.rank(
+        table.keys[states] + table.key_shift(sites, photons=1, qubits=-1)
+    )
+    return _mirrored(flipped, states, np.sqrt(n + 1), table.dim)
 
 
 def build_hopping(table: BasisTable) -> sp.csr_matrix:
@@ -103,27 +92,35 @@ def build_hopping(table: BasisTable) -> sp.csr_matrix:
     for L = 2 the sum over j = 1, 2 hits the single bond twice, giving
     matrix elements of 2 between one-photon-exchange configurations.
     """
-    dim = table.dim
     L = table.shape.sites
     if L == 1:
-        return sp.csr_matrix((dim, dim))
-    rows, cols, vals = [], [], []
-    for i, config in enumerate(table.states):
-        for j in range(L):
-            jp = (j + 1) % L
-            n_from, s_from = config[jp]
-            if n_from == 0:
-                continue
-            n_to, s_to = config[j]
-            moved = list(config)
-            moved[jp] = (n_from - 1, s_from)
-            moved[j] = (n_to + 1, s_to)
-            k = table.index[tuple(moved)]
-            amp = np.sqrt(n_from) * np.sqrt(n_to + 1)
-            rows += [k, i]
-            cols += [i, k]
-            vals += [amp, amp]
-    return _mirrored_csr(rows, cols, vals, dim)
+        return sp.csr_matrix((table.dim, table.dim))
+    dst = np.arange(L)
+    src = (dst + 1) % L
+    states, bonds = np.nonzero(table.photons[:, src])
+    moved = _photon_moved(table, states, src[bonds], dst[bonds])
+    return _mirrored(*moved, table.dim)
+
+
+def _photon_moved(table, states, src, dst):
+    """Targets, sources and amplitudes of a_dst^dag a_src on `states`."""
+    n_from = table.photons[states, src]
+    n_to = table.photons[states, dst]
+    targets = table.rank(table.keys[states] + table.key_shift(src, photons=-1)
+                         + table.key_shift(dst, photons=1))
+    return targets, states, np.sqrt(n_from) * np.sqrt(n_to + 1)
+
+
+def _mirrored(rows, cols, vals, dim) -> sp.csr_matrix:
+    """Symmetric matrix from one triangle's (row, col, value) entries."""
+    m = sp.csr_matrix(
+        (np.concatenate([vals, vals]),
+         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(dim, dim),
+    )
+    m.sum_duplicates()
+    m.sort_indices()
+    return m
 
 
 def build_h0(table: BasisTable, params: LatticeParams) -> sp.csr_matrix:
@@ -155,19 +152,8 @@ def build_correlator(table: BasisTable, i: int, j: int) -> sp.csr_matrix:
     dim = table.dim
     if si == sj:
         return sp.diags(table.photons[:, si].astype(float), format="csr")
-    rows, cols, vals = [], [], []
-    for b, config in enumerate(table.states):
-        n_from, s_from = config[sj]
-        if n_from == 0:
-            continue
-        n_to, s_to = config[si]
-        moved = list(config)
-        moved[sj] = (n_from - 1, s_from)
-        moved[si] = (n_to + 1, s_to)
-        k = table.index[tuple(moved)]
-        rows.append(k)
-        cols.append(b)
-        vals.append(np.sqrt(n_from) * np.sqrt(n_to + 1))
+    states = np.flatnonzero(table.photons[:, sj])
+    rows, cols, vals = _photon_moved(table, states, sj, si)
     m = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
     m.sort_indices()
     return m
@@ -175,13 +161,51 @@ def build_correlator(table: BasisTable, i: int, j: int) -> sp.csr_matrix:
 
 def build_translation(table: BasisTable) -> sp.csr_matrix:
     """Permutation matrix T shifting every configuration by one site."""
-    dim = table.dim
-    rows = np.empty(dim, dtype=np.int64)
-    for i, config in enumerate(table.states):
-        rows[i] = table.index[translate_config(config, 1)]
+    rows = table.rank(table.key_of(np.roll(table.photons, 1, axis=1),
+                                   np.roll(table.qubits, 1, axis=1)))
     return sp.csr_matrix(
-        (np.ones(dim), (rows, np.arange(dim))), shape=(dim, dim)
+        (np.ones(table.dim), (rows, np.arange(table.dim))),
+        shape=(table.dim, table.dim),
     )
+
+
+def symmetric_isometry(translation) -> sp.csr_matrix:
+    """Isometry P (dim x d0) onto the translation-symmetric (k = 0) states.
+
+    Column c is the normalised sum over one orbit of the permutation, so
+    P P^T = (1/L) sum_m T^m is the k = 0 projector and P^T B P restricts
+    any B that commutes with T. Orbits are labelled by their smallest
+    index, found by composing the permutation with itself once per step
+    of the longest orbit (L passes for a lattice translation).
+    """
+    t = sp.csr_matrix(translation, copy=True)
+    t.sum_duplicates()
+    dim = t.shape[0]
+    perm = t.indices
+    ident = np.arange(dim)
+    if (t.shape != (dim, dim) or t.nnz != dim or np.any(t.data != 1)
+            or not np.array_equal(np.sort(perm), ident)):
+        raise ValueError("translation matrix is not a permutation")
+    rep, image = ident.copy(), perm.copy()
+    closed = image == ident
+    while not closed.all():
+        np.minimum(rep, image, out=rep)
+        image = perm[image]
+        closed |= image == ident
+    _, column = np.unique(rep, return_inverse=True)
+    sizes = np.bincount(column)
+    return sp.csr_matrix(
+        (1.0 / np.sqrt(sizes[column]), (ident, column)),
+        shape=(dim, len(sizes)),
+    )
+
+
+def _restricted(block, isometry) -> sp.csr_matrix:
+    """P^T B P of a symmetric block, symmetrised to the last bit."""
+    m = (isometry.T @ block @ isometry).tocsr()
+    m = ((m + m.T) * 0.5).tocsr()
+    m.sort_indices()
+    return m
 
 
 def dissipative_rates(
@@ -196,6 +220,11 @@ def dissipative_rates(
     from a pure decay by the constant +gamma*L/2, which uniformly inflates
     the norm. The number-conserving form is the no-jump effective decay.
     """
+    return _decay_rates(number_diagonal(table), qubit_up_diagonal(table),
+                        table.shape.sites, kappa, gamma, convention)
+
+
+def _decay_rates(photons, qubits_up, sites, kappa, gamma, convention):
     if kappa < 0 or gamma < 0:
         raise ValueError("decay rates must be non-negative")
     if convention not in DISSIPATION_CONVENTIONS:
@@ -203,12 +232,11 @@ def dissipative_rates(
             f"unknown convention {convention!r}, expected one of "
             f"{DISSIPATION_CONVENTIONS}"
         )
-    n_up = qubit_up_diagonal(table)
-    d = (kappa / 2.0) * number_diagonal(table)
+    d = (kappa / 2.0) * photons
     if convention == "literal-sigma-z":
-        d = d + (gamma / 2.0) * (2.0 * n_up - table.shape.sites)
+        d = d + (gamma / 2.0) * (2.0 * qubits_up - sites)
     else:
-        d = d + (gamma / 2.0) * n_up
+        d = d + (gamma / 2.0) * qubits_up
     return d
 
 
@@ -239,18 +267,33 @@ class HamiltonianTemplates:
     and sums aligned data vectors, which makes per-step Hamiltonians and
     dH/dp expectations essentially free.
 
+    With an `isometry` P (see `symmetric_isometry`) the templates act on its
+    column space: every block is P^T B P and `translation` is the identity,
+    which is what T is on the k = 0 sector. The diagonals are constant on
+    translation orbits, so they restrict by taking each orbit's value.
+
     The shared matrix returned by `assemble` is reused between calls;
     callers that need to keep a Hamiltonian must copy it.
     """
 
-    def __init__(self, table: BasisTable):
-        self.table = table
-        self.dim = table.dim
+    def __init__(self, table: BasisTable, isometry=None):
+        self.isometry = isometry
         self.sites = table.shape.sites
         self.number_diag = number_diagonal(table)
+        self.qubit_up_diag = qubit_up_diagonal(table)
         self.coupling = build_coupling(table)
         self.hopping = build_hopping(table)
-        self.translation = build_translation(table)
+        if isometry is None:
+            self.translation = build_translation(table)
+        else:
+            for name in ("number_diag", "qubit_up_diag"):
+                restricted = np.empty(isometry.shape[1])
+                restricted[isometry.indices] = getattr(self, name)
+                setattr(self, name, restricted)
+            self.coupling = _restricted(self.coupling, isometry)
+            self.hopping = _restricted(self.hopping, isometry)
+            self.translation = sp.identity(isometry.shape[1], format="csr")
+        self.dim = len(self.number_diag)
 
         blocks = [
             sp.diags(self.number_diag).tocsr(),
@@ -262,14 +305,14 @@ class HamiltonianTemplates:
         for block in blocks:
             coo = block.tocoo()
             keys.append(coo.row.astype(np.int64) * self.dim + coo.col)
-        union = np.unique(np.concatenate(keys))
+        union = np.sort(np.concatenate(keys))
+        union = union[np.concatenate(([True], union[1:] != union[:-1]))]
         shared = sp.csr_matrix(
             (np.zeros(union.size), (union // self.dim, union % self.dim)),
             shape=(self.dim, self.dim),
         )
         shared.sort_indices()
         self._shared = shared
-        self._union_keys = union
 
         def aligned(block):
             coo = block.tocoo()
@@ -286,6 +329,12 @@ class HamiltonianTemplates:
             union, np.arange(self.dim, dtype=np.int64) * self.dim + np.arange(self.dim)
         )
 
+    def dissipative_rates(self, kappa: float, gamma: float,
+                          convention: str = "literal-sigma-z") -> np.ndarray:
+        """`dissipative_rates` on the basis these templates act in."""
+        return _decay_rates(self.number_diag, self.qubit_up_diag, self.sites,
+                            kappa, gamma, convention)
+
     def data_for(self, g: float, J: float, delta: float) -> np.ndarray:
         return (
             delta * self.data_number
@@ -300,3 +349,8 @@ class HamiltonianTemplates:
 
     def assemble_copy(self, g: float, J: float, delta: float) -> sp.csr_matrix:
         return self.assemble(g, J, delta).copy()
+
+
+def k0_sector(table: BasisTable) -> HamiltonianTemplates:
+    """Templates on the k = 0 translation sector of `table`."""
+    return HamiltonianTemplates(table, symmetric_isometry(build_translation(table)))

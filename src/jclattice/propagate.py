@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .operators import HamiltonianTemplates, dissipative_rates
+from .operators import HamiltonianTemplates
 from .ramp import RampPlan
 from .spectrum import ground_state, symmetric_projector_weight
 
@@ -114,7 +114,7 @@ def evolve_dissipative(
 ) -> EvolutionResult:
     """Integrate under H(t) - i D without mid-flight renormalization;
     with kappa = gamma = 0 the arithmetic is that of `evolve`."""
-    decay = dissipative_rates(templates.table, kappa, gamma, convention)
+    decay = templates.dissipative_rates(kappa, gamma, convention)
     return _evolve_impl(templates, plan, psi0, decay, tol, initial_steps,
                         max_refinements, checkpoints)
 
@@ -157,8 +157,10 @@ def _evolve_impl(templates, plan, psi0, decay, tol, initial_steps,
             nrm = np.linalg.norm(psi)
             if diff <= tol * max(1.0, nrm):
                 weight = symmetric_projector_weight(psi / nrm, templates.translation)
-                rows = [_checkpoint(templates, plan, u, s)
-                        for u, s in zip(marks, saved)]
+                rows, ground = [], None
+                for u, s in zip(marks, saved):
+                    row, ground = _checkpoint(templates, plan, u, s, ground)
+                    rows.append(row)
                 return EvolutionResult(psi, float(abs(nrm / norm0 - 1.0)),
                                        float(1.0 - weight), int(counts.sum()),
                                        rows, diff)
@@ -218,10 +220,14 @@ def _expmv(a, psi, tol, basis):
     raise StepSizeUnderflow(f"{MAX_KRYLOV} Krylov vectors missed {tol:.3g}")
 
 
-def _checkpoint(templates, plan, u, psi):
+def _checkpoint(templates, plan, u, psi, previous):
+    """Checkpoint row at fraction u and its ground vector; the solve starts
+    from the previous checkpoint's ground vector."""
     p = plan.params_at_fraction(u)
-    ground = ground_state(templates.assemble_copy(p.g, p.J, p.delta)).vector
+    h = templates.assemble_copy(p.g, p.J, p.delta)
+    ground = ground_state(h, v0=previous).vector
     nrm = float(np.linalg.norm(psi))
-    return Checkpoint(u * plan.total_time, p.g, p.J, p.delta, nrm,
-                      fidelity(psi / nrm, ground),
-                      symmetric_projector_weight(psi / nrm, templates.translation))
+    row = Checkpoint(u * plan.total_time, p.g, p.J, p.delta, nrm,
+                     fidelity(psi / nrm, ground),
+                     symmetric_projector_weight(psi / nrm, templates.translation))
+    return row, ground

@@ -2,15 +2,20 @@
 
 The eigensolver is iterative Lanczos (scipy ARPACK) above a dense-fallback
 cutoff and full `eigh` below it; the dense path doubles as the oracle in
-tests. The Lanczos start vector comes from a fixed seed: a naively chosen
-deterministic vector such as all-ones can be *exactly* orthogonal to the
-ground state (it is, for the Mott product state), which stalls Krylov
-convergence in exact arithmetic.
+tests. The cutoff sits near the measured single-thread crossover: at 200
+states `eigh` and `eigsh(k=2)` cost the same, at 899 `eigsh` is about ten
+times faster. The Lanczos start vector comes from a fixed seed: a naively
+chosen deterministic vector such as all-ones can be *exactly* orthogonal
+to the ground state (it is, for the Mott product state), which stalls
+Krylov convergence in exact arithmetic. Repeated solves along a
+trajectory pass the previous ground vector as `v0` instead.
 
-Symmetric states are defined by the translation projector
-P0 = (1/L) sum_m T^m; the minimal gap along a ramping trajectory is the
-separation between the ground state and the lowest excitation inside the
-P0 sector, found by deflating the asymmetric sector to a large constant.
+Symmetric states are the k = 0 translation sector, the range of the
+projector P0 = (1/L) sum_m T^m = P P^T, where the isometry P
+(`operators.symmetric_isometry`) holds one normalised orbit sum per
+column. The minimal gap along a ramping trajectory is the separation of
+the two lowest eigenvalues of P^T H P. On templates that already act in
+the sector, T and P are the identity and the matrix is used as it is.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .operators import HamiltonianTemplates, LatticeParams
+from .operators import HamiltonianTemplates, LatticeParams, symmetric_isometry
 from .ramp import RampPlan, trajectory_point
 
-DENSE_CUTOFF = 2000
+DENSE_CUTOFF = 200
 DEGENERACY_TOL = 1e-9  # units of g; far below physical gaps, above solver noise
 SYMMETRIC_WEIGHT_THRESHOLD = 0.5
 _LANCZOS_SEED = 20260811
@@ -67,14 +72,16 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v if v[lead] > 0 else -v
 
 
-def _lowest_eigh(h, k: int):
+def _lowest_eigh(h, k: int, v0=None):
     dim = h.shape[0]
     k = min(k, dim)
     if dim <= DENSE_CUTOFF or k >= dim - 1:
         w, v = np.linalg.eigh(h.toarray() if sp.issparse(h) else np.asarray(h))
         return w[:k], v[:, :k]
+    if v0 is None:
+        v0 = start_vector(dim)
     try:
-        w, v = spla.eigsh(h, k=k, which="SA", v0=start_vector(dim), tol=1e-12)
+        w, v = spla.eigsh(h, k=k, which="SA", v0=v0, tol=1e-12)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"ARPACK converged {len(exc.eigenvalues)}/{k} eigenvalues "
@@ -84,13 +91,15 @@ def _lowest_eigh(h, k: int):
     return w[order], v[:, order]
 
 
-def ground_state(h, translation=None, degeneracy_tol: float = DEGENERACY_TOL) -> EigenPair:
+def ground_state(h, translation=None, degeneracy_tol: float = DEGENERACY_TOL,
+                 v0=None) -> EigenPair:
     """Lowest eigenpair with deterministic sign (largest amplitude positive).
 
     Raises DegeneracyError when the two lowest eigenvalues are closer than
-    `degeneracy_tol`.
+    `degeneracy_tol`. `v0`, a nearby ground vector, warm-starts the
+    iterative solve.
     """
-    w, v = _lowest_eigh(h, 2)
+    w, v = _lowest_eigh(h, 2, v0)
     if len(w) > 1 and w[1] - w[0] < degeneracy_tol:
         raise DegeneracyError(
             f"ground state degenerate within {degeneracy_tol}: "
@@ -130,11 +139,7 @@ def low_spectrum(h, count: int, translation=None) -> list[EigenPair]:
     for group in groups:
         if len(group) > 1:
             block = np.column_stack([pairs[i].vector for i in group])
-            projected = np.column_stack(
-                [apply_symmetric_projector(block[:, j], translation)
-                 for j in range(block.shape[1])]
-            )
-            gram = block.T @ projected
+            gram = block.T @ apply_symmetric_projector(block, translation)
             _, rot = np.linalg.eigh((gram + gram.T) / 2)
             rotated = block @ rot
             for j, i in enumerate(group):
@@ -148,90 +153,36 @@ def low_spectrum(h, count: int, translation=None) -> list[EigenPair]:
 
 
 def apply_symmetric_projector(v: np.ndarray, translation) -> np.ndarray:
-    """P0 v with P0 = (1/L) sum_{m=0}^{L-1} T^m."""
-    sites = _orbit_length(translation)
-    acc = v.copy()
-    w = v
-    for _ in range(sites - 1):
-        w = translation @ w
-        acc = acc + w
-    return acc / sites
+    """P0 v with P0 = (1/L) sum_{m=0}^{L-1} T^m = P P^T (v: vector or
+    column block)."""
+    p = symmetric_isometry(translation)
+    return p @ (p.T @ v)
 
 
 def symmetric_projector_weight(v: np.ndarray, translation) -> float:
     """Squared norm of the projection of `v` onto the k = 0 sector."""
-    pv = apply_symmetric_projector(v, translation)
+    pv = symmetric_isometry(translation).T @ v
     return float(np.real(np.vdot(pv, pv)))
 
 
-def _orbit_length(translation) -> int:
-    """Order of the translation permutation (= L), via its cycle structure."""
-    cached = getattr(translation, "_jcl_order", None)
-    if cached is not None:
-        return cached
-    if not sp.issparse(translation):
-        raise TypeError("translation operator must be a sparse permutation matrix")
-    t = translation.tocsr()
-    dim = t.shape[0]
-    if t.nnz != dim:
-        raise ValueError("translation matrix is not a permutation")
-    perm = np.full(dim, -1, dtype=np.int64)
-    perm[np.repeat(np.arange(dim), np.diff(t.indptr))] = t.indices
-    order = 1
-    seen = np.zeros(dim, dtype=bool)
-    for start in range(dim):
-        if seen[start]:
-            continue
-        length, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        order = int(np.lcm(order, length))
-    translation._jcl_order = order
-    return order
+def symmetric_pair(h, translation, v0=None):
+    """(E0, E1, ground vector) of the two lowest translation-symmetric states.
 
-
-def symmetric_pair(h, translation, v0=None, deflation_shift=None):
-    """(E0, E1) of the two lowest translation-symmetric states.
-
-    Asymmetric states are pushed to `deflation_shift` (default: above the
-    Gershgorin bound of H), so plain Lanczos on the deflated operator
-    returns the symmetric ground state and the lowest symmetric excitation
-    without any classification step.
+    They are the two lowest eigenpairs of P^T h P; the vector is mapped
+    back to the space of `h`, where `v0` (a previous result) warm-starts
+    the solve.
     """
-    dim = h.shape[0]
-    sites = _orbit_length(translation)
-    if deflation_shift is None:
-        deflation_shift = float(np.abs(h).sum(axis=1).max()) + 1.0
-    shift = deflation_shift
-
-    def matvec(v):
-        acc = v.copy()
-        w = v
-        for _ in range(sites - 1):
-            w = translation @ w
-            acc = acc + w
-        pv = acc / sites
-        return h @ pv + shift * (v - pv)
-
-    if dim <= 16:
-        dense = np.column_stack([matvec(col) for col in np.eye(dim)])
-        w = np.linalg.eigvalsh(dense)
-        return float(w[0]), float(w[1]), None
-    op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    try:
-        w, v = spla.eigsh(
-            op, k=2, which="SA",
-            v0=v0 if v0 is not None else start_vector(dim), tol=1e-11,
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"symmetric-pair solve failed after ARPACK iterations "
-            f"({len(exc.eigenvalues)}/2 converged, dim={dim})"
-        ) from exc
-    order = np.argsort(w)
-    return float(w[order[0]]), float(w[order[1]]), v[:, order[0]]
+    p = symmetric_isometry(translation)
+    if p.shape[1] < h.shape[0]:
+        h = p.T @ h @ p
+        v0 = None if v0 is None else p.T @ v0
+    else:
+        p = None  # the identity: h already acts on the sector
+    if h.shape[0] < 2:
+        raise ValueError("the k = 0 sector holds one state: no symmetric gap")
+    w, v = _lowest_eigh(h, 2, v0)
+    vec = v[:, 0] if p is None else p @ v[:, 0]
+    return float(w[0]), float(w[1]), vec
 
 
 def gap_scan(
@@ -240,27 +191,27 @@ def gap_scan(
     resolution: int = 33,
     refine_tol: float = 1e-4,
     degeneracy_tol: float = DEGENERACY_TOL,
-    with_any_gap: bool = False,
+    full_space: HamiltonianTemplates | None = None,
 ) -> GapReport:
     """Locate the minimal symmetric gap along the plan's trajectory.
 
     Coarse scan over `resolution` equispaced s points, then golden-section
     refinement of s to `refine_tol`. Flat scans report the leftmost
     minimum. Raises DegeneracyError when any sampled gap drops below
-    10x the degeneracy threshold (suspected level crossing).
+    10x the degeneracy threshold (suspected level crossing). `templates`
+    may act on the full space or on the k = 0 sector; with `full_space`
+    templates every coarse row also holds the lowest gap over all sectors.
+    Each solve is warm-started from the previous point's.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
     translation = templates.translation
-
-    warm = {"v0": None}
+    warm = {"sym": None, "any": None}
 
     def gap_at(s: float):
         p = trajectory_point(plan, s)
         h = templates.assemble(p.g, p.J, p.delta)
-        e0, e1, vec = symmetric_pair(h, translation, v0=warm["v0"])
-        if vec is not None:
-            warm["v0"] = vec
+        e0, e1, warm["sym"] = symmetric_pair(h, translation, v0=warm["sym"])
         gap = e1 - e0
         if gap < 10 * degeneracy_tol:
             raise DegeneracyError(
@@ -275,14 +226,20 @@ def gap_scan(
         gap, p = gap_at(s)
         gaps[i] = gap
         row = [float(s), p, gap]
-        if with_any_gap:
-            h = templates.assemble(p.g, p.J, p.delta)
-            w, _ = _lowest_eigh(h, 2)
+        if full_space is not None:
+            # H commutes with T, so a start inside one sector never leaves
+            # it: the previous pair is mixed with the seeded vector
+            seeded = start_vector(full_space.dim)
+            seeded /= np.linalg.norm(seeded)
+            h = full_space.assemble(p.g, p.J, p.delta)
+            w, v = _lowest_eigh(h, 2, None if warm["any"] is None
+                                else warm["any"] + seeded)
+            warm["any"] = v[:, 0] + v[:, 1]
             row.append(float(w[1] - w[0]))
         curve.append(tuple(row))
 
     i_min = int(np.argmin(gaps))  # argmin is leftmost on ties
-    # flat within solver noise (eigsh tol 1e-11): leftmost-minimum tie-break
+    # flat within solver noise (eigsh tol 1e-12): leftmost-minimum tie-break
     flat = np.ptp(gaps) <= 1e-9 * max(1.0, float(np.abs(gaps).max()))
     if flat:
         i_min = 0

@@ -72,19 +72,9 @@ def mi_ground_state(table: BasisTable, delta: float, g: float) -> np.ndarray:
             f"L={shape.sites}"
         )
     amp_photon, amp_qubit = polariton_doublet(1, delta, g).lower_amplitudes
-    psi = np.zeros(table.dim)
-    for i, config in enumerate(table.states):
-        amp = 1.0
-        for n, s in config:
-            if (n, s) == (1, 0):
-                amp *= amp_photon
-            elif (n, s) == (0, 1):
-                amp *= amp_qubit
-            else:
-                amp = 0.0
-                break
-        psi[i] = amp
-    return psi
+    one_each = (table.photons + table.qubits == 1).all(axis=1)
+    site_amp = np.where(table.photons == 1, amp_photon, amp_qubit)
+    return np.where(one_each, site_amp.prod(axis=1), 0.0)
 
 
 def sf_ground_state(table: BasisTable) -> np.ndarray:
@@ -100,16 +90,10 @@ def sf_ground_state(table: BasisTable) -> np.ndarray:
             f"L={shape.sites}"
         )
     N = shape.excitations
-    psi = np.zeros(table.dim)
-    scale = N ** (-N / 2.0)
-    for i, config in enumerate(table.states):
-        if any(s for _, s in config):
-            continue
-        denom = 1
-        for n, _ in config:
-            denom *= math.factorial(n)
-        psi[i] = math.sqrt(math.factorial(N) / denom) * scale
-    return psi
+    factorial = np.array([math.factorial(n) for n in range(N + 1)], dtype=float)
+    amp = np.sqrt(math.factorial(N) / factorial[table.photons].prod(axis=1))
+    all_down = ~table.qubits.any(axis=1)
+    return np.where(all_down, amp * N ** (-N / 2.0), 0.0)
 
 
 @dataclass

@@ -1,5 +1,13 @@
 """Run drivers behind the CLI: ramps, fidelity grids, maps and pulses.
 
+Ramps, phase diagrams, rJ sweeps, rho1 maps and the symmetric gap of
+gap scans run in the k = 0 translation sector, built once per run: after
+the gauge (-1)^{#qubits up}, H is stoquastic for J >= 0, so its ground
+state, the prepared MI and SF states and every target lie there. Runs
+that would leave it (a negative J, an init_file state with weight
+outside k = 0) are refused as configuration errors. `spectrum` and the
+E_gap_any column of gap scans need every sector and use the full basis.
+
 Grid sweeps distribute independent points over a fork-based worker pool
 (shared read-only operator templates, copy-on-write) and always emit rows
 in grid-index order, so output files are deterministic for a given config
@@ -17,41 +25,74 @@ import numpy as np
 from . import states
 from .basis import LatticeShape, enumerate_basis, write_basis_text
 from .config import ConfigError, RunConfig, fmt, write_csv
-from .operators import HamiltonianTemplates, build_correlator
+from .operators import HamiltonianTemplates, build_correlator, k0_sector
 from .propagate import evolve, evolve_dissipative, fidelity
 from .ramp import RampPlan, RampSchedule
 from .spectrum import GapReport, gap_scan, ground_state, low_spectrum
 
+SECTOR_WEIGHT_TOL = 1e-8  # largest k != 0 weight accepted in an initial state
 _POOL_CONTEXT = {}
 
 
 @dataclass
 class SimContext:
-    """Table, templates and initial state shared by every point of a sweep."""
+    """Table, k = 0 sector templates and the initial state on that sector,
+    shared by every point of a sweep."""
 
     cfg: RunConfig
     table: object
     templates: HamiltonianTemplates
-    psi0: np.ndarray
+    psi0: np.ndarray | None
 
 
-def prepare_context(cfg: RunConfig) -> SimContext:
-    table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
-    templates = HamiltonianTemplates(table)
-    psi0 = initial_state(cfg, table)
+def prepare_context(cfg: RunConfig, with_state: bool = True) -> SimContext:
+    table = _table(cfg)
+    templates = k0_sector(table)
+    psi0 = None
+    if with_state:
+        isometry = templates.isometry
+        psi0 = isometry.T @ initial_state(cfg, table, isometry)
+        weight = float(np.vdot(psi0, psi0).real)
+        if weight < 1.0 - SECTOR_WEIGHT_TOL:
+            raise ConfigError(
+                f"initial state has k = 0 weight {weight:.12g}, below "
+                f"1 - {SECTOR_WEIGHT_TOL:g}: ramps run in the k = 0 "
+                f"translation sector, which cannot represent it"
+            )
     return SimContext(cfg, table, templates, psi0)
 
 
-def initial_state(cfg: RunConfig, table) -> np.ndarray:
+def _table(cfg: RunConfig, ctx: SimContext | None = None):
+    if ctx is not None:
+        return ctx.table
+    return enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
+
+
+def _require_nonnegative_j(values, what: str) -> None:
+    lowest = min(values)
+    if lowest < 0:
+        raise ConfigError(
+            f"{what} reaches J = {fmt(float(lowest))} < 0: without J >= 0 the "
+            f"ground state need not lie in the k = 0 sector this command uses"
+        )
+
+
+def initial_state(cfg: RunConfig, table, isometry=None) -> np.ndarray:
+    """Initial state on the full basis. With the k = 0 `isometry`, an
+    init_file may instead hold one amplitude per column of the isometry."""
     if cfg.init == "mi":
         return states.mi_ground_state(table, cfg.plan.delta.start, cfg.plan.g.start)
     if cfg.init == "sf":
         return states.sf_ground_state(table)
     psi = np.load(cfg.init_file)
     psi = np.asarray(psi, dtype=complex).ravel()
+    if isometry is not None and psi.shape == (isometry.shape[1],):
+        psi = isometry @ psi
     if psi.shape != (table.dim,):
+        sector = "" if isometry is None else f" or {isometry.shape[1]} (k = 0)"
         raise ConfigError(
-            f"init_file state has {psi.shape[0]} amplitudes, basis dim is {table.dim}"
+            f"init_file state has {psi.shape[0]} amplitudes, basis dim is "
+            f"{table.dim}{sector}"
         )
     nrm = np.linalg.norm(psi)
     if not nrm > 0:
@@ -105,6 +146,7 @@ def _run_plan(ctx: SimContext, plan: RampPlan, checkpoints: int = 0):
 
 def run_ramp(cfg: RunConfig, ctx: SimContext | None = None) -> RampResult:
     """Init -> evolve -> fidelity; optional per-checkpoint CSV."""
+    _require_nonnegative_j((cfg.plan.J.start, cfg.plan.J.stop), "the ramp")
     ctx = ctx or prepare_context(cfg)
     evo, summary = _run_plan(ctx, cfg.plan, checkpoints=cfg.checkpoints)
     if cfg.out:
@@ -189,15 +231,31 @@ def _progress_path(out: str) -> str:
 
 
 def _load_progress(path: str) -> dict:
+    """Journaled points. A last line that is unterminated or does not parse
+    is what a crash in mid-write leaves: it is dropped and cut from the
+    file, so the next appended line starts clean. A malformed line before
+    it is a ConfigError."""
     done = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                idx, value = line.split(",", 1)
-                done[int(idx)] = float(value)
+    if not os.path.exists(path):
+        return done
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        *lines, torn = data.split(b"\n")  # torn: text after the last newline
+        kept = 0
+        for number, line in enumerate(lines, start=1):
+            try:
+                if line.strip():
+                    idx, value = line.decode("ascii").split(",", 1)
+                    done[int(idx)] = float(value)
+            except ValueError:
+                if number < len(lines) or torn:
+                    raise ConfigError(
+                        f"{path}:{number}: malformed journal line {line!r}"
+                    ) from None
+                break
+            kept += len(line) + 1
+        if kept < len(data):
+            fh.truncate(kept)
     return done
 
 
@@ -214,6 +272,9 @@ def run_phase_diagram(
     """
     if cfg.jt_grid is None or cfg.dt_grid is None:
         raise ConfigError("phase-diagram needs JT_* and dT_* grids")
+    _require_nonnegative_j(
+        (cfg.plan.J.start, cfg.jt_grid.lo, cfg.jt_grid.hi), "the JT grid ramp"
+    )
     ctx = ctx or prepare_context(cfg)
     jts = cfg.jt_grid.values()
     dts = cfg.dt_grid.values()
@@ -343,6 +404,7 @@ def run_rj_sweep(cfg: RunConfig, threads: int = 1,
     """Fidelity vs ramping index at fixed index ratios (trajectory fixed)."""
     if not cfg.rj_values:
         raise ConfigError("rj-sweep needs rJ_values")
+    _require_nonnegative_j((cfg.plan.J.start, cfg.plan.J.stop), "the ramp")
     ctx = ctx or prepare_context(cfg)
     tasks = list(enumerate(cfg.rj_values))
     done = _run_indexed(tasks, _rj_point, ctx, threads)
@@ -373,20 +435,24 @@ def run_rho1_map(cfg: RunConfig, threads: int = 1,
     """Ground-state rho1(i, j) over a (J, Delta) grid at fixed g = g0."""
     if cfg.j_grid is None or cfg.d_grid is None:
         raise ConfigError("rho1-map needs J_* and d_* grids")
-    table = (ctx.table if ctx else
-             enumerate_basis(LatticeShape(cfg.sites, cfg.excitations)))
-    templates = ctx.templates if ctx else HamiltonianTemplates(table)
-    holder = SimContext(cfg, table, templates, np.zeros(table.dim))
+    _require_nonnegative_j((cfg.j_grid.lo, cfg.j_grid.hi), "the J grid")
+    ctx = ctx or prepare_context(cfg, with_state=False)
+    p = ctx.templates.isometry
     js = cfg.j_grid.values()
     ds = cfg.d_grid.values()
     tasks = [
         (i * len(ds) + j, jv, dv)
         for i, jv in enumerate(js) for j, dv in enumerate(ds)
     ]
-    _POOL_CONTEXT["corr"] = build_correlator(table, cfg.rho_i, cfg.rho_j)
-    _POOL_CONTEXT["corr_diag"] = build_correlator(table, cfg.rho_i, cfg.rho_i)
+
+    def restricted(j):
+        # <phi|P^T C P|phi> is the full-space value for a k = 0 ground state
+        return p.T @ build_correlator(ctx.table, cfg.rho_i, j) @ p
+
+    _POOL_CONTEXT["corr"] = restricted(cfg.rho_j)
+    _POOL_CONTEXT["corr_diag"] = restricted(cfg.rho_i)
     try:
-        done = _run_indexed(tasks, _rho1_point, holder, threads)
+        done = _run_indexed(tasks, _rho1_point, ctx, threads)
     finally:
         _POOL_CONTEXT.pop("corr", None)
         _POOL_CONTEXT.pop("corr_diag", None)
@@ -398,13 +464,16 @@ def run_rho1_map(cfg: RunConfig, threads: int = 1,
 
 
 def run_gap_scan(cfg: RunConfig, ctx: SimContext | None = None) -> GapReport:
-    """Coarse symmetric/any gap curve plus refined minimum (CSV footer row)."""
-    table = (ctx.table if ctx else
-             enumerate_basis(LatticeShape(cfg.sites, cfg.excitations)))
-    templates = ctx.templates if ctx else HamiltonianTemplates(table)
+    """Coarse symmetric/any gap curve plus refined minimum (CSV footer row).
+
+    The symmetric gap comes from the k = 0 sector, E_gap_any from the full
+    basis (only when there is an output to hold it)."""
+    table = _table(cfg, ctx)
+    sector = ctx.templates if ctx else k0_sector(table)
     report = gap_scan(
-        templates, cfg.plan, resolution=cfg.resolution,
-        refine_tol=cfg.refine_tol, with_any_gap=bool(cfg.out),
+        sector, cfg.plan, resolution=cfg.resolution,
+        refine_tol=cfg.refine_tol,
+        full_space=HamiltonianTemplates(table) if cfg.out else None,
     )
     if cfg.out:
         rows = [
@@ -426,10 +495,9 @@ def run_gap_scan(cfg: RunConfig, ctx: SimContext | None = None) -> GapReport:
 
 
 def run_spectrum(cfg: RunConfig, ctx: SimContext | None = None):
-    """Lowest levels along the plan trajectory, with symmetry weights."""
-    table = (ctx.table if ctx else
-             enumerate_basis(LatticeShape(cfg.sites, cfg.excitations)))
-    templates = ctx.templates if ctx else HamiltonianTemplates(table)
+    """Lowest levels along the plan trajectory, with symmetry weights
+    (on the full basis: every sector contributes levels)."""
+    templates = HamiltonianTemplates(_table(cfg, ctx))
     rows = []
     from .ramp import trajectory_point
 
@@ -453,7 +521,7 @@ def run_spectrum(cfg: RunConfig, ctx: SimContext | None = None):
 
 
 def run_basis(cfg: RunConfig):
-    table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
+    table = _table(cfg)
     if cfg.out:
         write_basis_text(table, cfg.out)
     return table

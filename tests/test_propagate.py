@@ -218,9 +218,9 @@ def test_checkpoints_at_exact_times_with_one_solve_each(table33, templates33,
 
     solves = []
 
-    def counting(h):
+    def counting(h, **kwargs):
         solves.append(h.shape)
-        return ground_state(h)
+        return ground_state(h, **kwargs)
 
     monkeypatch.setattr(propagate, "ground_state", counting)
     T = 2 * math.pi

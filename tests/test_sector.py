@@ -1,0 +1,474 @@
+"""The k = 0 sector fast path against the full-space path it replaces.
+
+The per-state loops below are the operator builders as they were before
+array ranking; they stay here as an oracle only. The deflation oracle is
+the earlier symmetric-gap method: the lowest eigenvalues of
+P0 H P0 + c (1 - P0), with P0 summed from powers of T.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from jclattice.basis import (
+    LatticeShape,
+    ResourceLimitError,
+    SectorError,
+    enumerate_basis,
+    index_of,
+    translate_config,
+)
+from jclattice.cli import main
+from jclattice.config import GridSpec, RunConfig
+from jclattice.operators import (
+    HamiltonianTemplates,
+    build_correlator,
+    build_coupling,
+    build_hopping,
+    build_translation,
+    k0_sector,
+    symmetric_isometry,
+)
+from jclattice.propagate import evolve, evolve_dissipative, fidelity
+from jclattice.ramp import RampPlan, RampSchedule
+from jclattice.spectrum import (
+    _lowest_eigh,
+    gap_scan,
+    ground_state,
+    start_vector,
+    symmetric_pair,
+)
+from jclattice.states import mi_ground_state, sf_ground_state
+from jclattice.sweeps import _load_progress, run_phase_diagram, run_rho1_map
+
+SHAPES = [LatticeShape(L, L) for L in range(2, 7)]
+POINTS = [(1.0, 0.05, 0.0), (1.0, 0.2, -0.5), (0.7, 0.35, 0.6)]
+_CACHE = {}
+
+
+def pair(shape):
+    """(table, full-space templates, k = 0 sector templates), cached."""
+    if shape not in _CACHE:
+        table = enumerate_basis(shape)
+        _CACHE[shape] = (table, HamiltonianTemplates(table), k0_sector(table))
+    return _CACHE[shape]
+
+
+# --- loop-built oracle -----------------------------------------------------
+
+def _loop_index(table):
+    return {c: i for i, c in enumerate(table.states)}
+
+
+def loop_coupling(table):
+    index = _loop_index(table)
+    rows, cols, vals = [], [], []
+    for i, config in enumerate(table.states):
+        for j, (n, s) in enumerate(config):
+            if s != 1:
+                continue
+            flipped = list(config)
+            flipped[j] = (n + 1, 0)
+            k = index[tuple(flipped)]
+            amp = np.sqrt(n + 1)
+            rows += [k, i]
+            cols += [i, k]
+            vals += [amp, amp]
+    return rows, cols, vals
+
+
+def loop_hopping(table):
+    index = _loop_index(table)
+    L = table.shape.sites
+    rows, cols, vals = [], [], []
+    for i, config in enumerate(table.states):
+        for j in range(L if L > 1 else 0):
+            jp = (j + 1) % L
+            n_from, s_from = config[jp]
+            if n_from == 0:
+                continue
+            n_to, s_to = config[j]
+            moved = list(config)
+            moved[jp] = (n_from - 1, s_from)
+            moved[j] = (n_to + 1, s_to)
+            k = index[tuple(moved)]
+            amp = np.sqrt(n_from) * np.sqrt(n_to + 1)
+            rows += [k, i]
+            cols += [i, k]
+            vals += [amp, amp]
+    return rows, cols, vals
+
+
+def loop_correlator(table, i, j):
+    index = _loop_index(table)
+    si, sj = i - 1, j - 1
+    rows, cols, vals = [], [], []
+    for b, config in enumerate(table.states):
+        n_from, s_from = config[sj]
+        if n_from == 0:
+            continue
+        n_to, s_to = config[si]
+        moved = list(config)
+        moved[sj] = (n_from - 1, s_from)
+        moved[si] = (n_to + 1, s_to)
+        rows.append(index[tuple(moved)])
+        cols.append(b)
+        vals.append(np.sqrt(n_from) * np.sqrt(n_to + 1))
+    return rows, cols, vals
+
+
+def loop_translation(table):
+    index = _loop_index(table)
+    rows = [index[translate_config(c, 1)] for c in table.states]
+    return rows, list(range(table.dim)), [1.0] * table.dim
+
+
+def loop_mi(table, delta, g):
+    from jclattice.states import polariton_doublet
+
+    amp_photon, amp_qubit = polariton_doublet(1, delta, g).lower_amplitudes
+    psi = np.zeros(table.dim)
+    for i, config in enumerate(table.states):
+        amp = 1.0
+        for n, s in config:
+            if (n, s) == (1, 0):
+                amp *= amp_photon
+            elif (n, s) == (0, 1):
+                amp *= amp_qubit
+            else:
+                amp = 0.0
+                break
+        psi[i] = amp
+    return psi
+
+
+def loop_sf(table):
+    N = table.shape.excitations
+    psi = np.zeros(table.dim)
+    for i, config in enumerate(table.states):
+        if any(s for _, s in config):
+            continue
+        denom = 1
+        for n, _ in config:
+            denom *= math.factorial(n)
+        psi[i] = math.sqrt(math.factorial(N) / denom) * N ** (-N / 2.0)
+    return psi
+
+
+def as_csr(entries, dim):
+    m = sp.csr_matrix((np.asarray(entries[2], float), entries[:2]),
+                      shape=(dim, dim))
+    m.sum_duplicates()
+    m.sort_indices()
+    return m
+
+
+def assert_same(a, b):
+    a, b = a.tocsr(), b.tocsr()
+    a.sort_indices()
+    b.sort_indices()
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("L,N", [(1, 2), (2, 1), (2, 3), (3, 3), (4, 2),
+                                 (4, 4), (5, 3)])
+def test_rank_built_operators_equal_loop_built(L, N):
+    table = enumerate_basis(LatticeShape(L, N))
+    dim = table.dim
+    assert_same(build_coupling(table), as_csr(loop_coupling(table), dim))
+    assert_same(build_hopping(table), as_csr(loop_hopping(table), dim))
+    assert_same(build_translation(table), as_csr(loop_translation(table), dim))
+    for i, j in [(1, L), (L, 1), (1, 1 + L // 2)]:
+        if i != j:
+            assert_same(build_correlator(table, i, j),
+                        as_csr(loop_correlator(table, i, j), dim))
+    if L == N:
+        assert np.array_equal(mi_ground_state(table, 0.3, 1.0),
+                              loop_mi(table, 0.3, 1.0))
+        assert np.allclose(sf_ground_state(table), loop_sf(table),
+                           rtol=1e-15, atol=0.0)
+
+
+def test_rank_rejects_configurations_outside_the_table():
+    table = enumerate_basis(LatticeShape(2, 1))
+    with pytest.raises(SectorError):
+        index_of(table, ((2, -1), (0, 0)))
+    with pytest.raises(SectorError):
+        table.rank(np.array([table.keys[-1] + 1]))
+
+
+def test_configuration_keys_refuse_int64_overflow():
+    # radix 4 over 40 sites needs 80 bits; the sector itself is tiny
+    with pytest.raises(ResourceLimitError):
+        enumerate_basis(LatticeShape(40, 1))
+
+
+# --- isometry ---------------------------------------------------------------
+
+def loop_projector(v, translation, sites):
+    acc, w = v.copy(), v
+    for _ in range(sites - 1):
+        w = translation @ w
+        acc = acc + w
+    return acc / sites
+
+
+@pytest.mark.parametrize("shape", SHAPES[:4], ids=str)
+def test_isometry_spans_the_symmetric_projector(shape):
+    table = enumerate_basis(shape)
+    t = build_translation(table)
+    p = symmetric_isometry(t)
+    gram = (p.T @ p).toarray()
+    assert np.allclose(gram, np.eye(p.shape[1]), atol=1e-15)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        v = rng.standard_normal(table.dim)
+        assert np.allclose(p @ (p.T @ v), loop_projector(v, t, shape.sites),
+                           atol=1e-14)
+    # a relabelled basis has the same orbits
+    perm = rng.permutation(table.dim)
+    q = sp.csr_matrix((np.ones(table.dim), (perm, np.arange(table.dim))))
+    p2 = symmetric_isometry((q @ t @ q.T).tocsr())
+    assert p2.shape == p.shape
+    assert np.allclose((p2 @ p2.T).toarray(), (q @ p @ p.T @ q.T).toarray())
+
+
+def test_isometry_refuses_a_non_permutation():
+    with pytest.raises(ValueError):
+        symmetric_isometry(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 1.0]])))
+
+
+# --- spectra ----------------------------------------------------------------
+
+def deflation_oracle(h, translation, sites, dense: bool):
+    """Two lowest eigenvalues of P0 H P0 + c (1 - P0)."""
+    dim = h.shape[0]
+    c = float(np.abs(h).sum(axis=1).max()) + 1.0
+
+    def deflated(v):
+        pv = loop_projector(v, translation, sites)
+        return h @ pv + c * (v - pv)
+
+    if dense:
+        m = np.column_stack([deflated(col) for col in np.eye(dim)])
+        return np.linalg.eigvalsh((m + m.T) / 2)[:2]
+    op = spla.LinearOperator((dim, dim), matvec=deflated, dtype=float)
+    w = spla.eigsh(op, k=2, which="SA", v0=start_vector(dim), tol=1e-12,
+                   return_eigenvectors=False)
+    return np.sort(w)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_sector_ground_energies_and_gaps_match_full_space(shape):
+    table, full, sector = pair(shape)
+    for g, J, delta in POINTS:
+        h_full = full.assemble_copy(g, J, delta)
+        h_sector = sector.assemble_copy(g, J, delta)
+        e_full = ground_state(h_full).energy
+        assert ground_state(h_sector).energy == pytest.approx(e_full, abs=1e-10)
+
+        e0, e1, _ = symmetric_pair(h_sector, sector.translation)
+        ref = deflation_oracle(h_full, full.translation, shape.sites,
+                               dense=table.dim <= 1100)
+        assert e0 == pytest.approx(ref[0], abs=1e-10)
+        assert e1 - e0 == pytest.approx(ref[1] - ref[0], abs=1e-10)
+        # the full-space entry point projects onto the same sector
+        f0, f1, _ = symmetric_pair(h_full, full.translation)
+        assert (f0, f1) == pytest.approx((e0, e1), abs=1e-10)
+
+
+def test_sector_matrix_is_exactly_symmetric():
+    # at L = 6, P^T B P alone is off by one ulp in a few entries
+    _, _, sector = pair(LatticeShape(6, 6))
+    h = sector.assemble_copy(1.0, 0.3, -0.2)
+    assert (h != h.T).nnz == 0
+    assert np.array_equal(sector.translation.toarray(), np.eye(sector.dim))
+
+
+# --- ramps --------------------------------------------------------------
+
+def mi_sf_plan(T, jt=0.5):
+    return RampPlan(RampSchedule(1.0, 1.0), RampSchedule(0.0, jt),
+                    RampSchedule(0.0, 0.0), T)
+
+
+def ramp_pair(shape, T, rates=None):
+    """(F, F_normalized) of one MI -> SF ramp on the full space and the sector."""
+    table, full, sector = pair(shape)
+    plan = mi_sf_plan(T)
+    psi = mi_ground_state(table, 0.0, 1.0)
+    end = plan.params_at_fraction(1.0)
+    out = []
+    for tpl, psi0 in ((full, psi), (sector, sector.isometry.T @ psi)):
+        if rates is None:
+            res = evolve(tpl, plan, psi0)
+        else:
+            res = evolve_dissipative(tpl, plan, psi0, *rates,
+                                     convention="literal-sigma-z")
+        target = ground_state(tpl.assemble_copy(end.g, end.J, end.delta)).vector
+        raw = fidelity(res.final_state, target)
+        out.append((raw, raw / np.linalg.norm(res.final_state) ** 2))
+    return out
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_sector_ramp_fidelity_matches_full_space(shape):
+    T = 4 * math.pi if shape.sites < 6 else math.pi
+    (f_full, _), (f_sector, _) = ramp_pair(shape, T)
+    assert f_sector == pytest.approx(f_full, abs=1e-8)
+    (_, n_full), (_, n_sector) = ramp_pair(shape, T, rates=(0.05, 0.01))
+    assert n_sector == pytest.approx(n_full, abs=1e-8)
+
+
+def test_mott_state_projects_without_leakage():
+    table, _, sector = pair(LatticeShape(6, 6))
+    psi = mi_ground_state(table, 0.0, 1.0)
+    back = sector.isometry @ (sector.isometry.T @ psi)
+    assert np.linalg.norm(back - psi) < 1e-14
+
+
+# --- rho1 ----------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_sector_rho1_matches_full_space(shape):
+    table, full, _ = pair(shape)
+    cfg = RunConfig()
+    cfg.sites = cfg.excitations = shape.sites
+    cfg.rho_i, cfg.rho_j = 1, 1 + shape.sites // 2
+    cfg.j_grid = GridSpec(0.05, 0.35, 2)
+    cfg.d_grid = GridSpec(-0.5, 0.5, 2)
+    rows = run_rho1_map(cfg)
+    corr = build_correlator(table, cfg.rho_i, cfg.rho_j)
+    diag = build_correlator(table, cfg.rho_i, cfg.rho_i)
+    for J, delta, rho in rows:
+        v = ground_state(full.assemble_copy(1.0, J, delta)).vector
+        assert rho == pytest.approx((v @ (corr @ v)) / (v @ (diag @ v)),
+                                    abs=1e-10)
+
+
+# --- warm starts ----------------------------------------------------------
+
+def test_warm_started_solves_match_cold_ones():
+    _, full, sector = pair(LatticeShape(6, 6))
+    previous = None
+    for J in np.linspace(0.0, 0.5, 6):
+        h = sector.assemble_copy(1.0, float(J), 0.0)
+        cold = ground_state(h)
+        warm = ground_state(h, v0=previous)
+        assert warm.energy == pytest.approx(cold.energy, abs=1e-11)
+        assert abs(np.dot(warm.vector, cold.vector)) == pytest.approx(1.0, abs=1e-11)
+        previous = warm.vector
+
+    plan = mi_sf_plan(1.0)
+    report = gap_scan(sector, plan, resolution=16, full_space=full)
+    for s, p, _, gap_any in report.curve:
+        w, _ = _lowest_eigh(full.assemble_copy(p.g, p.J, p.delta), 2)
+        assert gap_any == pytest.approx(w[1] - w[0], abs=1e-10)
+
+
+def test_warm_started_checkpoints_match_cold_solves(monkeypatch):
+    import jclattice.propagate as propagate
+
+    table, _, sector = pair(LatticeShape(6, 6))
+    plan = mi_sf_plan(2 * math.pi)
+    psi0 = sector.isometry.T @ mi_ground_state(table, 0.0, 1.0)
+    warm = evolve(sector, plan, psi0, checkpoints=9).checkpoints
+    monkeypatch.setattr(propagate, "ground_state",
+                        lambda h, v0=None: ground_state(h))
+    cold = evolve(sector, plan, psi0, checkpoints=9).checkpoints
+    for a, b in zip(warm, cold):
+        assert a.overlap_instantaneous_ground == pytest.approx(
+            b.overlap_instantaneous_ground, abs=1e-11)
+
+
+# --- refusals and journals ---------------------------------------------------
+
+def write_cfg(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text("L = 2\nN = 2\nT = 2pi\nsteps = 64\ntol = 1e-4\n" + text)
+    return str(path)
+
+
+@pytest.mark.parametrize("command,text", [
+    ("ramp", "J0 = 0\nJT = -0.2\n"),
+    ("rj-sweep", "J0 = -0.1\nJT = 0.2\nrJ_values = 1, 2\n"),
+    ("phase-diagram", "JT_min = -0.2\nJT_max = 0.2\nJT_points = 2\n"
+                      "dT_min = 0\ndT_max = 0\ndT_points = 1\n"),
+    ("rho1-map", "J_min = -0.3\nJ_max = 0.3\nJ_points = 2\n"
+                 "d_min = 0\nd_max = 0\nd_points = 1\n"),
+])
+def test_negative_hopping_is_refused(tmp_path, capsys, command, text):
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "k = 0" in err
+
+
+def test_init_file_outside_the_sector_is_refused(tmp_path, capsys):
+    table, _, sector = pair(LatticeShape(2, 2))
+    localized = np.zeros(table.dim)
+    localized[index_of(table, ((2, 0), (0, 0)))] = 1.0
+    np.save(tmp_path / "loc.npy", localized)
+    cfg = write_cfg(tmp_path, "JT = 0.4\ninit = file\ninit_file = "
+                    + str(tmp_path / "loc.npy") + "\n")
+    assert main(["ramp", "--config", cfg]) == 2
+    assert "k = 0 weight" in capsys.readouterr().err
+
+    # the same ramp from a symmetric file, given on the basis or the sector
+    symmetric = sector.isometry @ (sector.isometry.T @ localized)
+    np.save(tmp_path / "sym.npy", symmetric)
+    np.save(tmp_path / "sym_k0.npy", sector.isometry.T @ symmetric)
+    fids = []
+    for name in ("sym.npy", "sym_k0.npy"):
+        cfg = write_cfg(tmp_path, "JT = 0.4\ninit = file\ninit_file = "
+                        + str(tmp_path / name) + "\n")
+        assert main(["ramp", "--config", cfg]) == 0
+        fids.append(float(capsys.readouterr().out.split()[0][2:]))
+    assert fids[0] == pytest.approx(fids[1], abs=1e-12)
+
+
+def grid_cfg(tmp_path, name):
+    cfg = RunConfig()
+    cfg.sites = cfg.excitations = 2
+    cfg.plan = RampPlan(RampSchedule(1.0, 1.0), RampSchedule(0.0, 0.4),
+                        RampSchedule(0.0, 0.0), 2 * math.pi)
+    cfg.steps, cfg.tol = 64, 1e-4
+    cfg.jt_grid = GridSpec(0.0, 0.4, 2)
+    cfg.dt_grid = GridSpec(0.0, 0.2, 2)
+    cfg.out = str(tmp_path / name)
+    return cfg
+
+
+def test_resume_drops_a_torn_last_journal_line(tmp_path):
+    cfg = grid_cfg(tmp_path, "full.csv")
+    run_phase_diagram(cfg)
+    full = (tmp_path / "full.csv").read_bytes()
+    f0 = full.decode().splitlines()[1].split(",")[2]  # grid point 0
+
+    cfg = grid_cfg(tmp_path, "res.csv")
+    journal = tmp_path / "res.csv.progress"
+    first = f"0,{f0}\n"
+    journal.write_text(first + "1,")
+    assert _load_progress(str(journal)) == {0: float(f0)}
+    assert journal.read_text() == first  # cut, so appends start clean
+
+    journal.write_text(first + "1,")
+    run_phase_diagram(cfg, resume=True)
+    assert (tmp_path / "res.csv").read_bytes() == full
+    assert not journal.exists()
+
+
+def test_resume_refuses_a_malformed_middle_journal_line(tmp_path, capsys):
+    journal = tmp_path / "g.csv.progress"
+    journal.write_text("0,0.5\nbogus\n2,0.25\n")
+    cfg = write_cfg(tmp_path, "JT_min = 0\nJT_max = 0.4\nJT_points = 2\n"
+                              "dT_min = 0\ndT_max = 0.2\ndT_points = 2\n")
+    code = main(["phase-diagram", "--config", cfg, "--resume",
+                 "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert "malformed journal line" in capsys.readouterr().err
