@@ -20,6 +20,7 @@ _CONFIG_COMMANDS = (
     "basis", "spectrum", "gap-scan", "ramp", "rj-sweep",
     "phase-diagram", "rho1-map", "init-pulse",
 )
+_GRID_COMMANDS = ("rj-sweep", "phase-diagram", "rho1-map")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,9 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", help="override the config's output path")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--resume", action="store_true",
-                       help="reuse journaled grid points (phase-diagram)")
+        if name in _GRID_COMMANDS:
+            p.add_argument("--threads", type=int, default=1, help="pool workers")
+            p.add_argument("--resume", action="store_true",
+                           help="reuse <out>.progress of the same command and config")
     comb = sub.add_parser("combine-max")
     comb.add_argument("inputs", nargs="+", help="fidelity grid CSVs")
     comb.add_argument("--out", required=True)
@@ -82,21 +84,20 @@ def _dispatch(args) -> int:
             f"error_estimate={fmt(summary.error_estimate)}"
         )
     elif args.command == "rj-sweep":
-        result = sweeps.run_rj_sweep(cfg, threads=args.threads)
+        result = sweeps.run_rj_sweep(cfg, args.threads, args.resume)
         pairs = ", ".join(
             f"rJ={fmt(r)}: F={fmt(f)}"
             for r, f in zip(result.rj_values, result.fidelities)
         )
         print(f"{pairs}; argmax rJ={fmt(result.best_rj)}")
     elif args.command == "phase-diagram":
-        grid = sweeps.run_phase_diagram(cfg, threads=args.threads,
-                                        resume=args.resume)
+        grid = sweeps.run_phase_diagram(cfg, args.threads, args.resume)
         print(
             f"{grid.fidelity.size} grid points -> {cfg.out} "
             f"(min F = {fmt(float(grid.fidelity.min()))})"
         )
     elif args.command == "rho1-map":
-        rows = sweeps.run_rho1_map(cfg, threads=args.threads)
+        rows = sweeps.run_rho1_map(cfg, args.threads, args.resume)
         print(f"{len(rows)} map points -> {cfg.out}")
     elif args.command == "init-pulse":
         res = sweeps.run_init_pulse(cfg)

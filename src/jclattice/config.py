@@ -10,8 +10,10 @@ duration `T_seconds` into dimensionless units.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
+from .operators import DISSIPATION_CONVENTIONS
 from .ramp import RampPlan, RampSchedule
 
 
@@ -158,8 +160,6 @@ def build_config(raw: dict) -> RunConfig:
     cfg.sites = integer("L", cfg.sites)
     cfg.excitations = integer("N", cfg.excitations)
     cfg.init = fetch("init", cfg.init)
-    if cfg.init not in ("mi", "sf", "file"):
-        raise ConfigError(f"init must be mi, sf or file, got {cfg.init!r}")
     cfg.init_file = fetch("init_file", None)
     if cfg.init == "file" and not cfg.init_file:
         raise ConfigError("init = file requires init_file")
@@ -222,12 +222,25 @@ def build_config(raw: dict) -> RunConfig:
     cfg.rho_i = integer("rho_i", cfg.rho_i)
     cfg.rho_j = integer("rho_j", cfg.rho_j)
     cfg.pulse = fetch("pulse", cfg.pulse)
-    if cfg.pulse not in ("mi", "sf"):
-        raise ConfigError(f"pulse must be mi or sf, got {cfg.pulse!r}")
     cfg.eps = number("eps", cfg.eps)
     cfg.g_d = number("g_d", cfg.g_d)
     if "pulse_N" in raw:
         cfg.pulse_n = integer("pulse_N", 0)
+
+    for key, ok, expected in (
+        ("init", cfg.init in ("mi", "sf", "file"), "mi, sf or file"),
+        ("pulse", cfg.pulse in ("mi", "sf"), "mi or sf"),
+        ("convention", cfg.convention in DISSIPATION_CONVENTIONS,
+         DISSIPATION_CONVENTIONS),
+        ("kappa", cfg.kappa >= 0, "a rate >= 0"),
+        ("gamma", cfg.gamma >= 0, "a rate >= 0"),
+        ("resolution", cfg.resolution >= 16, "at least 16 (the gap scan's minimum)"),
+        ("count", cfg.count >= 2, "at least 2"),
+    ):
+        if not ok:
+            where = raw[key][1] + ": " if key in raw else ""
+            raise ConfigError(
+                f"{where}{key} = {getattr(cfg, key)!r}, expected {expected}")
     return cfg
 
 
@@ -239,9 +252,18 @@ def fmt(x) -> str:
 
 
 def write_csv(path, header, rows, footer_comments=()):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(cell) for cell in row) + "\n")
-        for comment in footer_comments:
-            fh.write(f"# {comment}\n")
+    """Written to a temporary file beside `path`, then renamed over it, so
+    a crash leaves the old file or none, never a part of one."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", encoding="ascii", newline="\n")
+    try:
+        with fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(fmt(cell) for cell in row) + "\n")
+            for comment in footer_comments:
+                fh.write(f"# {comment}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -8,17 +8,20 @@ that would leave it (a negative J, an init_file state with weight
 outside k = 0) are refused as configuration errors. `spectrum` and the
 E_gap_any column of gap scans need every sector and use the full basis.
 
-Grid sweeps distribute independent points over a fork-based worker pool
-(shared read-only operator templates, copy-on-write) and always emit rows
-in grid-index order, so output files are deterministic for a given config
-regardless of thread count or interruption/resume history.
+Phase diagrams, rJ sweeps and rho1 maps evaluate their grid points with
+`map_points`, serially or on a fork pool, journaled for `--resume`. Rows
+are always emitted in grid-index order, so output files are deterministic
+for a given config regardless of thread count or interruption/resume history.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,41 +34,31 @@ from .ramp import RampPlan, RampSchedule
 from .spectrum import GapReport, gap_scan, ground_state, low_spectrum
 
 SECTOR_WEIGHT_TOL = 1e-8  # largest k != 0 weight accepted in an initial state
-_POOL_CONTEXT = {}
 
 
 @dataclass
 class SimContext:
-    """Table, k = 0 sector templates and the initial state on that sector,
-    shared by every point of a sweep."""
+    """k = 0 sector templates and the initial state on that sector, shared
+    by every point of a sweep."""
 
     cfg: RunConfig
-    table: object
     templates: HamiltonianTemplates
-    psi0: np.ndarray | None
+    psi0: np.ndarray
 
 
-def prepare_context(cfg: RunConfig, with_state: bool = True) -> SimContext:
-    table = _table(cfg)
+def prepare_context(cfg: RunConfig) -> SimContext:
+    table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
     templates = k0_sector(table)
-    psi0 = None
-    if with_state:
-        isometry = templates.isometry
-        psi0 = isometry.T @ initial_state(cfg, table, isometry)
-        weight = float(np.vdot(psi0, psi0).real)
-        if weight < 1.0 - SECTOR_WEIGHT_TOL:
-            raise ConfigError(
-                f"initial state has k = 0 weight {weight:.12g}, below "
-                f"1 - {SECTOR_WEIGHT_TOL:g}: ramps run in the k = 0 "
-                f"translation sector, which cannot represent it"
-            )
-    return SimContext(cfg, table, templates, psi0)
-
-
-def _table(cfg: RunConfig, ctx: SimContext | None = None):
-    if ctx is not None:
-        return ctx.table
-    return enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
+    isometry = templates.isometry
+    psi0 = isometry.T @ initial_state(cfg, table, isometry)
+    weight = float(np.vdot(psi0, psi0).real)
+    if weight < 1.0 - SECTOR_WEIGHT_TOL:
+        raise ConfigError(
+            f"initial state has k = 0 weight {weight:.12g}, below "
+            f"1 - {SECTOR_WEIGHT_TOL:g}: ramps run in the k = 0 "
+            f"translation sector, which cannot represent it"
+        )
+    return SimContext(cfg, templates, psi0)
 
 
 def _require_nonnegative_j(values, what: str) -> None:
@@ -98,6 +91,104 @@ def initial_state(cfg: RunConfig, table, isometry=None) -> np.ndarray:
     if not nrm > 0:
         raise ConfigError("init_file state has zero norm")
     return psi / nrm
+
+
+class Journal(NamedTuple):
+    """A grid run's progress file and the header line that names the run."""
+
+    path: str
+    header: str
+
+
+def _journal(cfg: RunConfig, command: str) -> Journal | None:
+    """`<out>.progress`, headed by a hash of the command and of every config
+    value but `out`; None when the run writes no output."""
+    if not cfg.out:
+        return None
+    run = repr((command, dataclasses.replace(cfg, out=None)))
+    digest = hashlib.sha256(run.encode("utf-8")).hexdigest()
+    return Journal(cfg.out + ".progress", f"# {command} config sha256={digest}")
+
+
+def _load_progress(path: str, header: str) -> dict:
+    """Points journaled under `header`; a journal with another first line
+    is another run's, a ConfigError. A last line that is unterminated or
+    does not parse is what a crash in mid-write leaves: it is dropped and
+    cut from the file, so the next appended line starts clean. A malformed
+    line before it is a ConfigError."""
+    done = {}
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        first, newline, body = data.partition(b"\n")
+        if not newline or first != header.encode("ascii"):
+            raise ConfigError(f"{path}: journal of another command or config "
+                              f"(first line {first[:100]!r}, not {header!r})")
+        *lines, torn = body.split(b"\n")  # torn: text after the last newline
+        kept = len(first) + 1
+        for k, line in enumerate(lines):
+            try:
+                if line.strip():
+                    idx, value = line.decode("ascii").split(",", 1)
+                    done[int(idx)] = float(value)
+            except ValueError:
+                if k < len(lines) - 1 or torn:
+                    raise ConfigError(
+                        f"{path}:{k + 2}: malformed journal line {line!r}"
+                    ) from None
+                break
+            kept += len(line) + 1
+        if kept < len(data):
+            fh.truncate(kept)
+    return done
+
+
+_adopted = None  # the point function; set only in forked pool workers
+
+
+def _adopt(fn) -> None:
+    global _adopted
+    _adopted = fn
+
+
+def _call_adopted(index: int):
+    return index, _adopted(index)
+
+
+def map_points(fn, count: int, threads: int = 1,
+               journal: Journal | None = None, resume: bool = False) -> list:
+    """[fn(0), ..., fn(count - 1)] for independent grid points.
+
+    With `threads` > 1 they run on forked workers, which receive `fn` through
+    fork, unpickled, and share what it closes over copy-on-write. Each value
+    is appended to the `journal` as `index,value` (17 digits, so it reads
+    back bit for bit) and flushed as it arrives, as is the header before
+    it; with `resume` the points an existing journal holds are not computed
+    again.
+    """
+    done, log = {}, None
+    with contextlib.ExitStack() as stack:
+        if journal:
+            resumed = resume and os.path.exists(journal.path)
+            if resumed:
+                done = _load_progress(journal.path, journal.header)
+            log = stack.enter_context(open(  # line-buffered: flushed per line
+                journal.path, "a" if resumed else "w", encoding="ascii", buffering=1))
+            if not resumed:
+                log.write(journal.header + "\n")
+        pending = [i for i in range(count) if i not in done]
+        if threads > 1 and len(pending) > 1:
+            import multiprocessing
+
+            mp = multiprocessing.get_context("fork")
+            pool = stack.enter_context(mp.Pool(threads, _adopt, (fn,)))
+            results = pool.imap_unordered(_call_adopted, pending)
+        else:
+            results = ((i, fn(i)) for i in pending)
+        for i, value in results:
+            done[i] = value
+            if log:
+                log.write(f"{i},{fmt(value)}\n")
+    return [done[i] for i in range(count)]
 
 
 @dataclass
@@ -144,10 +235,16 @@ def _run_plan(ctx: SimContext, plan: RampPlan, checkpoints: int = 0):
     )
 
 
-def run_ramp(cfg: RunConfig, ctx: SimContext | None = None) -> RampResult:
+def _fidelity(ctx: SimContext, plan: RampPlan) -> float:
+    """A grid point's fidelity, renormalized when the run is dissipative."""
+    _, summary = _run_plan(ctx, plan)
+    return summary.fidelity_normalized if ctx.cfg.dissipation else summary.fidelity_raw
+
+
+def run_ramp(cfg: RunConfig) -> RampResult:
     """Init -> evolve -> fidelity; optional per-checkpoint CSV."""
     _require_nonnegative_j((cfg.plan.J.start, cfg.plan.J.stop), "the ramp")
-    ctx = ctx or prepare_context(cfg)
+    ctx = prepare_context(cfg)
     evo, summary = _run_plan(ctx, cfg.plan, checkpoints=cfg.checkpoints)
     if cfg.out:
         rows = [
@@ -191,147 +288,42 @@ class FidelityGrid:
                 yield tuple(row)
 
 
-def _plan_with_targets(plan: RampPlan, jt: float, dt: float) -> RampPlan:
-    return RampPlan(
-        plan.g,
-        RampSchedule(plan.J.start, jt, plan.J.index),
-        RampSchedule(plan.delta.start, dt, plan.delta.index),
-        plan.total_time,
-    )
-
-
-def _grid_point(task):
-    idx, jt, dt = task
-    ctx = _POOL_CONTEXT["ctx"]
-    plan = _plan_with_targets(ctx.cfg.plan, jt, dt)
-    _, summary = _run_plan(ctx, plan)
-    f = summary.fidelity_normalized if ctx.cfg.dissipation else summary.fidelity_raw
-    return idx, f
-
-
-def _run_indexed(tasks, worker, ctx, threads):
-    """Evaluate `worker` over indexed tasks, deterministically ordered."""
-    _POOL_CONTEXT["ctx"] = ctx
-    try:
-        if threads > 1 and len(tasks) > 1:
-            import multiprocessing
-
-            mp = multiprocessing.get_context("fork")
-            with mp.Pool(processes=threads) as pool:
-                results = pool.map(worker, tasks)
-        else:
-            results = [worker(t) for t in tasks]
-    finally:
-        _POOL_CONTEXT.pop("ctx", None)
-    return dict(results)
-
-
-def _progress_path(out: str) -> str:
-    return out + ".progress"
-
-
-def _load_progress(path: str) -> dict:
-    """Journaled points. A last line that is unterminated or does not parse
-    is what a crash in mid-write leaves: it is dropped and cut from the
-    file, so the next appended line starts clean. A malformed line before
-    it is a ConfigError."""
-    done = {}
-    if not os.path.exists(path):
-        return done
-    with open(path, "rb+") as fh:
-        data = fh.read()
-        *lines, torn = data.split(b"\n")  # torn: text after the last newline
-        kept = 0
-        for number, line in enumerate(lines, start=1):
-            try:
-                if line.strip():
-                    idx, value = line.decode("ascii").split(",", 1)
-                    done[int(idx)] = float(value)
-            except ValueError:
-                if number < len(lines) or torn:
-                    raise ConfigError(
-                        f"{path}:{number}: malformed journal line {line!r}"
-                    ) from None
-                break
-            kept += len(line) + 1
-        if kept < len(data):
-            fh.truncate(kept)
-    return done
-
-
-def run_phase_diagram(
-    cfg: RunConfig, threads: int = 1, resume: bool = False,
-    ctx: SimContext | None = None,
-) -> FidelityGrid:
-    """One evolution per (J(T), Delta(T)) grid point; resumable.
-
-    Completed points are journaled to `<out>.progress` as they finish;
-    with `resume` the journal is honored, and the final CSV is always
-    rewritten in full grid order, so resumed and uninterrupted runs are
-    byte-identical.
-    """
+def run_phase_diagram(cfg: RunConfig, threads: int = 1,
+                      resume: bool = False) -> FidelityGrid:
+    """One evolution per (J(T), Delta(T)) grid point; journaled and
+    resumable (see `map_points`)."""
     if cfg.jt_grid is None or cfg.dt_grid is None:
         raise ConfigError("phase-diagram needs JT_* and dT_* grids")
     _require_nonnegative_j(
         (cfg.plan.J.start, cfg.jt_grid.lo, cfg.jt_grid.hi), "the JT grid ramp"
     )
-    ctx = ctx or prepare_context(cfg)
+    ctx = prepare_context(cfg)
     jts = cfg.jt_grid.values()
     dts = cfg.dt_grid.values()
-    points = [
-        (i * len(dts) + j, jt, dt)
-        for i, jt in enumerate(jts) for j, dt in enumerate(dts)
-    ]
+    targets = [(jt, dt) for jt in jts for dt in dts]
+    plan = cfg.plan
 
-    done = {}
-    journal = _progress_path(cfg.out) if cfg.out else None
-    if journal and resume:
-        done = _load_progress(journal)
-    pending = [p for p in points if p[0] not in done]
+    def point(k):
+        jt, dt = targets[k]
+        return _fidelity(ctx, RampPlan(
+            plan.g, RampSchedule(plan.J.start, jt, plan.J.index),
+            RampSchedule(plan.delta.start, dt, plan.delta.index), plan.total_time,
+        ))
 
-    if journal and pending:
-        mode = "a" if resume else "w"
-        _POOL_CONTEXT["ctx"] = ctx
-        try:
-            with open(journal, mode, encoding="ascii") as fh:
-                # journal every point as it completes so an interrupted
-                # sweep resumes from real progress, threaded or not
-                if threads > 1 and len(pending) > 1:
-                    import multiprocessing
-
-                    mp = multiprocessing.get_context("fork")
-                    with mp.Pool(processes=threads) as pool:
-                        for idx, f in pool.imap_unordered(_grid_point, pending):
-                            fh.write(f"{idx},{fmt(f)}\n")
-                            fh.flush()
-                            done[idx] = f
-                else:
-                    for task in pending:
-                        idx, f = _grid_point(task)
-                        fh.write(f"{idx},{fmt(f)}\n")
-                        fh.flush()
-                        done[idx] = f
-        finally:
-            _POOL_CONTEXT.pop("ctx", None)
-    elif pending:
-        done.update(_run_indexed(pending, _grid_point, ctx, threads))
-
+    journal = _journal(cfg, "phase-diagram")
+    values = map_points(point, len(targets), threads, journal, resume)
     grid = FidelityGrid(
         axis_names=("JT", "dT"),
         axis1=tuple(jts),
         axis2=tuple(dts),
-        fidelity=np.array(
-            [[done[i * len(dts) + j] for j in range(len(dts))]
-             for i in range(len(jts))]
-        ),
+        fidelity=np.array(values).reshape(len(jts), len(dts)),
         metadata={"init": cfg.init, "rJ": cfg.plan.J.index,
                   "T": cfg.plan.total_time,
                   "dissipation": cfg.dissipation},
     )
     if cfg.out:
         write_grid_csv(cfg.out, grid)
-        if journal and os.path.exists(journal):
-            os.unlink(journal)
+        os.unlink(journal.path)
     return grid
 
 
@@ -376,22 +368,6 @@ def combine_max_fidelity(grids, labels=None) -> FidelityGrid:
                         best, winner, meta)
 
 
-def _rj_point(task):
-    idx, rj = task
-    ctx = _POOL_CONTEXT["ctx"]
-    base = ctx.cfg.plan
-    scale = rj / base.J.index
-    plan = RampPlan(
-        RampSchedule(base.g.start, base.g.stop, base.g.index * scale),
-        RampSchedule(base.J.start, base.J.stop, rj),
-        RampSchedule(base.delta.start, base.delta.stop, base.delta.index * scale),
-        base.total_time,
-    )
-    _, summary = _run_plan(ctx, plan)
-    f = summary.fidelity_normalized if ctx.cfg.dissipation else summary.fidelity_raw
-    return idx, f
-
-
 @dataclass
 class RjSweepResult:
     rj_values: tuple
@@ -400,78 +376,76 @@ class RjSweepResult:
 
 
 def run_rj_sweep(cfg: RunConfig, threads: int = 1,
-                 ctx: SimContext | None = None) -> RjSweepResult:
+                 resume: bool = False) -> RjSweepResult:
     """Fidelity vs ramping index at fixed index ratios (trajectory fixed)."""
     if not cfg.rj_values:
         raise ConfigError("rj-sweep needs rJ_values")
     _require_nonnegative_j((cfg.plan.J.start, cfg.plan.J.stop), "the ramp")
-    ctx = ctx or prepare_context(cfg)
-    tasks = list(enumerate(cfg.rj_values))
-    done = _run_indexed(tasks, _rj_point, ctx, threads)
-    fids = tuple(done[i] for i in range(len(tasks)))
+    ctx = prepare_context(cfg)
+    base = cfg.plan
+
+    def point(k):
+        rj = cfg.rj_values[k]
+        scale = rj / base.J.index
+        return _fidelity(ctx, RampPlan(
+            RampSchedule(base.g.start, base.g.stop, base.g.index * scale),
+            RampSchedule(base.J.start, base.J.stop, rj),
+            RampSchedule(base.delta.start, base.delta.stop, base.delta.index * scale),
+            base.total_time,
+        ))
+
+    journal = _journal(cfg, "rj-sweep")
+    fids = tuple(map_points(point, len(cfg.rj_values), threads, journal, resume))
     best = cfg.rj_values[int(np.argmax(fids))]
     if cfg.out:
         write_csv(
             cfg.out, ("rJ", "F"), list(zip(cfg.rj_values, fids)),
             footer_comments=[f"argmax rJ={fmt(best)}"],
         )
+        os.unlink(journal.path)
     return RjSweepResult(tuple(cfg.rj_values), fids, best)
 
 
-def _rho1_point(task):
-    idx, j_val, d_val = task
-    ctx = _POOL_CONTEXT["ctx"]
-    h = ctx.templates.assemble_copy(ctx.cfg.plan.g.start, j_val, d_val)
-    vec = ground_state(h).vector
-    corr = _POOL_CONTEXT["corr"]
-    diag = _POOL_CONTEXT["corr_diag"]
-    num = float(np.real(vec @ (corr @ vec)))
-    den = float(np.real(vec @ (diag @ vec)))
-    return idx, num / den
-
-
-def run_rho1_map(cfg: RunConfig, threads: int = 1,
-                 ctx: SimContext | None = None):
+def run_rho1_map(cfg: RunConfig, threads: int = 1, resume: bool = False):
     """Ground-state rho1(i, j) over a (J, Delta) grid at fixed g = g0."""
     if cfg.j_grid is None or cfg.d_grid is None:
         raise ConfigError("rho1-map needs J_* and d_* grids")
     _require_nonnegative_j((cfg.j_grid.lo, cfg.j_grid.hi), "the J grid")
-    ctx = ctx or prepare_context(cfg, with_state=False)
-    p = ctx.templates.isometry
-    js = cfg.j_grid.values()
-    ds = cfg.d_grid.values()
-    tasks = [
-        (i * len(ds) + j, jv, dv)
-        for i, jv in enumerate(js) for j, dv in enumerate(ds)
-    ]
+    for key in ("rho_i", "rho_j"):  # only this command reads them, and the
+        site = getattr(cfg, key)  # default rho_j = 4 is no site below L = 4
+        if not 1 <= site <= cfg.sites:
+            raise ConfigError(f"{key} = {site} is not a site in 1..{cfg.sites}")
+    table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
+    templates = k0_sector(table)
+    p = templates.isometry
+    # <phi|P^T C P|phi> is the full-space value for a k = 0 ground state
+    corr, diag = (p.T @ build_correlator(table, cfg.rho_i, j) @ p
+                  for j in (cfg.rho_j, cfg.rho_i))
+    params = [(jv, dv) for jv in cfg.j_grid.values() for dv in cfg.d_grid.values()]
 
-    def restricted(j):
-        # <phi|P^T C P|phi> is the full-space value for a k = 0 ground state
-        return p.T @ build_correlator(ctx.table, cfg.rho_i, j) @ p
+    def point(k):
+        vec = ground_state(templates.assemble_copy(cfg.plan.g.start, *params[k])).vector
+        num = float(np.real(vec @ (corr @ vec)))
+        den = float(np.real(vec @ (diag @ vec)))
+        return num / den
 
-    _POOL_CONTEXT["corr"] = restricted(cfg.rho_j)
-    _POOL_CONTEXT["corr_diag"] = restricted(cfg.rho_i)
-    try:
-        done = _run_indexed(tasks, _rho1_point, ctx, threads)
-    finally:
-        _POOL_CONTEXT.pop("corr", None)
-        _POOL_CONTEXT.pop("corr_diag", None)
-    rows = [(jv, dv, done[i * len(ds) + j])
-            for i, jv in enumerate(js) for j, dv in enumerate(ds)]
+    journal = _journal(cfg, "rho1-map")
+    values = map_points(point, len(params), threads, journal, resume)
+    rows = [(jv, dv, value) for (jv, dv), value in zip(params, values)]
     if cfg.out:
         write_csv(cfg.out, ("J", "Delta", "rho1"), rows)
+        os.unlink(journal.path)
     return rows
 
 
-def run_gap_scan(cfg: RunConfig, ctx: SimContext | None = None) -> GapReport:
+def run_gap_scan(cfg: RunConfig) -> GapReport:
     """Coarse symmetric/any gap curve plus refined minimum (CSV footer row).
 
     The symmetric gap comes from the k = 0 sector, E_gap_any from the full
     basis (only when there is an output to hold it)."""
-    table = _table(cfg, ctx)
-    sector = ctx.templates if ctx else k0_sector(table)
+    table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
     report = gap_scan(
-        sector, cfg.plan, resolution=cfg.resolution,
+        k0_sector(table), cfg.plan, resolution=cfg.resolution,
         refine_tol=cfg.refine_tol,
         full_space=HamiltonianTemplates(table) if cfg.out else None,
     )
@@ -494,10 +468,11 @@ def run_gap_scan(cfg: RunConfig, ctx: SimContext | None = None) -> GapReport:
     return report
 
 
-def run_spectrum(cfg: RunConfig, ctx: SimContext | None = None):
+def run_spectrum(cfg: RunConfig):
     """Lowest levels along the plan trajectory, with symmetry weights
     (on the full basis: every sector contributes levels)."""
-    templates = HamiltonianTemplates(_table(cfg, ctx))
+    table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
+    templates = HamiltonianTemplates(table)
     rows = []
     from .ramp import trajectory_point
 
@@ -521,7 +496,7 @@ def run_spectrum(cfg: RunConfig, ctx: SimContext | None = None):
 
 
 def run_basis(cfg: RunConfig):
-    table = _table(cfg)
+    table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
     if cfg.out:
         write_basis_text(table, cfg.out)
     return table

@@ -22,7 +22,7 @@ from jclattice.basis import (
     translate_config,
 )
 from jclattice.cli import main
-from jclattice.config import GridSpec, RunConfig
+from jclattice.config import GridSpec, RunConfig, load_config
 from jclattice.operators import (
     HamiltonianTemplates,
     build_correlator,
@@ -42,7 +42,7 @@ from jclattice.spectrum import (
     symmetric_pair,
 )
 from jclattice.states import mi_ground_state, sf_ground_state
-from jclattice.sweeps import _load_progress, run_phase_diagram, run_rho1_map
+from jclattice.sweeps import _journal, _load_progress, run_phase_diagram, run_rho1_map
 
 SHAPES = [LatticeShape(L, L) for L in range(2, 7)]
 POINTS = [(1.0, 0.05, 0.0), (1.0, 0.2, -0.5), (0.7, 0.35, 0.6)]
@@ -452,9 +452,10 @@ def test_resume_drops_a_torn_last_journal_line(tmp_path):
 
     cfg = grid_cfg(tmp_path, "res.csv")
     journal = tmp_path / "res.csv.progress"
-    first = f"0,{f0}\n"
+    header = _journal(cfg, "phase-diagram").header
+    first = f"{header}\n0,{f0}\n"
     journal.write_text(first + "1,")
-    assert _load_progress(str(journal)) == {0: float(f0)}
+    assert _load_progress(str(journal), header) == {0: float(f0)}
     assert journal.read_text() == first  # cut, so appends start clean
 
     journal.write_text(first + "1,")
@@ -464,10 +465,13 @@ def test_resume_drops_a_torn_last_journal_line(tmp_path):
 
 
 def test_resume_refuses_a_malformed_middle_journal_line(tmp_path, capsys):
-    journal = tmp_path / "g.csv.progress"
-    journal.write_text("0,0.5\nbogus\n2,0.25\n")
     cfg = write_cfg(tmp_path, "JT_min = 0\nJT_max = 0.4\nJT_points = 2\n"
                               "dT_min = 0\ndT_max = 0.2\ndT_points = 2\n")
+    loaded = load_config(cfg)
+    loaded.out = str(tmp_path / "g.csv")
+    journal = tmp_path / "g.csv.progress"
+    header = _journal(loaded, "phase-diagram").header
+    journal.write_text(f"{header}\n0,0.5\nbogus\n2,0.25\n")
     code = main(["phase-diagram", "--config", cfg, "--resume",
                  "--out", str(tmp_path / "g.csv")])
     assert code == 2

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from jclattice import sweeps
 from jclattice.cli import main
-from jclattice.config import ConfigError, GridSpec, RunConfig, build_config, parse_config_text
+from jclattice.config import (
+    ConfigError, GridSpec, RunConfig, build_config, parse_config_text, write_csv,
+)
 from jclattice.ramp import RampPlan, RampSchedule
+from jclattice.spectrum import ground_state
 from jclattice.sweeps import (
     FidelityGrid,
     combine_max_fidelity,
@@ -125,39 +129,146 @@ def test_phase_diagram_grid_and_determinism(tmp_path):
     assert (grid1.fidelity <= 1 + 1e-9).all()
 
 
-def test_phase_diagram_resume_byte_identical(tmp_path):
-    out_full = tmp_path / "full.csv"
-    cfg = small_cfg(jt_grid=GridSpec(0.0, 0.4, 3), dt_grid=GridSpec(0.0, 0.2, 2))
-    cfg.out = str(out_full)
-    run_phase_diagram(cfg)
+GRIDS = {  # steps = 64: the ramps' accuracy does not matter here
+    "phase-diagram": (run_phase_diagram, dict(jt_grid=GridSpec(0.0, 0.4, 3),
+                                              dt_grid=GridSpec(0.0, 0.2, 2), steps=64)),
+    "rj-sweep": (run_rj_sweep, dict(rj_values=(0.5, 1.0, 2.0, 3.0), steps=64)),
+    "rho1-map": (run_rho1_map, dict(j_grid=GridSpec(0.0, 0.4, 3),
+                                    d_grid=GridSpec(-0.5, 0.5, 2), rho_j=2)),
+}
 
-    # simulate an interrupted run: journal holds a prefix of the points
-    out_res = tmp_path / "res.csv"
-    cfg.out = str(out_res)
-    ctx = prepare_context(cfg)
-    from jclattice.sweeps import _grid_point, _POOL_CONTEXT
 
-    _POOL_CONTEXT["ctx"] = ctx
-    try:
-        partial = [_grid_point((i, jt, dt)) for i, (jt, dt) in
-                   [(0, (0.0, 0.0)), (3, (0.2, 0.2))]]
-    finally:
-        _POOL_CONTEXT.pop("ctx")
-    journal = out_res.with_suffix(".csv.progress")
-    journal.write_text("".join(f"{i},{f!r}\n" for i, f in partial))
-    run_phase_diagram(cfg, resume=True)
-    assert out_res.read_bytes() == out_full.read_bytes()
+class Interrupted(Exception):
+    pass
+
+
+def solves_until(limit, solves):
+    """ground_state that records each solve and raises once `limit` (None:
+    no limit) are done. Every grid point makes exactly one such solve."""
+    def solve(h, **kwargs):
+        if len(solves) == limit:
+            raise Interrupted
+        solves.append(h)
+        return ground_state(h, **kwargs)
+    return solve
+
+
+@pytest.mark.parametrize("command", GRIDS)
+def test_grid_resume_byte_identical(tmp_path, monkeypatch, command):
+    run, grid = GRIDS[command]
+    full = tmp_path / "full.csv"
+    points = []
+    monkeypatch.setattr(sweeps, "ground_state", solves_until(None, points))
+    run(small_cfg(out=str(full), **grid))
+
+    # an interrupted run journals the two points it finished, each on disk
+    # (header + points lines) before the next point's solve
+    out = tmp_path / "res.csv"
+    cfg = small_cfg(out=str(out), **grid)
+    journal = tmp_path / "res.csv.progress"
+    interrupted, on_disk = solves_until(2, []), []
+
+    def solve(h, **kwargs):
+        on_disk.append(len(journal.read_text().splitlines()))
+        return interrupted(h, **kwargs)
+
+    monkeypatch.setattr(sweeps, "ground_state", solve)
+    with pytest.raises(Interrupted):
+        run(cfg)
+    assert on_disk == [1, 2, 3]
+    assert len(journal.read_text().splitlines()) == 1 + 2
+    assert not out.exists()
+
+    solves = []
+    monkeypatch.setattr(sweeps, "ground_state", solves_until(None, solves))
+    run(cfg, resume=True)
+    assert len(solves) == len(points) - 2
+    assert out.read_bytes() == full.read_bytes()
     assert not journal.exists()
 
 
-def test_phase_diagram_threads_match_serial(tmp_path):
-    cfg = small_cfg(jt_grid=GridSpec(0.0, 0.4, 2), dt_grid=GridSpec(0.0, 0.2, 2))
-    cfg.out = str(tmp_path / "s.csv")
-    serial = run_phase_diagram(cfg)
-    cfg.out = str(tmp_path / "p.csv")
-    pooled = run_phase_diagram(cfg, threads=2)
-    assert np.array_equal(serial.fidelity, pooled.fidelity)
+@pytest.mark.parametrize("command", GRIDS)
+def test_grid_threads_match_serial(tmp_path, command):
+    run, grid = GRIDS[command]
+    run(small_cfg(out=str(tmp_path / "s.csv"), **grid))
+    run(small_cfg(out=str(tmp_path / "p.csv"), **grid), threads=2)
+    # 17 significant digits: equal bytes are equal values
     assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
+    assert not (tmp_path / "p.csv.progress").exists()
+
+
+def test_resume_refuses_another_runs_journal(tmp_path, monkeypatch, capsys):
+    grid = ("L = 3\nN = 3\nT = 2pi\nsteps = 64\ntol = 1e-4\n"
+            "JT_min = 0\nJT_max = 0.4\nJT_points = 2\n"
+            "dT_min = 0\ndT_max = 0\ndT_points = 1\n")
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(grid)
+    out = tmp_path / "g.csv"
+    journal = tmp_path / "g.csv.progress"
+    argv = ["phase-diagram", "--config", str(cfg), "--out", str(out), "--resume"]
+
+    # a journal without a header: once taken for F = 0.5 and 0.25
+    journal.write_text("0,0.5\n1,0.25\n")
+    assert main(argv) == 2
+    assert str(journal) in capsys.readouterr().err
+    assert not out.exists()
+
+    # a journal that another config (rJ = 2) left
+    other = tmp_path / "b.cfg"
+    other.write_text(grid + "rJ = 2\n")
+    monkeypatch.setattr(sweeps, "ground_state", solves_until(1, []))
+    with pytest.raises(Interrupted):
+        main(["phase-diagram", "--config", str(other), "--out", str(out)])
+    monkeypatch.undo()
+    assert main(argv) == 2
+    assert "another command or config" in capsys.readouterr().err
+    assert not out.exists()
+
+    assert main(argv[:-1]) == 0  # without --resume the journal starts afresh
+    assert not journal.exists()
+
+
+def test_write_csv_is_atomic(tmp_path):
+    def rows():
+        yield (1.0, 2.0)
+        raise Interrupted
+
+    new = tmp_path / "new.csv"
+    with pytest.raises(Interrupted):
+        write_csv(new, ("a", "b"), rows())
+    old = tmp_path / "old.csv"
+    write_csv(old, ("a", "b"), [(0.5, 0.25)])
+    before = old.read_bytes()
+    with pytest.raises(Interrupted):
+        write_csv(old, ("a", "b"), rows())
+    assert old.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("gap-scan", "resolution = 8\n", "resolution"),
+    ("rho1-map", "J_min = 0\nJ_max = 0.2\nJ_points = 2\n"
+                 "d_min = 0\nd_max = 0\nd_points = 1\nrho_j = 5\n", "rho_j"),
+    ("ramp", "dissipation = on\nkappa = 1e-3\nconvention = bogus\n", "convention"),
+    ("spectrum", "count = 1\n", "count"),
+    ("ramp", "dissipation = on\nkappa = -1e-3\n", "kappa"),
+    ("ramp", "dissipation = on\ngamma = -1e-5\n", "gamma"),
+])
+def test_config_errors_exit_2(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 3\nN = 3\nT = 2pi\nJT = 0.2\nsteps = 64\ntol = 1e-4\n" + text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("ramp", "--threads=2"), ("gap-scan", "--resume"), ("init-pulse", "--threads=2"),
+])
+def test_threads_and_resume_only_on_grid_commands(tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cli_config(tmp_path)), flag])
+    assert exc.value.code == 2
 
 
 def test_rj_sweep_single_point_matches_ramp():
