@@ -24,9 +24,10 @@ from .operators import (
     build_h0,
     build_hamiltonian,
     build_hopping,
+    build_reflection,
     build_translation,
-    k0_sector,
     symmetric_isometry,
+    symmetric_sector,
 )
 from .propagate import EvolutionResult, evolve, evolve_dissipative, fidelity
 from .ramp import RampPlan, RampSchedule, optimal_index, sweep_rate_at_gap, trajectory_point
@@ -52,7 +53,8 @@ __all__ = [
     "dimension_oracle", "enumerate_basis", "index_of", "translate_config",
     "HamiltonianTemplates", "LatticeParams", "build_correlator",
     "build_dissipative_diagonal", "build_h0", "build_hamiltonian",
-    "build_hopping", "build_translation", "k0_sector", "symmetric_isometry",
+    "build_hopping", "build_reflection", "build_translation",
+    "symmetric_isometry", "symmetric_sector",
     "EvolutionResult", "evolve", "evolve_dissipative", "fidelity",
     "RampPlan", "RampSchedule", "optimal_index", "sweep_rate_at_gap",
     "trajectory_point",

@@ -227,20 +227,25 @@ def build_config(raw: dict) -> RunConfig:
     if "pulse_N" in raw:
         cfg.pulse_n = integer("pulse_N", 0)
 
-    for key, ok, expected in (
-        ("init", cfg.init in ("mi", "sf", "file"), "mi, sf or file"),
-        ("pulse", cfg.pulse in ("mi", "sf"), "mi or sf"),
-        ("convention", cfg.convention in DISSIPATION_CONVENTIONS,
+    for key, value, ok, expected in (
+        ("L", cfg.sites, cfg.sites >= 1, "at least 1 site"),
+        ("N", cfg.excitations, cfg.excitations >= 0, "an excitation count >= 0"),
+        ("init", cfg.init, cfg.init in ("mi", "sf", "file"), "mi, sf or file"),
+        ("pulse", cfg.pulse, cfg.pulse in ("mi", "sf"), "mi or sf"),
+        ("convention", cfg.convention, cfg.convention in DISSIPATION_CONVENTIONS,
          DISSIPATION_CONVENTIONS),
-        ("kappa", cfg.kappa >= 0, "a rate >= 0"),
-        ("gamma", cfg.gamma >= 0, "a rate >= 0"),
-        ("resolution", cfg.resolution >= 16, "at least 16 (the gap scan's minimum)"),
-        ("count", cfg.count >= 2, "at least 2"),
+        ("kappa", cfg.kappa, cfg.kappa >= 0, "a rate >= 0"),
+        ("gamma", cfg.gamma, cfg.gamma >= 0, "a rate >= 0"),
+        ("tol", cfg.tol, cfg.tol is None or cfg.tol > 0, "a tolerance > 0"),
+        ("resolution", cfg.resolution, cfg.resolution >= 16,
+         "at least 16 (the gap scan's minimum)"),
+        ("count", cfg.count, cfg.count >= 2, "at least 2"),
+        ("rJ_values", cfg.rj_values, all(rj > 0 for rj in cfg.rj_values),
+         "ramping indices > 0"),
     ):
         if not ok:
             where = raw[key][1] + ": " if key in raw else ""
-            raise ConfigError(
-                f"{where}{key} = {getattr(cfg, key)!r}, expected {expected}")
+            raise ConfigError(f"{where}{key} = {value!r}, expected {expected}")
     return cfg
 
 

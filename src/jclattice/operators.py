@@ -18,9 +18,13 @@ exactly, not merely to rounding.
 
 The builders work on whole arrays of configurations: each one shifts the
 configuration keys of every state it acts on and ranks the results with
-`BasisTable.rank`. `symmetric_isometry` turns the translation permutation
-into the isometry P onto the k = 0 sector, and `k0_sector` builds
-`HamiltonianTemplates` there (blocks P^T B P).
+`BasisTable.rank`. `symmetric_isometry` turns the translation permutation,
+and optionally the mirror j -> L-1-j (`build_reflection`), into the
+isometry P onto the states invariant under them: with the translation
+alone the k = 0 sector, with both the fully symmetric sector of the
+dihedral group (k = 0 and mirror-even; 500 of the 5336 states at six
+sites). `symmetric_sector` builds `HamiltonianTemplates` there (blocks
+P^T B P).
 """
 
 from __future__ import annotations
@@ -161,43 +165,71 @@ def build_correlator(table: BasisTable, i: int, j: int) -> sp.csr_matrix:
 
 def build_translation(table: BasisTable) -> sp.csr_matrix:
     """Permutation matrix T shifting every configuration by one site."""
-    rows = table.rank(table.key_of(np.roll(table.photons, 1, axis=1),
-                                   np.roll(table.qubits, 1, axis=1)))
+    return _site_permutation(table, np.roll(table.photons, 1, axis=1),
+                             np.roll(table.qubits, 1, axis=1))
+
+
+def build_reflection(table: BasisTable) -> sp.csr_matrix:
+    """Permutation matrix R mirroring every configuration, site j -> L-1-j."""
+    return _site_permutation(table, table.photons[:, ::-1], table.qubits[:, ::-1])
+
+
+def _site_permutation(table, photons, qubits) -> sp.csr_matrix:
+    """Permutation matrix taking each state to the configuration in its
+    row of `photons` / `qubits`."""
+    rows = table.rank(table.key_of(photons, qubits))
     return sp.csr_matrix(
         (np.ones(table.dim), (rows, np.arange(table.dim))),
         shape=(table.dim, table.dim),
     )
 
 
-def symmetric_isometry(translation) -> sp.csr_matrix:
-    """Isometry P (dim x d0) onto the translation-symmetric (k = 0) states.
+def symmetric_isometry(translation, reflection=None) -> sp.csr_matrix:
+    """Isometry P (dim x d) onto the states invariant under the permutations.
 
-    Column c is the normalised sum over one orbit of the permutation, so
-    P P^T = (1/L) sum_m T^m is the k = 0 projector and P^T B P restricts
-    any B that commutes with T. Orbits are labelled by their smallest
-    index, found by composing the permutation with itself once per step
-    of the longest orbit (L passes for a lattice translation).
+    Column c is the normalised sum over one orbit, so P P^T is the group
+    average, (1/L) sum_m T^m (the k = 0 projector) for the translation
+    alone and (1/2L) sum_m T^m (1 + R) with the mirror `reflection`, and
+    P^T B P restricts any B that commutes with them. Orbits are labelled
+    by their smallest index: translation orbits by composing T with itself
+    once per step of the longest orbit (L passes for a lattice
+    translation); R maps them onto each other, so a dihedral orbit takes
+    the smaller label of x and R x.
     """
-    t = sp.csr_matrix(translation, copy=True)
-    t.sum_duplicates()
-    dim = t.shape[0]
-    perm = t.indices
-    ident = np.arange(dim)
-    if (t.shape != (dim, dim) or t.nnz != dim or np.any(t.data != 1)
-            or not np.array_equal(np.sort(perm), ident)):
-        raise ValueError("translation matrix is not a permutation")
+    perm = _permutation(translation, "translation")
+    ident = np.arange(len(perm))
     rep, image = ident.copy(), perm.copy()
     closed = image == ident
     while not closed.all():
         np.minimum(rep, image, out=rep)
         image = perm[image]
         closed |= image == ident
+    if reflection is not None:
+        mirror = _permutation(reflection, "reflection")
+        if len(mirror) != len(perm):
+            raise ValueError("translation and reflection sizes differ")
+        rep = np.minimum(rep, rep[mirror])
+        if not (np.array_equal(rep[perm], rep)
+                and np.array_equal(rep[mirror], rep)):
+            raise ValueError("reflection does not map translation orbits "
+                             "onto translation orbits")
     _, column = np.unique(rep, return_inverse=True)
     sizes = np.bincount(column)
     return sp.csr_matrix(
         (1.0 / np.sqrt(sizes[column]), (ident, column)),
-        shape=(dim, len(sizes)),
+        shape=(len(perm), len(sizes)),
     )
+
+
+def _permutation(matrix, name) -> np.ndarray:
+    """Row i's column index of a permutation matrix, i.e. the permutation."""
+    m = sp.csr_matrix(matrix, copy=True)
+    m.sum_duplicates()
+    dim = m.shape[0]
+    if (m.shape != (dim, dim) or m.nnz != dim or np.any(m.data != 1)
+            or not np.array_equal(np.sort(m.indices), np.arange(dim))):
+        raise ValueError(f"{name} matrix is not a permutation")
+    return m.indices
 
 
 def _restricted(block, isometry) -> sp.csr_matrix:
@@ -269,8 +301,8 @@ class HamiltonianTemplates:
 
     With an `isometry` P (see `symmetric_isometry`) the templates act on its
     column space: every block is P^T B P and `translation` is the identity,
-    which is what T is on the k = 0 sector. The diagonals are constant on
-    translation orbits, so they restrict by taking each orbit's value.
+    which is what T is on a symmetric sector. The diagonals are constant on
+    orbits, so they restrict by taking each orbit's value.
 
     The shared matrix returned by `assemble` is reused between calls;
     callers that need to keep a Hamiltonian must copy it.
@@ -325,6 +357,7 @@ class HamiltonianTemplates:
         self.data_number = aligned(blocks[0])
         self.data_coupling = aligned(self.coupling)
         self.data_hopping = aligned(self.hopping)
+        self._scratch = np.empty(union.size)
         self.diag_positions = np.searchsorted(
             union, np.arange(self.dim, dtype=np.int64) * self.dim + np.arange(self.dim)
         )
@@ -335,22 +368,29 @@ class HamiltonianTemplates:
         return _decay_rates(self.number_diag, self.qubit_up_diag, self.sites,
                             kappa, gamma, convention)
 
-    def data_for(self, g: float, J: float, delta: float) -> np.ndarray:
-        return (
-            delta * self.data_number
-            + g * self.data_coupling
-            - J * self.data_hopping
-        )
+    def data_for(self, g: float, J: float, delta: float, out=None) -> np.ndarray:
+        """H data on the shared pattern, delta * number + g * coupling
+        - J * hopping, written into `out` (a new array when None). Bitwise
+        the same as that expression, without its full-length temporaries."""
+        if out is None:
+            out = np.empty(self.data_number.size)
+        scratch = self._scratch
+        np.multiply(self.data_number, delta, out=out)
+        out += np.multiply(self.data_coupling, g, out=scratch)
+        out -= np.multiply(self.data_hopping, J, out=scratch)
+        return out
 
     def assemble(self, g: float, J: float, delta: float) -> sp.csr_matrix:
         """Hamiltonian at the given couplings, backed by the shared pattern."""
-        self._shared.data = self.data_for(g, J, delta)
+        self.data_for(g, J, delta, out=self._shared.data)
         return self._shared
 
     def assemble_copy(self, g: float, J: float, delta: float) -> sp.csr_matrix:
         return self.assemble(g, J, delta).copy()
 
 
-def k0_sector(table: BasisTable) -> HamiltonianTemplates:
-    """Templates on the k = 0 translation sector of `table`."""
-    return HamiltonianTemplates(table, symmetric_isometry(build_translation(table)))
+def symmetric_sector(table: BasisTable) -> HamiltonianTemplates:
+    """Templates on the fully symmetric sector of `table`: k = 0 and even
+    under the mirror."""
+    return HamiltonianTemplates(table, symmetric_isometry(
+        build_translation(table), build_reflection(table)))

@@ -174,6 +174,7 @@ def _cf4_stepper(templates, plan, decay, q):
     """CF4:2 step psi(v0) -> psi(v0 + h) in v, where t/T = v^q, on the
     integrator's own complex copy of the templates' shared pattern."""
     matrix = templates._shared.astype(complex)
+    data = np.empty(matrix.nnz)  # real: writing it into matrix.data is one cast
     minus_i_decay = -1j * decay
     basis = np.empty((MAX_KRYLOV + 1, templates.dim), dtype=complex)
 
@@ -184,7 +185,7 @@ def _cf4_stepper(templates, plan, decay, q):
         points *= (h * plan.total_time * q * v ** (q - 1.0))[:, None]  # dt/dv
         for weights in (CF4_WEIGHTS, CF4_WEIGHTS[::-1]):
             g, J, delta, dt = weights @ points
-            matrix.data[:] = templates.data_for(g, J, delta)
+            matrix.data[:] = templates.data_for(g, J, delta, out=data)
             matrix.data[templates.diag_positions] += dt * minus_i_decay
             psi = _expmv(matrix, psi, exp_tol, basis)
         return psi

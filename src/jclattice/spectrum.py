@@ -10,12 +10,15 @@ to the ground state (it is, for the Mott product state), which stalls
 Krylov convergence in exact arithmetic. Repeated solves along a
 trajectory pass the previous ground vector as `v0` instead.
 
-Symmetric states are the k = 0 translation sector, the range of the
-projector P0 = (1/L) sum_m T^m = P P^T, where the isometry P
+Symmetric states are the range of P P^T, where the isometry P
 (`operators.symmetric_isometry`) holds one normalised orbit sum per
-column. The minimal gap along a ramping trajectory is the separation of
-the two lowest eigenvalues of P^T H P. On templates that already act in
-the sector, T and P are the identity and the matrix is used as it is.
+column. Given the translation T of a full-space H, that is the k = 0
+sector, P P^T = (1/L) sum_m T^m; the runs use templates on the fully
+symmetric sector (`operators.symmetric_sector`: k = 0 and mirror-even),
+where T and P are the identity and the matrix is used as it is. The
+minimal gap along a ramping trajectory is the separation of the two
+lowest eigenvalues of P^T H P: on the fully symmetric sector, the two
+lowest levels a ramp can reach.
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ def symmetric_pair(h, translation, v0=None):
     else:
         p = None  # the identity: h already acts on the sector
     if h.shape[0] < 2:
-        raise ValueError("the k = 0 sector holds one state: no symmetric gap")
+        raise ValueError("the symmetric sector holds one state: no symmetric gap")
     w, v = _lowest_eigh(h, 2, v0)
     vec = v[:, 0] if p is None else p @ v[:, 0]
     return float(w[0]), float(w[1]), vec
@@ -199,8 +202,9 @@ def gap_scan(
     refinement of s to `refine_tol`. Flat scans report the leftmost
     minimum. Raises DegeneracyError when any sampled gap drops below
     10x the degeneracy threshold (suspected level crossing). `templates`
-    may act on the full space or on the k = 0 sector; with `full_space`
-    templates every coarse row also holds the lowest gap over all sectors.
+    may act on the full space (the gap is then that of the k = 0 sector) or
+    on a symmetric sector; with `full_space` templates every coarse row
+    also holds the lowest gap over all sectors.
     Each solve is warm-started from the previous point's.
     """
     if resolution < 16:

@@ -1,11 +1,14 @@
 """Run drivers behind the CLI: ramps, fidelity grids, maps and pulses.
 
 Ramps, phase diagrams, rJ sweeps, rho1 maps and the symmetric gap of
-gap scans run in the k = 0 translation sector, built once per run: after
-the gauge (-1)^{#qubits up}, H is stoquastic for J >= 0, so its ground
-state, the prepared MI and SF states and every target lie there. Runs
+gap scans run in the fully symmetric sector (k = 0 and even under the
+mirror j -> L-1-j), built once per run: after the gauge
+(-1)^{#qubits up}, which the mirror keeps, H is stoquastic for J >= 0, so
+its ground state is invariant under every lattice symmetry; so are the
+prepared MI and SF states, and H and the decay diagonal commute with
+translations and the mirror, so every ramp and target stays there. Runs
 that would leave it (a negative J, an init_file state with weight
-outside k = 0) are refused as configuration errors. `spectrum` and the
+outside it) are refused as configuration errors. `spectrum` and the
 E_gap_any column of gap scans need every sector and use the full basis.
 
 Phase diagrams, rJ sweeps and rho1 maps evaluate their grid points with
@@ -28,18 +31,18 @@ import numpy as np
 from . import states
 from .basis import LatticeShape, enumerate_basis, write_basis_text
 from .config import ConfigError, RunConfig, fmt, write_csv
-from .operators import HamiltonianTemplates, build_correlator, k0_sector
+from .operators import HamiltonianTemplates, build_correlator, symmetric_sector
 from .propagate import evolve, evolve_dissipative, fidelity
 from .ramp import RampPlan, RampSchedule
 from .spectrum import GapReport, gap_scan, ground_state, low_spectrum
 
-SECTOR_WEIGHT_TOL = 1e-8  # largest k != 0 weight accepted in an initial state
+SECTOR_WEIGHT_TOL = 1e-8  # largest initial-state weight outside the sector
 
 
 @dataclass
 class SimContext:
-    """k = 0 sector templates and the initial state on that sector, shared
-    by every point of a sweep."""
+    """Symmetric-sector templates and the initial state on that sector,
+    shared by every point of a sweep."""
 
     cfg: RunConfig
     templates: HamiltonianTemplates
@@ -48,15 +51,16 @@ class SimContext:
 
 def prepare_context(cfg: RunConfig) -> SimContext:
     table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
-    templates = k0_sector(table)
+    templates = symmetric_sector(table)
     isometry = templates.isometry
     psi0 = isometry.T @ initial_state(cfg, table, isometry)
     weight = float(np.vdot(psi0, psi0).real)
     if weight < 1.0 - SECTOR_WEIGHT_TOL:
         raise ConfigError(
-            f"initial state has k = 0 weight {weight:.12g}, below "
-            f"1 - {SECTOR_WEIGHT_TOL:g}: ramps run in the k = 0 "
-            f"translation sector, which cannot represent it"
+            f"initial state has symmetric-sector weight {weight:.12g}, below "
+            f"1 - {SECTOR_WEIGHT_TOL:g}: ramps run in the sector of states "
+            f"invariant under translations and the mirror (k = 0, "
+            f"mirror-even), which cannot represent it"
         )
     return SimContext(cfg, templates, psi0)
 
@@ -66,13 +70,15 @@ def _require_nonnegative_j(values, what: str) -> None:
     if lowest < 0:
         raise ConfigError(
             f"{what} reaches J = {fmt(float(lowest))} < 0: without J >= 0 the "
-            f"ground state need not lie in the k = 0 sector this command uses"
+            f"ground state need not lie in the symmetric sector (k = 0, "
+            f"mirror-even) this command uses"
         )
 
 
 def initial_state(cfg: RunConfig, table, isometry=None) -> np.ndarray:
-    """Initial state on the full basis. With the k = 0 `isometry`, an
-    init_file may instead hold one amplitude per column of the isometry."""
+    """Initial state on the full basis. With the symmetric-sector
+    `isometry`, an init_file may instead hold one amplitude per column of
+    the isometry (per orbit of translations and the mirror)."""
     if cfg.init == "mi":
         return states.mi_ground_state(table, cfg.plan.delta.start, cfg.plan.g.start)
     if cfg.init == "sf":
@@ -82,7 +88,8 @@ def initial_state(cfg: RunConfig, table, isometry=None) -> np.ndarray:
     if isometry is not None and psi.shape == (isometry.shape[1],):
         psi = isometry @ psi
     if psi.shape != (table.dim,):
-        sector = "" if isometry is None else f" or {isometry.shape[1]} (k = 0)"
+        sector = ("" if isometry is None else
+                  f" or {isometry.shape[1]} (symmetric sector)")
         raise ConfigError(
             f"init_file state has {psi.shape[0]} amplitudes, basis dim is "
             f"{table.dim}{sector}"
@@ -416,9 +423,9 @@ def run_rho1_map(cfg: RunConfig, threads: int = 1, resume: bool = False):
         if not 1 <= site <= cfg.sites:
             raise ConfigError(f"{key} = {site} is not a site in 1..{cfg.sites}")
     table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
-    templates = k0_sector(table)
+    templates = symmetric_sector(table)
     p = templates.isometry
-    # <phi|P^T C P|phi> is the full-space value for a k = 0 ground state
+    # <phi|P^T C P|phi> is the full-space value for a symmetric ground state
     corr, diag = (p.T @ build_correlator(table, cfg.rho_i, j) @ p
                   for j in (cfg.rho_j, cfg.rho_i))
     params = [(jv, dv) for jv in cfg.j_grid.values() for dv in cfg.d_grid.values()]
@@ -441,11 +448,12 @@ def run_rho1_map(cfg: RunConfig, threads: int = 1, resume: bool = False):
 def run_gap_scan(cfg: RunConfig) -> GapReport:
     """Coarse symmetric/any gap curve plus refined minimum (CSV footer row).
 
-    The symmetric gap comes from the k = 0 sector, E_gap_any from the full
-    basis (only when there is an output to hold it)."""
+    The symmetric gap is that of the two lowest states of the sector ramps
+    evolve in (k = 0, mirror-even), E_gap_any from the full basis (only when
+    there is an output to hold it)."""
     table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
     report = gap_scan(
-        k0_sector(table), cfg.plan, resolution=cfg.resolution,
+        symmetric_sector(table), cfg.plan, resolution=cfg.resolution,
         refine_tol=cfg.refine_tol,
         full_space=HamiltonianTemplates(table) if cfg.out else None,
     )

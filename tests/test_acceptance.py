@@ -1,13 +1,13 @@
 """Acceptance suite: one test per numbered criterion, printed pass/fail.
 
 Heavy six-site evolutions are shared through a module-level cache. The
-ramps of criteria 6 and 7 and their targets run on the k = 0 sector (899
-of the 5336 states; tests/test_sector.py checks that sector and full-space
-ramps agree to 1e-8); criterion 11 keeps a full-space ramp, so its leakage
-check has something to measure. The desk-scale figure grids run at
-documented coarser integrator settings (steps=64, tol=1e-4: state error
-below 1e-4) because their thresholds have ~0.1 margins. Everything else
-uses solver defaults.
+ramps of criteria 6 and 7 and their targets run on the fully symmetric
+sector (k = 0 and mirror-even, 500 of the 5336 states; tests/test_sector.py
+checks that sector and full-space ramps agree to 1e-8); criterion 11
+keeps a full-space ramp, so its leakage check has something to measure.
+The desk-scale figure grids run at documented coarser integrator settings
+(steps=64, tol=1e-4: state error below 1e-4) because their thresholds
+have ~0.1 margins. Everything else uses solver defaults.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.
@@ -21,7 +21,7 @@ import pytest
 
 from jclattice.basis import LatticeShape, dimension_oracle, enumerate_basis
 from jclattice.config import GridSpec, RunConfig
-from jclattice.operators import HamiltonianTemplates, k0_sector
+from jclattice.operators import HamiltonianTemplates, symmetric_sector
 from jclattice.propagate import evolve, evolve_dissipative, fidelity
 from jclattice.ramp import RampPlan, RampSchedule, optimal_index, sweep_rate_at_gap, trajectory_point
 from jclattice.spectrum import gap_scan, ground_state, symmetric_projector_weight
@@ -51,7 +51,7 @@ def templates66():
 
 def sector66():
     if "sector" not in _CACHE:
-        _CACHE["sector"] = k0_sector(table66())
+        _CACHE["sector"] = symmetric_sector(table66())
     return _CACHE["sector"]
 
 
@@ -75,7 +75,7 @@ def target_ground(g, J, delta, sector):
 
 def ramp_run(start, rj, T=T15, kappa=0.0, gamma=0.0, convention="literal-sigma-z",
              sector=True):
-    """A six-site ramp and its fidelity, on the k = 0 sector by default."""
+    """A six-site ramp and its fidelity, on the symmetric sector by default."""
     key = (start, rj, T, kappa, gamma, convention, sector)
     if key in _CACHE:
         return _CACHE[key]

@@ -235,6 +235,17 @@ def test_templates_match_direct_assembly(table33, templates33):
     assert max_abs((direct - templated).tocsr()) < 1e-15
 
 
+def test_data_for_into_a_buffer_is_bitwise_the_expression(templates66):
+    t = templates66
+    buf = np.full(t.data_number.size, np.nan)
+    for g, J, delta in [(0.9, 0.31, -0.2), (1.0, 0.5, 0.0), (1 / 3, -0.07, 2.5)]:
+        expected = delta * t.data_number + g * t.data_coupling - J * t.data_hopping
+        assert t.data_for(g, J, delta, out=buf) is buf
+        assert np.array_equal(buf, expected)
+        assert np.array_equal(t.data_for(g, J, delta), expected)
+        assert np.array_equal(t.assemble(g, J, delta).data, expected)
+
+
 def test_operator_dump_roundtrip(tmp_path, table33):
     # coordinate-list text dump for cross-implementation checks
     from jclattice.operators import write_operator_text

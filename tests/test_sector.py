@@ -1,12 +1,15 @@
-"""The k = 0 sector fast path against the full-space path it replaces.
+"""The symmetric-sector fast path against the full-space path it replaces.
 
-The per-state loops below are the operator builders as they were before
-array ranking; they stay here as an oracle only. The deflation oracle is
-the earlier symmetric-gap method: the lowest eigenvalues of
-P0 H P0 + c (1 - P0), with P0 summed from powers of T.
+The sector holds the states invariant under translations and the mirror
+(k = 0, mirror-even). The per-state loops below are the operator builders
+as they were before array ranking; they stay here as an oracle only. The
+deflation oracle is the earlier symmetric-gap method: the lowest
+eigenvalues of P0 H P0 + c (1 - P0), with P0 summed from powers of T and,
+for the sector, averaged with the mirror R.
 """
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -28,12 +31,13 @@ from jclattice.operators import (
     build_correlator,
     build_coupling,
     build_hopping,
+    build_reflection,
     build_translation,
-    k0_sector,
     symmetric_isometry,
+    symmetric_sector,
 )
 from jclattice.propagate import evolve, evolve_dissipative, fidelity
-from jclattice.ramp import RampPlan, RampSchedule
+from jclattice.ramp import RampPlan, RampSchedule, trajectory_point
 from jclattice.spectrum import (
     _lowest_eigh,
     gap_scan,
@@ -44,16 +48,17 @@ from jclattice.spectrum import (
 from jclattice.states import mi_ground_state, sf_ground_state
 from jclattice.sweeps import _journal, _load_progress, run_phase_diagram, run_rho1_map
 
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SHAPES = [LatticeShape(L, L) for L in range(2, 7)]
 POINTS = [(1.0, 0.05, 0.0), (1.0, 0.2, -0.5), (0.7, 0.35, 0.6)]
 _CACHE = {}
 
 
 def pair(shape):
-    """(table, full-space templates, k = 0 sector templates), cached."""
+    """(table, full-space templates, symmetric-sector templates), cached."""
     if shape not in _CACHE:
         table = enumerate_basis(shape)
-        _CACHE[shape] = (table, HamiltonianTemplates(table), k0_sector(table))
+        _CACHE[shape] = (table, HamiltonianTemplates(table), symmetric_sector(table))
     return _CACHE[shape]
 
 
@@ -126,6 +131,12 @@ def loop_translation(table):
     return rows, list(range(table.dim)), [1.0] * table.dim
 
 
+def loop_reflection(table):
+    index = _loop_index(table)
+    rows = [index[tuple(reversed(c))] for c in table.states]
+    return rows, list(range(table.dim)), [1.0] * table.dim
+
+
 def loop_mi(table, delta, g):
     from jclattice.states import polariton_doublet
 
@@ -183,6 +194,7 @@ def test_rank_built_operators_equal_loop_built(L, N):
     assert_same(build_coupling(table), as_csr(loop_coupling(table), dim))
     assert_same(build_hopping(table), as_csr(loop_hopping(table), dim))
     assert_same(build_translation(table), as_csr(loop_translation(table), dim))
+    assert_same(build_reflection(table), as_csr(loop_reflection(table), dim))
     for i, j in [(1, L), (L, 1), (1, 1 + L // 2)]:
         if i != j:
             assert_same(build_correlator(table, i, j),
@@ -243,15 +255,57 @@ def test_isometry_refuses_a_non_permutation():
         symmetric_isometry(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 1.0]])))
 
 
+@pytest.mark.parametrize("shape", SHAPES[:4], ids=str)
+def test_dihedral_isometry_spans_the_group_average(shape):
+    table = enumerate_basis(shape)
+    t, r = build_translation(table), build_reflection(table)
+    p = symmetric_isometry(t, r)
+    assert np.allclose((p.T @ p).toarray(), np.eye(p.shape[1]), atol=1e-15)
+    average = sp.csr_matrix((table.dim, table.dim))
+    power = sp.identity(table.dim, format="csr")
+    for _ in range(shape.sites):
+        average = average + power + power @ r
+        power = (t @ power).tocsr()
+    average = average.toarray() / (2 * shape.sites)
+    assert np.allclose((p @ p.T).toarray(), average, atol=1e-15)
+
+
+def test_isometry_refuses_a_reflection_that_mixes_orbits():
+    table = enumerate_basis(LatticeShape(3, 3))
+    perm = np.random.default_rng(3).permutation(table.dim)
+    shuffle = sp.csr_matrix((np.ones(table.dim), (perm, np.arange(table.dim))))
+    with pytest.raises(ValueError, match="translation orbits"):
+        symmetric_isometry(build_translation(table), shuffle)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_blocks_commute_with_the_mirror_exactly(shape):
+    table, full, _ = pair(shape)
+    r = build_reflection(table)
+    for block in (full.coupling, full.hopping, sp.diags(full.number_diag)):
+        block = sp.csr_matrix(block)
+        assert_same((r @ block).tocsr(), (block @ r).tocsr())
+
+
+def test_symmetric_sector_dimensions():
+    assert pair(LatticeShape(6, 6))[2].dim == 500
+    table = enumerate_basis(LatticeShape(7, 7))
+    p = symmetric_isometry(build_translation(table), build_reflection(table))
+    assert p.shape == (28814, 2122)
+
+
 # --- spectra ----------------------------------------------------------------
 
-def deflation_oracle(h, translation, sites, dense: bool):
-    """Two lowest eigenvalues of P0 H P0 + c (1 - P0)."""
+def deflation_oracle(h, translation, sites, dense: bool, reflection=None):
+    """Two lowest eigenvalues of P0 H P0 + c (1 - P0); with the mirror,
+    P0 is the dihedral average P0 (1 + R) / 2."""
     dim = h.shape[0]
     c = float(np.abs(h).sum(axis=1).max()) + 1.0
 
     def deflated(v):
         pv = loop_projector(v, translation, sites)
+        if reflection is not None:
+            pv = (pv + loop_projector(reflection @ v, translation, sites)) / 2
         return h @ pv + c * (v - pv)
 
     if dense:
@@ -274,12 +328,26 @@ def test_sector_ground_energies_and_gaps_match_full_space(shape):
 
         e0, e1, _ = symmetric_pair(h_sector, sector.translation)
         ref = deflation_oracle(h_full, full.translation, shape.sites,
-                               dense=table.dim <= 1100)
+                               dense=table.dim <= 1100,
+                               reflection=build_reflection(table))
         assert e0 == pytest.approx(ref[0], abs=1e-10)
         assert e1 - e0 == pytest.approx(ref[1] - ref[0], abs=1e-10)
-        # the full-space entry point projects onto the same sector
+        # the full-space entry point projects onto k = 0, whose two lowest
+        # levels are mirror-even here
         f0, f1, _ = symmetric_pair(h_full, full.translation)
         assert (f0, f1) == pytest.approx((e0, e1), abs=1e-10)
+
+
+@pytest.mark.parametrize("config", ["gap_mi_sf.cfg", "gap_sf_mi.cfg"])
+def test_symmetric_pair_on_the_gap_trajectories_equals_the_k0_pair(config):
+    plan = load_config(CONFIGS / config).plan
+    _, full, sector = pair(LatticeShape(6, 6))
+    for s in np.linspace(0.0, 1.0, 33):
+        p = trajectory_point(plan, float(s))
+        e0, e1, _ = symmetric_pair(sector.assemble_copy(p.g, p.J, p.delta),
+                                   sector.translation)
+        k0 = symmetric_pair(full.assemble_copy(p.g, p.J, p.delta), full.translation)
+        assert (e0, e1) == pytest.approx(k0[:2], abs=1e-10)
 
 
 def test_sector_matrix_is_exactly_symmetric():
@@ -406,7 +474,7 @@ def test_negative_hopping_is_refused(tmp_path, capsys, command, text):
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "k = 0" in err
+    assert "config error" in err and "symmetric sector" in err
 
 
 def test_init_file_outside_the_sector_is_refused(tmp_path, capsys):
@@ -417,19 +485,34 @@ def test_init_file_outside_the_sector_is_refused(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "JT = 0.4\ninit = file\ninit_file = "
                     + str(tmp_path / "loc.npy") + "\n")
     assert main(["ramp", "--config", cfg]) == 2
-    assert "k = 0 weight" in capsys.readouterr().err
+    assert "symmetric-sector weight" in capsys.readouterr().err
 
     # the same ramp from a symmetric file, given on the basis or the sector
     symmetric = sector.isometry @ (sector.isometry.T @ localized)
     np.save(tmp_path / "sym.npy", symmetric)
-    np.save(tmp_path / "sym_k0.npy", sector.isometry.T @ symmetric)
+    np.save(tmp_path / "sym_sector.npy", sector.isometry.T @ symmetric)
     fids = []
-    for name in ("sym.npy", "sym_k0.npy"):
+    for name in ("sym.npy", "sym_sector.npy"):
         cfg = write_cfg(tmp_path, "JT = 0.4\ninit = file\ninit_file = "
                         + str(tmp_path / name) + "\n")
         assert main(["ramp", "--config", cfg]) == 0
         fids.append(float(capsys.readouterr().out.split()[0][2:]))
     assert fids[0] == pytest.approx(fids[1], abs=1e-12)
+
+
+def test_init_file_of_k0_amplitudes_is_refused(tmp_path, capsys):
+    # at L = 3 the k = 0 sector (14 states) is larger than the symmetric one
+    table = enumerate_basis(LatticeShape(3, 3))
+    k0 = symmetric_isometry(build_translation(table))
+    sector = symmetric_isometry(build_translation(table), build_reflection(table))
+    assert (table.dim, k0.shape[1], sector.shape[1]) == (38, 14, 10)
+    np.save(tmp_path / "k0.npy", k0.T @ mi_ground_state(table, 0.0, 1.0))
+    path = tmp_path / "run.cfg"
+    path.write_text("L = 3\nN = 3\nT = 2pi\nJT = 0.4\nsteps = 64\ntol = 1e-4\n"
+                    f"init = file\ninit_file = {tmp_path / 'k0.npy'}\n")
+    assert main(["ramp", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "has 14 amplitudes" in err and "38 or 10" in err
 
 
 def grid_cfg(tmp_path, name):

@@ -253,10 +253,16 @@ def test_write_csv_is_atomic(tmp_path):
     ("spectrum", "count = 1\n", "count"),
     ("ramp", "dissipation = on\nkappa = -1e-3\n", "kappa"),
     ("ramp", "dissipation = on\ngamma = -1e-5\n", "gamma"),
+    ("ramp", "tol = -1\n", "tol"),
+    ("ramp", "L = 0\n", "L"),
+    ("ramp", "N = -1\n", "N"),
+    ("rj-sweep", "rJ_values = 1, 0\n", "rJ_values"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, command, text, key):
+    lines = {"L": "3", "N": "3", "T": "2pi", "JT": "0.2", "steps": "64", "tol": "1e-4"}
+    lines.update(line.split(" = ") for line in text.splitlines())  # overrides
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("L = 3\nN = 3\nT = 2pi\nJT = 0.2\nsteps = 64\ntol = 1e-4\n" + text)
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
