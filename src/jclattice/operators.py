@@ -18,18 +18,19 @@ exactly, not merely to rounding.
 
 The builders work on whole arrays of configurations: each one shifts the
 configuration keys of every state it acts on and ranks the results with
-`BasisTable.rank`. `symmetric_isometry` turns the translation permutation,
-and optionally the mirror j -> L-1-j (`build_reflection`), into the
-isometry P onto the states invariant under them: with the translation
-alone the k = 0 sector, with both the fully symmetric sector of the
-dihedral group (k = 0 and mirror-even; 500 of the 5336 states at six
-sites). `symmetric_sector` builds `HamiltonianTemplates` there (blocks
-P^T B P).
+`BasisTable.rank`. `block_isometries` turns the translation permutation
+and the mirror j -> L-1-j (`build_reflection`) into the isometry P onto
+each real block of their dihedral group (`Block`: momentum and mirror
+parity; Weinberg & Bukov, SciPost Phys. 2, 003 (2017) build the same
+blocks). `block_sectors` builds `HamiltonianTemplates` on every block
+(operators P^T B P), and `symmetric_sector` on the (0, +) one, k = 0 and
+mirror-even: 500 of the 5336 states at six sites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +38,7 @@ import scipy.sparse as sp
 from .basis import BasisTable
 
 DISSIPATION_CONVENTIONS = ("literal-sigma-z", "number-conserving")
+CANCELLED = 1e-9  # an isometry entry below this is a cancelled orbit sum
 
 
 @dataclass(frozen=True)
@@ -184,17 +186,58 @@ def _site_permutation(table, photons, qubits) -> sp.csr_matrix:
     )
 
 
+class Block(NamedTuple):
+    """A real block of the dihedral group of a ring of `sites` sites.
+
+    It holds the states of momentum +-2 pi q / L that are even (`parity` 1)
+    or odd (-1) under the mirror (Sandvik, AIP Conf. Proc. 1297, 135
+    (2010), sec. 4). At q = 0 and q = L/2 that is a one-dimensional irrep;
+    for 0 < q < L/2 it is the cosine row of the two-dimensional irrep,
+    whose levels each occur twice in the full spectrum (`multiplicity`).
+    `Block()` is the fully symmetric sector, k = 0 and mirror-even.
+    """
+
+    q: int = 0
+    parity: int = 1
+    sites: int = 1
+
+    @property
+    def multiplicity(self) -> int:
+        return 1 if (2 * self.q) % self.sites == 0 else 2
+
+
+def dihedral_blocks(sites: int) -> list[Block]:
+    """Every real block of the ring's dihedral group, (0, +) first."""
+    return [Block(q, parity, sites) for q in range(sites // 2 + 1)
+            for parity in ((1, -1) if (2 * q) % sites == 0 else (1,))]
+
+
 def symmetric_isometry(translation, reflection=None) -> sp.csr_matrix:
     """Isometry P (dim x d) onto the states invariant under the permutations.
 
-    Column c is the normalised sum over one orbit, so P P^T is the group
-    average, (1/L) sum_m T^m (the k = 0 projector) for the translation
-    alone and (1/2L) sum_m T^m (1 + R) with the mirror `reflection`, and
-    P^T B P restricts any B that commutes with them. Orbits are labelled
-    by their smallest index: translation orbits by composing T with itself
-    once per step of the longest orbit (L passes for a lattice
-    translation); R maps them onto each other, so a dihedral orbit takes
-    the smaller label of x and R x.
+    P P^T is the group average, (1/L) sum_m T^m (the k = 0 projector) for
+    the translation alone and (1/2L) sum_m T^m (1 + R) with the mirror
+    `reflection`: the `Block()` case of `block_isometries`.
+    """
+    return block_isometries(translation, reflection, [Block()])[0]
+
+
+def block_isometries(translation, reflection, blocks) -> list[sp.csr_matrix]:
+    """Isometry P (dim x d) onto each block's states, columns by orbit.
+
+    Orbits are labelled by their smallest index: translation orbits by
+    composing T with itself once per step of the longest orbit (L passes
+    for a lattice translation); R maps them onto each other, so a dihedral
+    orbit takes the smaller label of x and R x. The orbit of label a gives
+    the column (1 + p R) sum_m cos(k m) T^m a, m over one period n of a,
+    and for a two-dimensional irrep also (1 + R) sum_m sin(k m) T^m a,
+    unless R a lies in the translation orbit of a, where the two are
+    parallel. Summed over all L shifts these vanish unless k n is a
+    multiple of 2 pi, so only such orbits contribute. Columns are
+    normalised; a one-dimensional block's entries are +-1 / sqrt(orbit
+    size). P^T B P restricts any B that commutes with the group. Without
+    a `reflection` the group is the translations and only `Block()`, the
+    k = 0 sector, is defined.
     """
     perm = _permutation(translation, "translation")
     ident = np.arange(len(perm))
@@ -204,21 +247,58 @@ def symmetric_isometry(translation, reflection=None) -> sp.csr_matrix:
         np.minimum(rep, image, out=rep)
         image = perm[image]
         closed |= image == ident
+    label, mirror = rep, None
     if reflection is not None:
         mirror = _permutation(reflection, "reflection")
         if len(mirror) != len(perm):
             raise ValueError("translation and reflection sizes differ")
-        rep = np.minimum(rep, rep[mirror])
-        if not (np.array_equal(rep[perm], rep)
-                and np.array_equal(rep[mirror], rep)):
+        label = np.minimum(rep, rep[mirror])
+        if not (np.array_equal(label[perm], label)
+                and np.array_equal(label[mirror], label)):
             raise ValueError("reflection does not map translation orbits "
                              "onto translation orbits")
-    _, column = np.unique(rep, return_inverse=True)
-    sizes = np.bincount(column)
-    return sp.csr_matrix(
-        (1.0 / np.sqrt(sizes[column]), (ident, column)),
-        shape=(len(perm), len(sizes)),
-    )
+    reps = np.flatnonzero(label == ident)
+    self_mirror = None if mirror is None else rep[mirror[reps]] == rep[reps]
+    orbit, image, parts = np.arange(len(reps)), reps, []
+    while orbit.size:  # T^m a over one period of each label a
+        parts.append((image, orbit, np.full(orbit.size, len(parts))))
+        image = perm[image]
+        open_ = image != reps[orbit]
+        orbit, image = orbit[open_], image[open_]
+    states, orbit, shift = map(np.concatenate, zip(*parts))
+    period = np.bincount(orbit, minlength=len(reps))
+    dim, column = len(perm), np.empty(len(perm), dtype=np.intp)
+    column[reps] = np.arange(len(reps))
+    column = column[label]  # each state's orbit
+
+    def columns(block):
+        q, L, width = block.q, block.sites, block.multiplicity
+        if mirror is None and (width == 2 or block.parity != 1 or q):
+            raise ValueError("without a reflection only Block() is defined")
+        keep = (q * period[orbit]) % L == 0
+        x, angle = states[keep], 2 * np.pi * ((q * shift[keep]) % L) / L
+        coef = np.empty((dim, width))
+        for k, (c, p) in enumerate([(np.cos(angle), block.parity),
+                                    (np.sin(angle), 1)][:width]):
+            coef[:, k] = np.bincount(x, c, dim)
+            if mirror is not None:
+                coef[:, k] += np.bincount(mirror[x], p * c, dim)
+        coef[np.abs(coef) < CANCELLED] = 0.0
+        col = width * column[:, None] + np.arange(width)
+        norm2 = np.bincount(col.ravel(), (coef * coef).ravel(), width * len(reps))
+        nonzero = norm2 > 0
+        if width == 2:  # where R a is a translate of a, one column
+            nonzero[1::2] &= ~(self_mirror & nonzero[0::2])
+        kept = (coef != 0) & nonzero[col]
+        col = col[kept]
+        return sp.csr_matrix(
+            (coef[kept] / np.sqrt(norm2[col]),
+             (np.cumsum(nonzero) - 1)[col],
+             np.concatenate(([0], np.cumsum(kept.sum(axis=1))))),
+            shape=(dim, int(nonzero.sum())),
+        )
+
+    return [columns(block) for block in blocks]
 
 
 def _permutation(matrix, name) -> np.ndarray:
@@ -299,28 +379,29 @@ class HamiltonianTemplates:
     and sums aligned data vectors, which makes per-step Hamiltonians and
     dH/dp expectations essentially free.
 
-    With an `isometry` P (see `symmetric_isometry`) the templates act on its
-    column space: every block is P^T B P and `translation` is the identity,
-    which is what T is on a symmetric sector. The diagonals are constant on
-    orbits, so they restrict by taking each orbit's value.
+    With an `isometry` P (see `block_isometries`) the templates act on its
+    column space, the symmetry `block` it names: every operator is P^T B P
+    and `translation` is the identity, which is what T is on the symmetric
+    sector. The diagonals are constant on orbits, so they restrict by
+    taking each column's value. `parts`, the `structural_parts` of `table`,
+    saves rebuilding them for each block.
 
     The shared matrix returned by `assemble` is reused between calls;
     callers that need to keep a Hamiltonian must copy it.
     """
 
-    def __init__(self, table: BasisTable, isometry=None):
-        self.isometry = isometry
+    def __init__(self, table: BasisTable, isometry=None, block=None, parts=None):
+        self.isometry, self.block = isometry, block
         self.sites = table.shape.sites
-        self.number_diag = number_diagonal(table)
-        self.qubit_up_diag = qubit_up_diagonal(table)
-        self.coupling = build_coupling(table)
-        self.hopping = build_hopping(table)
+        (self.number_diag, self.qubit_up_diag, self.coupling,
+         self.hopping) = parts or structural_parts(table)
         if isometry is None:
             self.translation = build_translation(table)
         else:
+            row = np.repeat(np.arange(table.dim), np.diff(isometry.indptr))
             for name in ("number_diag", "qubit_up_diag"):
                 restricted = np.empty(isometry.shape[1])
-                restricted[isometry.indices] = getattr(self, name)
+                restricted[isometry.indices] = getattr(self, name)[row]
                 setattr(self, name, restricted)
             self.coupling = _restricted(self.coupling, isometry)
             self.hopping = _restricted(self.hopping, isometry)
@@ -389,8 +470,25 @@ class HamiltonianTemplates:
         return self.assemble(g, J, delta).copy()
 
 
+def structural_parts(table: BasisTable) -> tuple:
+    """Number and qubit-up diagonals, coupling and hopping on the full basis."""
+    return (number_diagonal(table), qubit_up_diagonal(table),
+            build_coupling(table), build_hopping(table))
+
+
+def block_sectors(table: BasisTable, blocks=None) -> list[HamiltonianTemplates]:
+    """Templates on each nonempty block of `blocks`, in order; by default
+    every real block of the dihedral group (`dihedral_blocks`)."""
+    if blocks is None:
+        blocks = dihedral_blocks(table.shape.sites)
+    isometries = block_isometries(build_translation(table),
+                                  build_reflection(table), blocks)
+    parts = structural_parts(table)
+    return [HamiltonianTemplates(table, p, block, parts)
+            for block, p in zip(blocks, isometries) if p.shape[1]]
+
+
 def symmetric_sector(table: BasisTable) -> HamiltonianTemplates:
     """Templates on the fully symmetric sector of `table`: k = 0 and even
-    under the mirror."""
-    return HamiltonianTemplates(table, symmetric_isometry(
-        build_translation(table), build_reflection(table)))
+    under the mirror, the (0, +) block."""
+    return block_sectors(table, [Block(0, 1, table.shape.sites)])[0]

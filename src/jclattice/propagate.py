@@ -25,7 +25,7 @@ from scipy.linalg import expm
 
 from .operators import HamiltonianTemplates
 from .ramp import RampPlan
-from .spectrum import ground_state, symmetric_projector_weight
+from .spectrum import ground_state
 
 DEFAULT_STEPS = 512
 MAX_REFINEMENTS = 6
@@ -56,14 +56,12 @@ class Checkpoint:
     delta: float
     norm: float
     overlap_instantaneous_ground: float
-    symmetric_weight: float
 
 
 @dataclass
 class EvolutionResult:
     final_state: np.ndarray
     norm_drift: float
-    symmetric_leakage: float
     step_count: int
     checkpoints: list = field(default_factory=list)
     error_estimate: float = 0.0  # ||psi_2n - psi_n|| of the accepted run
@@ -156,14 +154,12 @@ def _evolve_impl(templates, plan, psi0, decay, tol, initial_steps,
             diff = float(np.linalg.norm(psi - previous))
             nrm = np.linalg.norm(psi)
             if diff <= tol * max(1.0, nrm):
-                weight = symmetric_projector_weight(psi / nrm, templates.translation)
                 rows, ground = [], None
                 for u, s in zip(marks, saved):
                     row, ground = _checkpoint(templates, plan, u, s, ground)
                     rows.append(row)
                 return EvolutionResult(psi, float(abs(nrm / norm0 - 1.0)),
-                                       float(1.0 - weight), int(counts.sum()),
-                                       rows, diff)
+                                       int(counts.sum()), rows, diff)
         previous = psi
         steps *= 2
     raise StepSizeUnderflow(f"tolerance {tol} not met after {max_refinements} "
@@ -229,6 +225,5 @@ def _checkpoint(templates, plan, u, psi, previous):
     ground = ground_state(h, v0=previous).vector
     nrm = float(np.linalg.norm(psi))
     row = Checkpoint(u * plan.total_time, p.g, p.J, p.delta, nrm,
-                     fidelity(psi / nrm, ground),
-                     symmetric_projector_weight(psi / nrm, templates.translation))
+                     fidelity(psi / nrm, ground))
     return row, ground

@@ -18,7 +18,9 @@ symmetric sector (`operators.symmetric_sector`: k = 0 and mirror-even),
 where T and P are the identity and the matrix is used as it is. The
 minimal gap along a ramping trajectory is the separation of the two
 lowest eigenvalues of P^T H P: on the fully symmetric sector, the two
-lowest levels a ramp can reach.
+lowest levels a ramp can reach. The gap over all sectors comes from the
+other real blocks of the dihedral group (`operators.block_sectors`),
+each asked for its lowest level only (`_any_gap`).
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ def gap_scan(
     resolution: int = 33,
     refine_tol: float = 1e-4,
     degeneracy_tol: float = DEGENERACY_TOL,
-    full_space: HamiltonianTemplates | None = None,
+    blocks=None,
 ) -> GapReport:
     """Locate the minimal symmetric gap along the plan's trajectory.
 
@@ -203,43 +205,36 @@ def gap_scan(
     minimum. Raises DegeneracyError when any sampled gap drops below
     10x the degeneracy threshold (suspected level crossing). `templates`
     may act on the full space (the gap is then that of the k = 0 sector) or
-    on a symmetric sector; with `full_space` templates every coarse row
-    also holds the lowest gap over all sectors.
-    Each solve is warm-started from the previous point's.
+    on the symmetric sector. With `blocks`, the templates of every other
+    dihedral block (`operators.block_sectors`), each coarse row also holds
+    the lowest gap over all sectors (`_any_gap`).
+    Each solve is warm-started from the previous point's in its block.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
     translation = templates.translation
-    warm = {"sym": None, "any": None}
+    warm = [None] * (1 + len(blocks or ()))
 
     def gap_at(s: float):
         p = trajectory_point(plan, s)
         h = templates.assemble(p.g, p.J, p.delta)
-        e0, e1, warm["sym"] = symmetric_pair(h, translation, v0=warm["sym"])
+        e0, e1, warm[0] = symmetric_pair(h, translation, v0=warm[0])
         gap = e1 - e0
         if gap < 10 * degeneracy_tol:
             raise DegeneracyError(
                 f"symmetric gap {gap!r} at s={s} suggests a level crossing"
             )
-        return gap, p
+        return gap, p, (e0, e1)
 
     svals = np.linspace(0.0, 1.0, resolution)
     curve = []
     gaps = np.empty(resolution)
     for i, s in enumerate(svals):
-        gap, p = gap_at(s)
+        gap, p, pair = gap_at(s)
         gaps[i] = gap
         row = [float(s), p, gap]
-        if full_space is not None:
-            # H commutes with T, so a start inside one sector never leaves
-            # it: the previous pair is mixed with the seeded vector
-            seeded = start_vector(full_space.dim)
-            seeded /= np.linalg.norm(seeded)
-            h = full_space.assemble(p.g, p.J, p.delta)
-            w, v = _lowest_eigh(h, 2, None if warm["any"] is None
-                                else warm["any"] + seeded)
-            warm["any"] = v[:, 0] + v[:, 1]
-            row.append(float(w[1] - w[0]))
+        if blocks is not None:
+            row.append(_any_gap(blocks, p, pair, warm))
         curve.append(tuple(row))
 
     i_min = int(np.argmin(gaps))  # argmin is leftmost on ties
@@ -256,6 +251,29 @@ def gap_scan(
         )
     report = GapReport(s_gp, trajectory_point(plan, s_gp), gap_gp, curve)
     return report
+
+
+def _any_gap(blocks, p, symmetric, warm) -> float:
+    """Gap between the two lowest levels over all blocks at parameters `p`.
+
+    `symmetric` holds the two lowest levels of the symmetric block; each
+    other block gives its lowest, counted twice for a two-dimensional irrep,
+    from a start at its previous vector (`warm[1:]`). Only when a
+    one-dimensional block holds the overall ground state (possible for
+    J < 0) is its second level needed: that block is solved again for two.
+    """
+    levels, lowest = list(symmetric), []
+    for k, tpl in enumerate(blocks, start=1):
+        h = tpl.assemble(p.g, p.J, p.delta)
+        w, v = _lowest_eigh(h, 1, warm[k])
+        warm[k] = v[:, 0]
+        lowest.append((float(w[0]), k, h))
+        levels += [float(w[0])] * tpl.block.multiplicity
+    e, k, h = min(lowest, default=(np.inf, 0, None))
+    if e < symmetric[0] and blocks[k - 1].block.multiplicity == 1:
+        levels += [float(w) for w in _lowest_eigh(h, 2, warm[k])[0][1:]]
+    levels.sort()
+    return levels[1] - levels[0]
 
 
 def _golden_section(f, a: float, b: float, tol: float):

@@ -8,8 +8,10 @@ its ground state is invariant under every lattice symmetry; so are the
 prepared MI and SF states, and H and the decay diagonal commute with
 translations and the mirror, so every ramp and target stays there. Runs
 that would leave it (a negative J, an init_file state with weight
-outside it) are refused as configuration errors. `spectrum` and the
-E_gap_any column of gap scans need every sector and use the full basis.
+outside it) are refused as configuration errors. The E_gap_any column of
+gap scans needs every sector: it merges the lowest levels of each real
+block of the dihedral group (`operators.block_sectors`). `spectrum` still
+solves on the full basis.
 
 Phase diagrams, rJ sweeps and rho1 maps evaluate their grid points with
 `map_points`, serially or on a fork pool, journaled for `--resume`. Rows
@@ -23,6 +25,7 @@ import contextlib
 import dataclasses
 import hashlib
 import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,12 +34,14 @@ import numpy as np
 from . import states
 from .basis import LatticeShape, enumerate_basis, write_basis_text
 from .config import ConfigError, RunConfig, fmt, write_csv
-from .operators import HamiltonianTemplates, build_correlator, symmetric_sector
+from .operators import (HamiltonianTemplates, block_sectors, build_correlator,
+                        symmetric_sector)
 from .propagate import evolve, evolve_dissipative, fidelity
 from .ramp import RampPlan, RampSchedule
 from .spectrum import GapReport, gap_scan, ground_state, low_spectrum
 
 SECTOR_WEIGHT_TOL = 1e-8  # largest initial-state weight outside the sector
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -170,7 +175,7 @@ def map_points(fn, count: int, threads: int = 1,
     is appended to the `journal` as `index,value` (17 digits, so it reads
     back bit for bit) and flushed as it arrives, as is the header before
     it; with `resume` the points an existing journal holds are not computed
-    again.
+    again. A pool started while no BLAS thread count is set warns on stderr.
     """
     done, log = {}, None
     with contextlib.ExitStack() as stack:
@@ -186,6 +191,11 @@ def map_points(fn, count: int, threads: int = 1,
         if threads > 1 and len(pending) > 1:
             import multiprocessing
 
+            if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+                print(f"warning: BLAS threads at their default oversubscribe the "
+                      f"{threads} pool workers; set OPENBLAS_NUM_THREADS=1 (the "
+                      f"desk-scale grids took 125 s this way, 38 s with one "
+                      f"thread)", file=sys.stderr)
             mp = multiprocessing.get_context("fork")
             pool = stack.enter_context(mp.Pool(threads, _adopt, (fn,)))
             results = pool.imap_unordered(_call_adopted, pending)
@@ -204,7 +214,6 @@ class RampResult:
     fidelity_normalized: float
     final_norm: float
     norm_drift: float
-    symmetric_leakage: float
     step_count: int
     target_energy: float
     error_estimate: float
@@ -235,7 +244,6 @@ def _run_plan(ctx: SimContext, plan: RampPlan, checkpoints: int = 0):
         fidelity_normalized=raw / nrm**2,
         final_norm=nrm,
         norm_drift=result.norm_drift,
-        symmetric_leakage=result.symmetric_leakage,
         step_count=result.step_count,
         target_energy=target.energy,
         error_estimate=result.error_estimate,
@@ -255,14 +263,12 @@ def run_ramp(cfg: RunConfig) -> RampResult:
     evo, summary = _run_plan(ctx, cfg.plan, checkpoints=cfg.checkpoints)
     if cfg.out:
         rows = [
-            (c.t, c.g, c.J, c.delta, c.norm,
-             c.overlap_instantaneous_ground, c.symmetric_weight)
+            (c.t, c.g, c.J, c.delta, c.norm, c.overlap_instantaneous_ground)
             for c in evo.checkpoints
         ]
         write_csv(
             cfg.out,
-            ("t", "g", "J", "Delta", "norm",
-             "overlap_with_instantaneous_ground", "symmetric_weight"),
+            ("t", "g", "J", "Delta", "norm", "overlap_with_instantaneous_ground"),
             rows,
             footer_comments=[
                 "summary F=%s F_normalized=%s norm_drift=%s step_count=%d "
@@ -449,14 +455,16 @@ def run_gap_scan(cfg: RunConfig) -> GapReport:
     """Coarse symmetric/any gap curve plus refined minimum (CSV footer row).
 
     The symmetric gap is that of the two lowest states of the sector ramps
-    evolve in (k = 0, mirror-even), E_gap_any from the full basis (only when
-    there is an output to hold it)."""
+    evolve in (k = 0, mirror-even). E_gap_any, the gap over all sectors, is
+    computed only when there is an output to hold it: from the lowest levels
+    of every real dihedral block, the symmetric one first (`gap_scan`)."""
     table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
-    report = gap_scan(
-        symmetric_sector(table), cfg.plan, resolution=cfg.resolution,
-        refine_tol=cfg.refine_tol,
-        full_space=HamiltonianTemplates(table) if cfg.out else None,
-    )
+    if cfg.out:
+        sector, *blocks = block_sectors(table)
+    else:
+        sector, blocks = symmetric_sector(table), None
+    report = gap_scan(sector, cfg.plan, resolution=cfg.resolution,
+                      refine_tol=cfg.refine_tol, blocks=blocks)
     if cfg.out:
         rows = [
             (s, p.g, p.J, p.delta, gap_sym, gap_any)

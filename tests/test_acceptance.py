@@ -255,8 +255,10 @@ def test_criterion_11_property_suite():
     evo, _, _ = ramp_run("mi", 1.0, sector=False)
     norm_ok = evo.norm_drift <= 1e-8
     details.append(f"norm drift {evo.norm_drift:.1e}")
-    leak_ok = evo.symmetric_leakage <= 1e-8
-    details.append(f"leakage {evo.symmetric_leakage:.1e}")
+    psi = evo.final_state / np.linalg.norm(evo.final_state)
+    leakage = 1.0 - symmetric_projector_weight(psi, tpl.translation)
+    leak_ok = leakage <= 1e-8
+    details.append(f"leakage {leakage:.1e}")
 
     h = tpl.assemble_copy(1.0, 0.122, 0.0)
     t = tpl.translation

@@ -13,7 +13,7 @@ from jclattice.propagate import (
     fidelity,
 )
 from jclattice.ramp import RampPlan, RampSchedule
-from jclattice.spectrum import ground_state
+from jclattice.spectrum import ground_state, symmetric_projector_weight
 from jclattice.states import mi_ground_state, sf_ground_state
 
 
@@ -55,15 +55,16 @@ def test_norm_conservation_and_leakage(table33, templates33):
     psi0 = mi_ground_state(table33, 0.0, 1.0)
     res = evolve(templates33, plan, psi0)
     assert res.norm_drift <= 1e-8
-    assert res.symmetric_leakage <= 1e-8
+    psi = res.final_state / np.linalg.norm(res.final_state)
+    assert 1.0 - symmetric_projector_weight(psi, templates33.translation) <= 1e-8
 
 
 def test_step_halving_converges_fidelity(table33, templates33):
     plan = plan_mi_sf(4 * math.pi)
     psi0 = mi_ground_state(table33, 0.0, 1.0)
     tgt = ground_state(templates33.assemble_copy(1.0, 0.5, 0.0)).vector
-    f1 = fidelity(evolve(templates33, plan, psi0, initial_steps=4000).final_state, tgt)
-    f2 = fidelity(evolve(templates33, plan, psi0, initial_steps=8000).final_state, tgt)
+    f1 = fidelity(evolve(templates33, plan, psi0, initial_steps=256).final_state, tgt)
+    f2 = fidelity(evolve(templates33, plan, psi0, initial_steps=512).final_state, tgt)
     assert abs(f1 - f2) < 1e-6
 
 
@@ -82,9 +83,9 @@ def test_time_reversal_consistency(table33, templates33):
     # complex conjugate of the inverse: conj(evolve_rev(conj(psi_T))) = psi_0
     plan = plan_mi_sf(3 * math.pi, rj=1.0)
     psi0 = mi_ground_state(table33, 0.0, 1.0)
-    fwd = evolve(templates33, plan, psi0, initial_steps=6000)
+    fwd = evolve(templates33, plan, psi0, initial_steps=256)
     back = evolve(templates33, plan.reversed(),
-                  np.conj(fwd.final_state), initial_steps=6000)
+                  np.conj(fwd.final_state), initial_steps=256)
     psi_back = np.conj(back.final_state)
     assert fidelity(psi_back, psi0) > 1 - 1e-6
 
@@ -161,8 +162,6 @@ def test_checkpoints_schema(table33, templates33):
     assert res.checkpoints[0].t == 0.0
     assert res.checkpoints[-1].t == pytest.approx(2 * math.pi)
     assert res.checkpoints[0].overlap_instantaneous_ground == pytest.approx(1.0, abs=1e-9)
-    for c in res.checkpoints:
-        assert 0.0 <= c.symmetric_weight <= 1.0 + 1e-10
 
 
 def test_dimension_mismatch(table33, templates33):

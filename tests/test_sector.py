@@ -27,7 +27,9 @@ from jclattice.basis import (
 from jclattice.cli import main
 from jclattice.config import GridSpec, RunConfig, load_config
 from jclattice.operators import (
+    Block,
     HamiltonianTemplates,
+    block_sectors,
     build_correlator,
     build_coupling,
     build_hopping,
@@ -294,6 +296,108 @@ def test_symmetric_sector_dimensions():
     assert p.shape == (28814, 2122)
 
 
+# --- dihedral blocks ---------------------------------------------------------
+
+def loop_orbits(table):
+    """Translation orbits, each as the state indices a, T a, T^2 a, ..."""
+    index, seen, orbits = _loop_index(table), set(), []
+    for config in table.states:
+        if config not in seen:
+            orbit = [config]
+            while translate_config(orbit[-1], 1) != config:
+                orbit.append(translate_config(orbit[-1], 1))
+            seen.update(orbit)
+            orbits.append([index[c] for c in orbit])
+    return orbits
+
+
+def momentum_levels(table, h):
+    """Eigenvalues of h, merged from dense eigh of each complex momentum
+    block (Bloch sums over translation orbits, from loops)."""
+    L, levels = table.shape.sites, []
+    orbits = loop_orbits(table)
+    for q in range(L):
+        rows, cols, vals = [], [], []
+        for c, orbit in enumerate(o for o in orbits if (q * len(o)) % L == 0):
+            n = len(orbit)
+            rows += orbit
+            cols += [c] * n
+            vals += [np.exp(2j * np.pi * q * m / L) / math.sqrt(n) for m in range(n)]
+        p = sp.csr_matrix((vals, (rows, cols)), shape=(table.dim, c + 1))
+        levels += list(np.linalg.eigvalsh((p.conj().T @ h @ p).toarray()))
+    return np.sort(levels)
+
+
+GENERIC = (0.83, 0.27, -0.31)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_blocks_are_isometries_onto_invariant_subspaces(shape):
+    table, full, _ = pair(shape)
+    h = full.assemble_copy(*GENERIC)
+    blocks = block_sectors(table)
+    assert sum(b.block.multiplicity * b.dim for b in blocks) == table.dim
+    assert blocks[0].block == Block(0, 1, shape.sites)
+    for b in blocks:
+        p = b.isometry
+        assert abs(p.T @ p - sp.identity(b.dim)).max() <= 1e-12
+        hp = h @ p
+        assert abs(hp - p @ (p.T @ hp)).max() <= 1e-12
+        assert abs(b.assemble_copy(*GENERIC) - p.T @ hp).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_merged_block_spectra_equal_the_full_spectrum(shape):
+    table, full, _ = pair(shape)
+    h = full.assemble_copy(*GENERIC)
+    merged = np.sort([w for b in block_sectors(table) for w in
+                      np.linalg.eigvalsh(b.assemble_copy(*GENERIC).toarray())
+                      for _ in range(b.block.multiplicity)])
+    if shape.sites <= 5:
+        reference = np.linalg.eigvalsh(h.toarray())
+    else:  # dense eigh of all 5336 states takes about 20 s
+        merged, reference = merged[:10], momentum_levels(table, h)[:10]
+    assert np.abs(merged - reference).max() <= 1e-10
+
+
+def loop_symmetric_isometry(table):
+    """The fully symmetric isometry as first built: columns by the smallest
+    index in each dihedral orbit, entries 1 / sqrt(orbit size)."""
+    index = _loop_index(table)
+    label = np.arange(table.dim)
+    for orbit in loop_orbits(table):
+        mirrored = [index[tuple(reversed(table.states[i]))] for i in orbit]
+        label[orbit + mirrored] = min(orbit + mirrored)
+    _, column, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    return sp.csr_matrix((1.0 / np.sqrt(sizes[column]), (np.arange(table.dim), column)),
+                         shape=(table.dim, len(sizes)))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_symmetric_block_is_the_symmetric_sector_bit_for_bit(shape):
+    table, _, sector = pair(shape)
+    for p in (block_sectors(table)[0].isometry, loop_symmetric_isometry(table)):
+        for name in ("shape", "indptr", "indices", "data"):
+            a, b = getattr(p, name), getattr(sector.isometry, name)
+            assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+
+
+def test_any_gap_follows_the_ground_state_out_of_the_symmetric_block():
+    # for J < 0 the gauge a_j, sigma_j -> (-1)^j a_j, (-1)^j sigma_j maps H
+    # to H(-J) and shifts the momentum by pi N: with N = 5 the ground state
+    # lies in (2, -), and so does the second level, below every other block
+    table = enumerate_basis(LatticeShape(4, 5))
+    full = HamiltonianTemplates(table)
+    sector, *blocks = block_sectors(table)
+    plan = RampPlan(RampSchedule(0.2, 0.2), RampSchedule(-0.25, -0.4),
+                    RampSchedule(1.0, 1.0), 1.0)
+    for s, p, _, gap_any in gap_scan(sector, plan, resolution=16, blocks=blocks).curve:
+        w = np.linalg.eigvalsh(full.assemble_copy(p.g, p.J, p.delta).toarray())
+        assert gap_any == pytest.approx(w[1] - w[0], abs=1e-10)
+        e0 = ground_state(sector.assemble_copy(p.g, p.J, p.delta)).energy
+        assert e0 > w[1] + 1e-3
+
+
 # --- spectra ----------------------------------------------------------------
 
 def deflation_oracle(h, translation, sites, dense: bool, reflection=None):
@@ -433,7 +537,8 @@ def test_warm_started_solves_match_cold_ones():
         previous = warm.vector
 
     plan = mi_sf_plan(1.0)
-    report = gap_scan(sector, plan, resolution=16, full_space=full)
+    report = gap_scan(sector, plan, resolution=16,
+                      blocks=block_sectors(pair(LatticeShape(6, 6))[0])[1:])
     for s, p, _, gap_any in report.curve:
         w, _ = _lowest_eigh(full.assemble_copy(p.g, p.J, p.delta), 2)
         assert gap_any == pytest.approx(w[1] - w[0], abs=1e-10)

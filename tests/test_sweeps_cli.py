@@ -109,7 +109,7 @@ def test_run_ramp_csv_schema(tmp_path):
     lines = (tmp_path / "ramp.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert header == ["t", "g", "J", "Delta", "norm",
-                      "overlap_with_instantaneous_ground", "symmetric_weight"]
+                      "overlap_with_instantaneous_ground"]
     assert len([l for l in lines if not l.startswith("#")]) == 4
     assert lines[-1].startswith("# summary F=")
     assert 0.0 <= summary.fidelity_raw <= 1 + 1e-9
@@ -195,6 +195,19 @@ def test_grid_threads_match_serial(tmp_path, command):
     # 17 significant digits: equal bytes are equal values
     assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
     assert not (tmp_path / "p.csv.progress").exists()
+
+
+def test_pool_warns_when_blas_threads_are_at_their_default(monkeypatch, capsys):
+    for name in sweeps.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    assert sweeps.map_points(abs, 3) == [0, 1, 2]
+    assert capsys.readouterr().err == ""
+    assert sweeps.map_points(abs, 3, threads=2) == [0, 1, 2]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "oversubscribe" in err and "125 s" in err
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert sweeps.map_points(abs, 3, threads=2) == [0, 1, 2]
+    assert capsys.readouterr().err == ""
 
 
 def test_resume_refuses_another_runs_journal(tmp_path, monkeypatch, capsys):
