@@ -20,9 +20,6 @@ from .operators import (
     HamiltonianTemplates,
     LatticeParams,
     build_correlator,
-    build_dissipative_diagonal,
-    build_h0,
-    build_hamiltonian,
     build_hopping,
     build_reflection,
     build_translation,
@@ -37,8 +34,6 @@ from .spectrum import (
     GapReport,
     gap_scan,
     ground_state,
-    low_spectrum,
-    symmetric_projector_weight,
 )
 from .states import (
     mi_ground_state,
@@ -52,14 +47,12 @@ __all__ = [
     "BasisTable", "LatticeShape", "ResourceLimitError", "SectorError",
     "dimension_oracle", "enumerate_basis", "index_of", "translate_config",
     "HamiltonianTemplates", "LatticeParams", "build_correlator",
-    "build_dissipative_diagonal", "build_h0", "build_hamiltonian",
     "build_hopping", "build_reflection", "build_translation",
     "symmetric_isometry", "symmetric_sector",
     "EvolutionResult", "evolve", "evolve_dissipative", "fidelity",
     "RampPlan", "RampSchedule", "optimal_index", "sweep_rate_at_gap",
     "trajectory_point",
     "DegeneracyError", "EigenPair", "GapReport", "gap_scan", "ground_state",
-    "low_spectrum", "symmetric_projector_weight",
     "mi_ground_state", "polariton_doublet", "sf_ground_state",
     "simulate_mi_pulse", "simulate_sf_pulse",
 ]

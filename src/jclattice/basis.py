@@ -217,7 +217,8 @@ def translate_config(config, shift: int):
 def write_basis_text(table: BasisTable, path) -> None:
     """Export the basis, one configuration per line: `n_1 s_1 n_2 s_2 ...`."""
     shape = table.shape
+    pairs = np.stack([table.photons, table.qubits], axis=2).reshape(table.dim, -1)
+    line = " ".join(["%d"] * pairs.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# L={shape.sites} N={shape.excitations} dim={table.dim}\n")
-        for config in table.states:
-            fh.write(" ".join(f"{n} {s}" for n, s in config) + "\n")
+        fh.writelines(line % tuple(row) for row in pairs.tolist())

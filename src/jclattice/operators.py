@@ -9,8 +9,7 @@ the constant N*omega_z, so the Hamiltonian is assembled as
 
 with Delta = omega_c - omega_z. This reproduces the single-site doublet
 energies E(n, +/-) = (n - 1/2) * Delta +/- chi(n) / 2 measured from the
-empty-site level. When explicit omega_c / omega_z are supplied the
-constant N*omega_z is restored.
+empty-site level.
 
 All Hermitian builders insert mirrored (row, col) / (col, row) entries
 with identical values, so the assembled matrices equal their transpose
@@ -43,26 +42,11 @@ CANCELLED = 1e-9  # an isometry entry below this is a cancelled orbit sum
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Dimensionless couplings of the lattice, in units of the g reference.
-
-    Only the detuning enters sector-restricted spectra; omega_c/omega_z
-    are optional and, when both given, override `delta` and add the
-    constant N*omega_z to the diagonal.
-    """
+    """Dimensionless couplings of the lattice, in units of the g reference."""
 
     g: float
     J: float = 0.0
     delta: float = 0.0
-    kappa: float = 0.0
-    gamma: float = 0.0
-    omega_c: float | None = None
-    omega_z: float | None = None
-
-    def __post_init__(self):
-        if (self.omega_c is None) != (self.omega_z is None):
-            raise ValueError("omega_c and omega_z must be given together")
-        if self.omega_c is not None:
-            object.__setattr__(self, "delta", self.omega_c - self.omega_z)
 
 
 def number_diagonal(table: BasisTable) -> np.ndarray:
@@ -73,11 +57,6 @@ def number_diagonal(table: BasisTable) -> np.ndarray:
 def qubit_up_diagonal(table: BasisTable) -> np.ndarray:
     """Diagonal of sum_j (sigma_jz + 1)/2 (number of excited qubits)."""
     return table.qubits.sum(axis=1).astype(float)
-
-
-def build_number_operator(table: BasisTable) -> sp.csr_matrix:
-    """sum_j a_j^dag a_j = dH/dDelta in the sector frame."""
-    return sp.diags(number_diagonal(table), format="csr")
 
 
 def build_coupling(table: BasisTable) -> sp.csr_matrix:
@@ -127,25 +106,6 @@ def _mirrored(rows, cols, vals, dim) -> sp.csr_matrix:
     m.sum_duplicates()
     m.sort_indices()
     return m
-
-
-def build_h0(table: BasisTable, params: LatticeParams) -> sp.csr_matrix:
-    """Uncoupled JC-site Hamiltonian over the sector (no hopping)."""
-    h = sp.diags(params.delta * number_diagonal(table), format="csr")
-    h = h + params.g * build_coupling(table)
-    if params.omega_z is not None:
-        shift = params.omega_z * table.shape.excitations
-        h = h + shift * sp.identity(table.dim, format="csr")
-    return h.tocsr()
-
-
-def build_hamiltonian(table: BasisTable, params: LatticeParams) -> sp.csr_matrix:
-    """Full lattice Hamiltonian H = H0 - J * hopping."""
-    h = build_h0(table, params)
-    if params.J != 0.0 and table.shape.sites > 1:
-        h = (h - params.J * build_hopping(table)).tocsr()
-    h.sort_indices()
-    return h
 
 
 def build_correlator(table: BasisTable, i: int, j: int) -> sp.csr_matrix:
@@ -320,57 +280,6 @@ def _restricted(block, isometry) -> sp.csr_matrix:
     return m
 
 
-def dissipative_rates(
-    table: BasisTable, kappa: float, gamma: float, convention: str = "literal-sigma-z"
-) -> np.ndarray:
-    """Real diagonal D such that the non-Hermitian Hamiltonian is H - i*D.
-
-    literal-sigma-z:    D = (kappa/2) sum_j n_j + (gamma/2) sum_j sigma_jz
-    number-conserving:  D = (kappa/2) sum_j n_j + (gamma/2) sum_j (sigma_jz+1)/2
-
-    The literal form is the printed one; inside a fixed-N sector it differs
-    from a pure decay by the constant +gamma*L/2, which uniformly inflates
-    the norm. The number-conserving form is the no-jump effective decay.
-    """
-    return _decay_rates(number_diagonal(table), qubit_up_diagonal(table),
-                        table.shape.sites, kappa, gamma, convention)
-
-
-def _decay_rates(photons, qubits_up, sites, kappa, gamma, convention):
-    if kappa < 0 or gamma < 0:
-        raise ValueError("decay rates must be non-negative")
-    if convention not in DISSIPATION_CONVENTIONS:
-        raise ValueError(
-            f"unknown convention {convention!r}, expected one of "
-            f"{DISSIPATION_CONVENTIONS}"
-        )
-    d = (kappa / 2.0) * photons
-    if convention == "literal-sigma-z":
-        d = d + (gamma / 2.0) * (2.0 * qubits_up - sites)
-    else:
-        d = d + (gamma / 2.0) * qubits_up
-    return d
-
-
-def build_dissipative_diagonal(
-    table: BasisTable, kappa: float, gamma: float, convention: str = "literal-sigma-z"
-) -> sp.csr_matrix:
-    """The purely imaginary diagonal -i*D added to H for dissipative runs."""
-    return sp.diags(
-        -1j * dissipative_rates(table, kappa, gamma, convention), format="csr"
-    )
-
-
-def write_operator_text(matrix, path) -> None:
-    """Dump a sparse operator as `row col value` lines for cross-checking."""
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# dim={matrix.shape[0]} nnz={coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {float(v)!r}\n")
-
-
 class HamiltonianTemplates:
     """Structural blocks sharing one sparsity pattern for fast H(t) assembly.
 
@@ -381,10 +290,10 @@ class HamiltonianTemplates:
 
     With an `isometry` P (see `block_isometries`) the templates act on its
     column space, the symmetry `block` it names: every operator is P^T B P
-    and `translation` is the identity, which is what T is on the symmetric
-    sector. The diagonals are constant on orbits, so they restrict by
-    taking each column's value. `parts`, the `structural_parts` of `table`,
-    saves rebuilding them for each block.
+    and `translation` is None (on the full basis it is T). The diagonals
+    are constant on orbits, so they restrict by taking each column's
+    value. `parts`, the `structural_parts` of `table`, saves rebuilding
+    them for each block.
 
     The shared matrix returned by `assemble` is reused between calls;
     callers that need to keep a Hamiltonian must copy it.
@@ -405,7 +314,7 @@ class HamiltonianTemplates:
                 setattr(self, name, restricted)
             self.coupling = _restricted(self.coupling, isometry)
             self.hopping = _restricted(self.hopping, isometry)
-            self.translation = sp.identity(isometry.shape[1], format="csr")
+            self.translation = None
         self.dim = len(self.number_diag)
 
         blocks = [
@@ -445,9 +354,27 @@ class HamiltonianTemplates:
 
     def dissipative_rates(self, kappa: float, gamma: float,
                           convention: str = "literal-sigma-z") -> np.ndarray:
-        """`dissipative_rates` on the basis these templates act in."""
-        return _decay_rates(self.number_diag, self.qubit_up_diag, self.sites,
-                            kappa, gamma, convention)
+        """Real diagonal D such that the non-Hermitian Hamiltonian is H - i*D.
+
+        literal-sigma-z:    D = (kappa/2) sum_j n_j + (gamma/2) sum_j sigma_jz
+        number-conserving:  D = (kappa/2) sum_j n_j + (gamma/2) sum_j (sigma_jz+1)/2
+
+        The literal form is the printed one; inside a fixed-N sector it
+        differs from a pure decay by the constant +gamma*L/2, which uniformly
+        inflates the norm. The number-conserving form is the no-jump
+        effective decay.
+        """
+        if kappa < 0 or gamma < 0:
+            raise ValueError("decay rates must be non-negative")
+        if convention not in DISSIPATION_CONVENTIONS:
+            raise ValueError(
+                f"unknown convention {convention!r}, expected one of "
+                f"{DISSIPATION_CONVENTIONS}"
+            )
+        d = (kappa / 2.0) * self.number_diag
+        if convention == "literal-sigma-z":
+            return d + (gamma / 2.0) * (2.0 * self.qubit_up_diag - self.sites)
+        return d + (gamma / 2.0) * self.qubit_up_diag
 
     def data_for(self, g: float, J: float, delta: float, out=None) -> np.ndarray:
         """H data on the shared pattern, delta * number + g * coupling

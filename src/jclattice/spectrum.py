@@ -1,4 +1,4 @@
-"""Eigenpairs, translation-symmetry classification and gap scans.
+"""Eigenpairs, block-labelled spectra and gap scans.
 
 The eigensolver is iterative Lanczos (scipy ARPACK) above a dense-fallback
 cutoff and full `eigh` below it; the dense path doubles as the oracle in
@@ -15,12 +15,13 @@ Symmetric states are the range of P P^T, where the isometry P
 column. Given the translation T of a full-space H, that is the k = 0
 sector, P P^T = (1/L) sum_m T^m; the runs use templates on the fully
 symmetric sector (`operators.symmetric_sector`: k = 0 and mirror-even),
-where T and P are the identity and the matrix is used as it is. The
-minimal gap along a ramping trajectory is the separation of the two
-lowest eigenvalues of P^T H P: on the fully symmetric sector, the two
-lowest levels a ramp can reach. The gap over all sectors comes from the
-other real blocks of the dihedral group (`operators.block_sectors`),
-each asked for its lowest level only (`_any_gap`).
+whose matrices are used as they are. The minimal gap along a ramping
+trajectory is the separation of the two lowest eigenvalues of P^T H P:
+on the fully symmetric sector, the two lowest levels a ramp can reach.
+Levels over all sectors merge those of every real block of the dihedral
+group (`operators.block_sectors`), each labelled by its block
+(`block_levels`); the gap over all sectors asks each block other than
+the symmetric one for its lowest level only (`_any_gap`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .ramp import RampPlan, trajectory_point
 
 DENSE_CUTOFF = 200
 DEGENERACY_TOL = 1e-9  # units of g; far below physical gaps, above solver noise
-SYMMETRIC_WEIGHT_THRESHOLD = 0.5
 _LANCZOS_SEED = 20260811
 
 
@@ -52,7 +52,6 @@ class ConvergenceError(RuntimeError):
 class EigenPair:
     energy: float
     vector: np.ndarray
-    symmetric_weight: float | None = None
 
 
 @dataclass
@@ -96,8 +95,7 @@ def _lowest_eigh(h, k: int, v0=None):
     return w[order], v[:, order]
 
 
-def ground_state(h, translation=None, degeneracy_tol: float = DEGENERACY_TOL,
-                 v0=None) -> EigenPair:
+def ground_state(h, degeneracy_tol: float = DEGENERACY_TOL, v0=None) -> EigenPair:
     """Lowest eigenpair with deterministic sign (largest amplitude positive).
 
     Raises DegeneracyError when the two lowest eigenvalues are closer than
@@ -110,79 +108,41 @@ def ground_state(h, translation=None, degeneracy_tol: float = DEGENERACY_TOL,
             f"ground state degenerate within {degeneracy_tol}: "
             f"E0={w[0]!r}, E1={w[1]!r}"
         )
-    vec = _fix_sign(v[:, 0])
-    weight = None
+    return EigenPair(float(w[0]), _fix_sign(v[:, 0]))
+
+
+def block_levels(blocks, p, count: int) -> list[tuple]:
+    """The lowest `count` levels at parameters `p` over all `blocks`
+    (templates from `operators.block_sectors`), ascending, each as
+    (energy, block that holds it).
+
+    A block of multiplicity m gives its lowest ceil(count / m) levels, each
+    listed m times, as in the full spectrum. Equal levels keep the order
+    of `blocks`.
+    """
+    levels = []
+    for k, tpl in enumerate(blocks):
+        width = tpl.block.multiplicity
+        w, _ = _lowest_eigh(tpl.assemble(p.g, p.J, p.delta), -(-count // width))
+        levels += [(float(e), k) for e in w for _ in range(width)]
+    levels.sort()
+    return [(e, blocks[k].block) for e, k in levels[:count]]
+
+
+def symmetric_pair(h, translation=None, v0=None):
+    """(E0, E1, ground vector) of the two lowest symmetric states.
+
+    Without a `translation`, `h` acts on a symmetric sector already and
+    these are its two lowest eigenpairs. Given the translation T of a
+    full-space `h`, they are those of P^T h P, its k = 0 sector; the
+    vector is mapped back to the space of `h`. `v0` (a previous result)
+    warm-starts the solve.
+    """
+    p = None
     if translation is not None:
-        weight = symmetric_projector_weight(vec, translation)
-    return EigenPair(float(w[0]), vec, weight)
-
-
-def low_spectrum(h, count: int, translation=None) -> list[EigenPair]:
-    """Lowest `count` eigenpairs, ascending, with symmetry weights filled.
-
-    Degenerate multiplets are rotated to diagonalize the translation
-    projector before weights are computed: asymmetric states come in
-    degenerate momentum pairs that a plain eigensolve mixes arbitrarily.
-    """
-    if count < 2:
-        raise ValueError("count must be at least 2")
-    w, v = _lowest_eigh(h, count)
-    pairs = [EigenPair(float(w[i]), v[:, i]) for i in range(count)]
-    if translation is None:
-        return pairs
-
-    groups = []
-    current = [0]
-    for i in range(1, count):
-        if w[i] - w[current[-1]] < DEGENERACY_TOL * max(1.0, abs(w[i])):
-            current.append(i)
-        else:
-            groups.append(current)
-            current = [i]
-    groups.append(current)
-
-    for group in groups:
-        if len(group) > 1:
-            block = np.column_stack([pairs[i].vector for i in group])
-            gram = block.T @ apply_symmetric_projector(block, translation)
-            _, rot = np.linalg.eigh((gram + gram.T) / 2)
-            rotated = block @ rot
-            for j, i in enumerate(group):
-                pairs[i].vector = rotated[:, j]
-        for i in group:
-            pairs[i].vector = _fix_sign(pairs[i].vector)
-            pairs[i].symmetric_weight = symmetric_projector_weight(
-                pairs[i].vector, translation
-            )
-    return pairs
-
-
-def apply_symmetric_projector(v: np.ndarray, translation) -> np.ndarray:
-    """P0 v with P0 = (1/L) sum_{m=0}^{L-1} T^m = P P^T (v: vector or
-    column block)."""
-    p = symmetric_isometry(translation)
-    return p @ (p.T @ v)
-
-
-def symmetric_projector_weight(v: np.ndarray, translation) -> float:
-    """Squared norm of the projection of `v` onto the k = 0 sector."""
-    pv = symmetric_isometry(translation).T @ v
-    return float(np.real(np.vdot(pv, pv)))
-
-
-def symmetric_pair(h, translation, v0=None):
-    """(E0, E1, ground vector) of the two lowest translation-symmetric states.
-
-    They are the two lowest eigenpairs of P^T h P; the vector is mapped
-    back to the space of `h`, where `v0` (a previous result) warm-starts
-    the solve.
-    """
-    p = symmetric_isometry(translation)
-    if p.shape[1] < h.shape[0]:
+        p = symmetric_isometry(translation)
         h = p.T @ h @ p
         v0 = None if v0 is None else p.T @ v0
-    else:
-        p = None  # the identity: h already acts on the sector
     if h.shape[0] < 2:
         raise ValueError("the symmetric sector holds one state: no symmetric gap")
     w, v = _lowest_eigh(h, 2, v0)
@@ -204,10 +164,10 @@ def gap_scan(
     refinement of s to `refine_tol`. Flat scans report the leftmost
     minimum. Raises DegeneracyError when any sampled gap drops below
     10x the degeneracy threshold (suspected level crossing). `templates`
-    may act on the full space (the gap is then that of the k = 0 sector) or
-    on the symmetric sector. With `blocks`, the templates of every other
-    dihedral block (`operators.block_sectors`), each coarse row also holds
-    the lowest gap over all sectors (`_any_gap`).
+    may act on the full space (the gap is then that of the k = 0 sector of
+    their `translation`) or on the symmetric sector. With `blocks`, the
+    templates of every other dihedral block (`operators.block_sectors`),
+    each coarse row also holds the lowest gap over all sectors (`_any_gap`).
     Each solve is warm-started from the previous point's in its block.
     """
     if resolution < 16:

@@ -10,8 +10,8 @@ translations and the mirror, so every ramp and target stays there. Runs
 that would leave it (a negative J, an init_file state with weight
 outside it) are refused as configuration errors. The E_gap_any column of
 gap scans needs every sector: it merges the lowest levels of each real
-block of the dihedral group (`operators.block_sectors`). `spectrum` still
-solves on the full basis.
+block of the dihedral group (`operators.block_sectors`), and so does
+`spectrum`, which labels each level by its block.
 
 Phase diagrams, rJ sweeps and rho1 maps evaluate their grid points with
 `map_points`, serially or on a fork pool, journaled for `--resume`. Rows
@@ -37,8 +37,8 @@ from .config import ConfigError, RunConfig, fmt, write_csv
 from .operators import (HamiltonianTemplates, block_sectors, build_correlator,
                         symmetric_sector)
 from .propagate import evolve, evolve_dissipative, fidelity
-from .ramp import RampPlan, RampSchedule
-from .spectrum import GapReport, gap_scan, ground_state, low_spectrum
+from .ramp import RampPlan, RampSchedule, trajectory_point
+from .spectrum import GapReport, block_levels, gap_scan, ground_state
 
 SECTOR_WEIGHT_TOL = 1e-8  # largest initial-state weight outside the sector
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -458,6 +458,7 @@ def run_gap_scan(cfg: RunConfig) -> GapReport:
     evolve in (k = 0, mirror-even). E_gap_any, the gap over all sectors, is
     computed only when there is an output to hold it: from the lowest levels
     of every real dihedral block, the symmetric one first (`gap_scan`)."""
+    _require_nonnegative_j((cfg.plan.J.start, cfg.plan.J.stop), "the gap scan")
     table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
     if cfg.out:
         sector, *blocks = block_sectors(table)
@@ -485,27 +486,25 @@ def run_gap_scan(cfg: RunConfig) -> GapReport:
 
 
 def run_spectrum(cfg: RunConfig):
-    """Lowest levels along the plan trajectory, with symmetry weights
-    (on the full basis: every sector contributes levels)."""
+    """Lowest levels along the plan trajectory, merged from every real
+    dihedral block and labelled by it: momentum index q and mirror parity,
+    +-1 at q = 0 and q = L/2 and 0 for a two-dimensional irrep, whose
+    levels are listed twice."""
     table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
-    templates = HamiltonianTemplates(table)
+    blocks = block_sectors(table)
     rows = []
-    from .ramp import trajectory_point
-
     for s in np.linspace(0.0, 1.0, cfg.resolution):
         p = trajectory_point(cfg.plan, float(s))
-        h = templates.assemble_copy(p.g, p.J, p.delta)
-        pairs = low_spectrum(h, cfg.count, translation=templates.translation)
-        for level, pair in enumerate(pairs):
-            rows.append((
-                float(s), p.g, p.J, p.delta, level,
-                pair.energy - pairs[0].energy, pair.symmetric_weight,
-            ))
+        levels = block_levels(blocks, p, cfg.count)
+        for level, (energy, block) in enumerate(levels):
+            parity = block.parity if block.multiplicity == 1 else 0
+            rows.append((float(s), p.g, p.J, p.delta, level,
+                         energy - levels[0][0], block.q, parity))
     if cfg.out:
         write_csv(
             cfg.out,
-            ("s", "g", "J", "Delta", "level", "energy_above_ground",
-             "symmetric_weight"),
+            ("s", "g", "J", "Delta", "level", "energy_above_ground", "q",
+             "parity"),
             rows,
         )
     return rows

@@ -21,10 +21,10 @@ import pytest
 
 from jclattice.basis import LatticeShape, dimension_oracle, enumerate_basis
 from jclattice.config import GridSpec, RunConfig
-from jclattice.operators import HamiltonianTemplates, symmetric_sector
+from jclattice.operators import HamiltonianTemplates, symmetric_isometry, symmetric_sector
 from jclattice.propagate import evolve, evolve_dissipative, fidelity
 from jclattice.ramp import RampPlan, RampSchedule, optimal_index, sweep_rate_at_gap, trajectory_point
-from jclattice.spectrum import gap_scan, ground_state, symmetric_projector_weight
+from jclattice.spectrum import gap_scan, ground_state
 from jclattice.states import mi_ground_state, sf_ground_state, simulate_sf_pulse
 from jclattice.sweeps import combine_max_fidelity, run_phase_diagram
 
@@ -256,7 +256,8 @@ def test_criterion_11_property_suite():
     norm_ok = evo.norm_drift <= 1e-8
     details.append(f"norm drift {evo.norm_drift:.1e}")
     psi = evo.final_state / np.linalg.norm(evo.final_state)
-    leakage = 1.0 - symmetric_projector_weight(psi, tpl.translation)
+    k0 = symmetric_isometry(tpl.translation).T @ psi
+    leakage = 1.0 - np.vdot(k0, k0).real
     leak_ok = leakage <= 1e-8
     details.append(f"leakage {leakage:.1e}")
 

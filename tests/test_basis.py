@@ -120,6 +120,17 @@ def test_serialization_is_stable(tmp_path):
     assert lines[1] == "0 0 0 0 2 0"
 
 
+@pytest.mark.parametrize("shape", [LatticeShape(3, 3), LatticeShape(2, 11)], ids=str)
+def test_basis_text_is_the_configurations_line_by_line(tmp_path, shape):
+    # the format as first written from the `states` tuples; N = 11 has
+    # two-digit photon counts
+    table = enumerate_basis(shape)
+    write_basis_text(table, tmp_path / "basis.txt")
+    expected = f"# L={shape.sites} N={shape.excitations} dim={table.dim}\n" + "".join(
+        " ".join(f"{n} {s}" for n, s in config) + "\n" for config in table.states)
+    assert (tmp_path / "basis.txt").read_bytes() == expected.encode("ascii")
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         LatticeShape(0, 1)

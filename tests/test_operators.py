@@ -5,15 +5,10 @@ import scipy.sparse as sp
 from jclattice.basis import LatticeShape, enumerate_basis, index_of
 from jclattice.operators import (
     HamiltonianTemplates,
-    LatticeParams,
     build_coupling,
     build_correlator,
-    build_dissipative_diagonal,
-    build_h0,
-    build_hamiltonian,
     build_hopping,
     build_translation,
-    dissipative_rates,
     number_diagonal,
 )
 from jclattice.states import mi_ground_state, sf_ground_state
@@ -25,9 +20,13 @@ def max_abs(m):
     return 0.0 if m.nnz == 0 else np.abs(m.data).max()
 
 
+def hamiltonian(table, g, J=0.0, delta=0.0):
+    return HamiltonianTemplates(table).assemble_copy(g, J, delta)
+
+
 def test_single_site_doublet_eigenvalues():
     table = enumerate_basis(LatticeShape(1, 1))
-    h = build_h0(table, LatticeParams(g=1.0, delta=0.0))
+    h = hamiltonian(table, g=1.0)
     w = np.linalg.eigvalsh(h.toarray())
     assert np.allclose(w, [-1.0, 1.0], atol=1e-14)
 
@@ -36,14 +35,14 @@ def test_onsite_interaction_sign():
     # adding a second polariton costs more than the first: E(2,-) > 2 E(1,-)
     t1 = enumerate_basis(LatticeShape(1, 1))
     t2 = enumerate_basis(LatticeShape(1, 2))
-    e1 = np.linalg.eigvalsh(build_h0(t1, LatticeParams(g=1.0)).toarray())[0]
-    e2 = np.linalg.eigvalsh(build_h0(t2, LatticeParams(g=1.0)).toarray())[0]
+    e1 = np.linalg.eigvalsh(hamiltonian(t1, g=1.0).toarray())[0]
+    e2 = np.linalg.eigvalsh(hamiltonian(t2, g=1.0).toarray())[0]
     assert e2 > 2 * e1
 
 
 def test_zero_coupling_is_diagonal():
     table = enumerate_basis(LatticeShape(2, 2))
-    h = build_h0(table, LatticeParams(g=0.0, delta=0.7))
+    h = hamiltonian(table, g=0.0, delta=0.7)
     off = h - sp.diags(h.diagonal())
     assert max_abs(off.tocsr()) == 0.0
 
@@ -83,15 +82,15 @@ def test_bosonic_matrix_elements_sqrt_n():
 
 def test_hamiltonian_reduces_to_h0_without_hopping():
     table = enumerate_basis(LatticeShape(3, 2))
-    params = LatticeParams(g=0.8, J=0.0, delta=-0.3)
-    diff = build_hamiltonian(table, params) - build_h0(table, params)
+    h0 = sp.diags(-0.3 * number_diagonal(table)) + 0.8 * build_coupling(table)
+    diff = hamiltonian(table, g=0.8, J=0.0, delta=-0.3) - h0
     assert max_abs(diff.tocsr()) == 0.0
 
 
 def test_exact_structural_symmetry():
     table = enumerate_basis(LatticeShape(3, 3))
     for m in (build_coupling(table), build_hopping(table),
-              build_hamiltonian(table, LatticeParams(g=1.0, J=0.37, delta=0.21))):
+              hamiltonian(table, g=1.0, J=0.37, delta=0.21)):
         diff = (m - m.T).tocsr()
         assert max_abs(diff) == 0.0
 
@@ -100,7 +99,7 @@ def test_translation_invariance_commutator():
     table = enumerate_basis(LatticeShape(3, 3))
     t = build_translation(table)
     for g, J, d in ((1.0, 0.2, 0.0), (0.5, 0.45, -0.8), (2.0, 0.0, 1.3)):
-        h = build_hamiltonian(table, LatticeParams(g=g, J=J, delta=d))
+        h = hamiltonian(table, g=g, J=J, delta=d)
         comm = (h @ t - t @ h).tocsr()
         assert max_abs(comm) < 1e-12
 
@@ -123,8 +122,8 @@ def test_translation_fixes_uniform_product_state():
     assert np.allclose(t @ psi, psi, atol=1e-15)
 
 
-def test_deep_mott_ground_energy_at_unit_filling(table66):
-    h = build_hamiltonian(table66, LatticeParams(g=1.0, J=0.0, delta=0.0))
+def test_deep_mott_ground_energy_at_unit_filling(table66, templates66):
+    h = templates66.assemble_copy(1.0, 0.0, 0.0)
     psi = mi_ground_state(table66, 0.0, 1.0)
     energy = psi @ (h @ psi)
     assert energy == pytest.approx(-6.0, abs=1e-12)
@@ -170,67 +169,45 @@ def test_sector_closure_no_out_of_sector_indices():
 
 
 def test_dissipative_zero_rates_is_zero_operator():
-    table = enumerate_basis(LatticeShape(2, 2))
-    d = build_dissipative_diagonal(table, 0.0, 0.0)
-    assert max_abs(d.tocsr()) == 0.0
+    templates = HamiltonianTemplates(enumerate_basis(LatticeShape(2, 2)))
+    assert np.abs(templates.dissipative_rates(0.0, 0.0)).max() == 0.0
 
 
-def test_dissipative_literal_all_down_qubit_contribution():
-    table = enumerate_basis(LatticeShape(6, 6))
+def test_dissipative_literal_all_down_qubit_contribution(table66, templates66):
     gamma = 0.4
-    d = build_dissipative_diagonal(table, 0.0, gamma, "literal-sigma-z")
-    all_photons = index_of(table, tuple((1, 0) for _ in range(6)))
-    # sum sigma_z = -6 for all qubits down: entry is +3i*gamma
-    assert d.diagonal()[all_photons] == pytest.approx(3j * gamma)
+    d = templates66.dissipative_rates(0.0, gamma, "literal-sigma-z")
+    all_photons = index_of(table66, tuple((1, 0) for _ in range(6)))
+    # sum sigma_z = -6 for all qubits down: the rate, H - i D, is -3 gamma
+    assert d[all_photons] == pytest.approx(-3 * gamma)
 
 
-def test_dissipative_number_conserving_photon_total():
-    table = enumerate_basis(LatticeShape(6, 6))
+def test_dissipative_number_conserving_photon_total(table66, templates66):
     kappa = 0.2
-    d = build_dissipative_diagonal(table, kappa, 0.0, "number-conserving")
-    one_each = index_of(table, tuple((1, 0) for _ in range(6)))
-    assert d.diagonal()[one_each] == pytest.approx(-3j * kappa)
+    d = templates66.dissipative_rates(kappa, 0.0, "number-conserving")
+    one_each = index_of(table66, tuple((1, 0) for _ in range(6)))
+    assert d[one_each] == pytest.approx(3 * kappa)
 
 
 def test_dissipative_validation():
-    table = enumerate_basis(LatticeShape(2, 2))
+    templates = HamiltonianTemplates(enumerate_basis(LatticeShape(2, 2)))
     with pytest.raises(ValueError):
-        dissipative_rates(table, -0.1, 0.0)
+        templates.dissipative_rates(-0.1, 0.0)
     with pytest.raises(ValueError):
-        dissipative_rates(table, 0.0, 0.0, "bogus")
-
-
-def test_lattice_params_frequencies():
-    p = LatticeParams(g=1.0, omega_c=5.0, omega_z=5.5)
-    assert p.delta == pytest.approx(-0.5)
-    with pytest.raises(ValueError):
-        LatticeParams(g=1.0, omega_c=5.0)
-
-
-def test_h0_with_explicit_frequencies_adds_constant():
-    table = enumerate_basis(LatticeShape(2, 2))
-    base = build_h0(table, LatticeParams(g=1.0, delta=-0.5))
-    lifted = build_h0(table, LatticeParams(g=1.0, omega_c=5.0, omega_z=5.5))
-    diff = (lifted - base).tocsr()
-    offdiag = diff - sp.diags(diff.diagonal())
-    assert max_abs(offdiag.tocsr()) == 0.0
-    assert np.allclose(diff.diagonal(), 5.5 * 2)
+        templates.dissipative_rates(0.0, 0.0, "bogus")
 
 
 def test_against_kron_product_oracle():
     for (L, N, g, J, d) in ((2, 2, 1.0, 0.3, 0.0), (2, 2, 0.7, 0.2, -0.4),
                             (3, 2, 1.0, 0.25, 0.5)):
         table = enumerate_basis(LatticeShape(L, N))
-        mine = np.linalg.eigvalsh(
-            build_hamiltonian(table, LatticeParams(g=g, J=J, delta=d)).toarray()
-        )
+        mine = np.linalg.eigvalsh(hamiltonian(table, g=g, J=J, delta=d).toarray())
         oracle = np.linalg.eigvalsh(kron_sector_hamiltonian(L, N, g, J, d))
         assert np.allclose(mine, oracle, atol=1e-10)
 
 
 def test_templates_match_direct_assembly(table33, templates33):
-    params = LatticeParams(g=0.9, J=0.31, delta=-0.2)
-    direct = build_hamiltonian(table33, params)
+    direct = (sp.diags(-0.2 * number_diagonal(table33))
+              + 0.9 * build_coupling(table33) - 0.31 * build_hopping(table33))
     templated = templates33.assemble_copy(0.9, 0.31, -0.2)
     assert max_abs((direct - templated).tocsr()) < 1e-15
 
@@ -244,20 +221,3 @@ def test_data_for_into_a_buffer_is_bitwise_the_expression(templates66):
         assert np.array_equal(buf, expected)
         assert np.array_equal(t.data_for(g, J, delta), expected)
         assert np.array_equal(t.assemble(g, J, delta).data, expected)
-
-
-def test_operator_dump_roundtrip(tmp_path, table33):
-    # coordinate-list text dump for cross-implementation checks
-    from jclattice.operators import write_operator_text
-
-    h = build_hamiltonian(table33, LatticeParams(g=1.0, J=0.1))
-    path = tmp_path / "h.txt"
-    write_operator_text(h, path)
-    rows, cols, vals = [], [], []
-    for line in path.read_text().splitlines():
-        if line.startswith("#"):
-            continue
-        r, c, v = line.split()
-        rows.append(int(r)), cols.append(int(c)), vals.append(float(v))
-    rebuilt = sp.csr_matrix((vals, (rows, cols)), shape=h.shape)
-    assert max_abs((rebuilt - h).tocsr()) == 0.0

@@ -430,7 +430,7 @@ def test_sector_ground_energies_and_gaps_match_full_space(shape):
         e_full = ground_state(h_full).energy
         assert ground_state(h_sector).energy == pytest.approx(e_full, abs=1e-10)
 
-        e0, e1, _ = symmetric_pair(h_sector, sector.translation)
+        e0, e1, _ = symmetric_pair(h_sector)
         ref = deflation_oracle(h_full, full.translation, shape.sites,
                                dense=table.dim <= 1100,
                                reflection=build_reflection(table))
@@ -448,8 +448,7 @@ def test_symmetric_pair_on_the_gap_trajectories_equals_the_k0_pair(config):
     _, full, sector = pair(LatticeShape(6, 6))
     for s in np.linspace(0.0, 1.0, 33):
         p = trajectory_point(plan, float(s))
-        e0, e1, _ = symmetric_pair(sector.assemble_copy(p.g, p.J, p.delta),
-                                   sector.translation)
+        e0, e1, _ = symmetric_pair(sector.assemble_copy(p.g, p.J, p.delta))
         k0 = symmetric_pair(full.assemble_copy(p.g, p.J, p.delta), full.translation)
         assert (e0, e1) == pytest.approx(k0[:2], abs=1e-10)
 
@@ -459,7 +458,7 @@ def test_sector_matrix_is_exactly_symmetric():
     _, _, sector = pair(LatticeShape(6, 6))
     h = sector.assemble_copy(1.0, 0.3, -0.2)
     assert (h != h.T).nnz == 0
-    assert np.array_equal(sector.translation.toarray(), np.eye(sector.dim))
+    assert sector.translation is None  # no T is left to apply on a block
 
 
 # --- ramps --------------------------------------------------------------
@@ -574,6 +573,7 @@ def write_cfg(tmp_path, text):
                       "dT_min = 0\ndT_max = 0\ndT_points = 1\n"),
     ("rho1-map", "J_min = -0.3\nJ_max = 0.3\nJ_points = 2\n"
                  "d_min = 0\nd_max = 0\nd_points = 1\n"),
+    ("gap-scan", "J0 = -0.1\nJT = 0.5\nresolution = 16\n"),
 ])
 def test_negative_hopping_is_refused(tmp_path, capsys, command, text):
     cfg = write_cfg(tmp_path, text)

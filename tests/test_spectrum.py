@@ -6,29 +6,38 @@ import scipy.sparse as sp
 
 from jclattice.basis import LatticeShape, enumerate_basis, index_of
 from jclattice.operators import (
+    Block,
     HamiltonianTemplates,
     LatticeParams,
-    build_hamiltonian,
+    block_isometries,
+    block_sectors,
+    build_reflection,
     build_translation,
+    symmetric_isometry,
 )
 from jclattice.propagate import fidelity
 from jclattice.ramp import RampPlan, RampSchedule
 from jclattice.spectrum import (
     DegeneracyError,
-    apply_symmetric_projector,
+    _lowest_eigh,
+    block_levels,
     gap_scan,
     ground_state,
-    low_spectrum,
     symmetric_pair,
-    symmetric_projector_weight,
 )
 from jclattice.states import mi_ground_state, sf_ground_state
 
 
+def k0_weight(v, translation):
+    """Squared norm of the projection of `v` onto the k = 0 sector."""
+    pv = symmetric_isometry(translation).T @ v
+    return float(np.vdot(pv, pv).real)
+
+
 def test_single_site_ground_energy_formula():
-    table = enumerate_basis(LatticeShape(1, 1))
+    templates = HamiltonianTemplates(enumerate_basis(LatticeShape(1, 1)))
     for delta in (-1.3, -0.2, 0.0, 0.4, 2.0):
-        h = build_hamiltonian(table, LatticeParams(g=1.0, delta=delta))
+        h = templates.assemble_copy(1.0, 0.0, delta)
         chi = math.sqrt(delta**2 + 4.0)
         assert ground_state(h).energy == pytest.approx((delta - chi) / 2, abs=1e-12)
 
@@ -50,83 +59,95 @@ def test_ground_state_degeneracy_error():
 
 def test_eigenvector_residuals(table33, templates33):
     h = templates33.assemble_copy(1.0, 0.3, -0.2)
-    pairs = low_spectrum(h, 6, translation=templates33.translation)
-    for p in pairs:
-        residual = np.linalg.norm(h @ p.vector - p.energy * p.vector)
-        assert residual <= 1e-8 * max(1.0, abs(p.energy))
-    energies = [p.energy for p in pairs]
-    assert energies == sorted(energies)
+    w, v = _lowest_eigh(h, 6)
+    for energy, vector in zip(w, v.T):
+        residual = np.linalg.norm(h @ vector - energy * vector)
+        assert residual <= 1e-8 * max(1.0, abs(energy))
+    assert list(w) == sorted(w)
 
 
-def test_dense_vs_iterative_agreement(table33):
+def test_dense_vs_iterative_agreement(templates33):
     # dense full diagonalization is the oracle for the Lanczos path
-    h = build_hamiltonian(table33, LatticeParams(g=1.0, J=0.25, delta=0.1))
+    h = templates33.assemble_copy(1.0, 0.25, 0.1)
     dense = np.linalg.eigvalsh(h.toarray())[:6]
     import jclattice.spectrum as spec
 
     old = spec.DENSE_CUTOFF
     spec.DENSE_CUTOFF = 1  # force the iterative path
     try:
-        pairs = low_spectrum(h, 6)
+        w, _ = _lowest_eigh(h, 6)
     finally:
         spec.DENSE_CUTOFF = old
-    assert np.allclose([p.energy for p in pairs], dense, atol=1e-9)
+    assert np.allclose(w, dense, atol=1e-9)
 
 
 def test_mott_ground_state_fidelity(table66, templates66):
     h = templates66.assemble_copy(1.0, 0.0, 0.0)
-    gs = ground_state(h, translation=templates66.translation)
+    gs = ground_state(h)
     psi = mi_ground_state(table66, 0.0, 1.0)
     assert fidelity(psi, gs.vector) > 1 - 1e-10
-    assert gs.symmetric_weight >= 1 - 1e-8
+    assert k0_weight(gs.vector, templates66.translation) >= 1 - 1e-8
 
 
 def test_condensate_ground_state_fidelity(table66, templates66):
     h = templates66.assemble_copy(0.0, 0.5, -0.5)
-    gs = ground_state(h, translation=templates66.translation)
+    gs = ground_state(h)
     psi = sf_ground_state(table66)
     assert fidelity(psi, gs.vector) > 1 - 1e-10
 
 
 def test_symmetric_weight_limits(table33, templates33):
     t = templates33.translation
-    assert symmetric_projector_weight(mi_ground_state(table33, 0.0, 1.0), t) \
+    assert k0_weight(mi_ground_state(table33, 0.0, 1.0), t) \
         == pytest.approx(1.0, abs=1e-12)
-    assert symmetric_projector_weight(sf_ground_state(table33), t) \
-        == pytest.approx(1.0, abs=1e-12)
+    assert k0_weight(sf_ground_state(table33), t) == pytest.approx(1.0, abs=1e-12)
     # localized single-orbit basis state: weight 1/L
     psi = np.zeros(table33.dim)
     psi[index_of(table33, ((2, 0), (0, 0), (1, 0)))] = 1.0
-    assert symmetric_projector_weight(psi, t) == pytest.approx(1 / 3, abs=1e-12)
+    assert k0_weight(psi, t) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_projector_idempotent(table33, templates33):
-    t = templates33.translation
+    p = symmetric_isometry(templates33.translation)
     rng = np.random.default_rng(3)
     for _ in range(4):
         v = rng.standard_normal(table33.dim)
-        once = apply_symmetric_projector(v, t)
-        twice = apply_symmetric_projector(once, t)
+        once = p @ (p.T @ v)
+        twice = p @ (p.T @ once)
         assert np.max(np.abs(twice - once)) < 1e-12
-
-
-def test_degenerate_multiplets_get_clean_weights(table33, templates33):
-    # away from J=0 asymmetric states come in +-k pairs; after the
-    # in-multiplet rotation every weight must sit near 0 or 1
-    h = templates33.assemble_copy(1.0, 0.2, 0.0)
-    pairs = low_spectrum(h, 8, translation=templates33.translation)
-    for p in pairs:
-        assert p.symmetric_weight < 0.01 or p.symmetric_weight > 0.99
 
 
 def test_symmetric_pair_matches_classified_spectrum(table33, templates33):
     h = templates33.assemble_copy(1.0, 0.15, 0.0)
     e0, e1, _ = symmetric_pair(h, templates33.translation)
-    pairs = low_spectrum(h, 10, translation=templates33.translation)
-    assert e0 == pytest.approx(pairs[0].energy, abs=1e-9)
-    sym_excited = [p.energy for p in pairs[1:] if p.symmetric_weight > 0.5]
+    levels = block_levels(block_sectors(table33), LatticeParams(1.0, 0.15, 0.0), 10)
+    assert e0 == pytest.approx(levels[0][0], abs=1e-9)
+    sym_excited = [e for e, block in levels[1:] if block == Block(0, 1, 3)]
     assert sym_excited, "need a symmetric excited state within 10 levels"
     assert e1 == pytest.approx(sym_excited[0], abs=1e-8)
+
+
+@pytest.mark.parametrize("shape", [LatticeShape(2, 2), LatticeShape(3, 3),
+                                   LatticeShape(4, 4), LatticeShape(5, 5),
+                                   LatticeShape(6, 4)], ids=str)
+def test_block_levels_are_the_full_spectrum_labelled_by_block(shape):
+    table = enumerate_basis(shape)
+    full = HamiltonianTemplates(table)
+    blocks = block_sectors(table)
+    t, r = build_translation(table), build_reflection(table)
+    for g, J, delta in [(1.0, 0.2, 0.0), (0.7, 0.35, 0.6), (0.8, -0.25, -0.4)]:
+        levels = block_levels(blocks, LatticeParams(g, J, delta), 8)
+        w, v = np.linalg.eigh(full.assemble_copy(g, J, delta).toarray())
+        assert len(levels) == 8
+        assert np.abs([e for e, _ in levels] - w[:8]).max() <= 1e-10
+        for i, (_, block) in enumerate(levels):
+            # a level that is degenerate only by its irrep's dimension lies
+            # in its block: the cosine row holds one vector of a doublet
+            near = np.flatnonzero(np.abs(w - w[i]) < 1e-6)
+            if len(near) == block.multiplicity and near[0] == i:
+                p, = block_isometries(t, r, [block])
+                pv = p.T @ v[:, near]
+                assert np.sum(pv * pv) >= 1 - 1e-8
 
 
 def mi_sf_plan(T=15 * math.pi, rj=1.0):
@@ -155,8 +176,8 @@ def test_gap_scan_interior_ground_weight(templates66):
     for s in (0.1, 0.24, 0.6, 1.0):
         p = trajectory_point(plan, s)
         h = templates66.assemble_copy(p.g, p.J, p.delta)
-        gs = ground_state(h, translation=templates66.translation)
-        assert gs.symmetric_weight >= 1 - 1e-8
+        gs = ground_state(h)
+        assert k0_weight(gs.vector, templates66.translation) >= 1 - 1e-8
 
 
 def test_gap_scan_resolution_invariance(templates66):

@@ -392,7 +392,7 @@ def test_cli_basis_and_spectrum_and_gap(tmp_path, capsys):
     assert main(["spectrum", "--config", str(cfg), "--out",
                  str(tmp_path / "spec.csv")]) == 0
     header = (tmp_path / "spec.csv").read_text().splitlines()[0]
-    assert header == "s,g,J,Delta,level,energy_above_ground,symmetric_weight"
+    assert header == "s,g,J,Delta,level,energy_above_ground,q,parity"
 
     assert main(["gap-scan", "--config", str(cfg), "--out",
                  str(tmp_path / "gap.csv")]) == 0
