@@ -13,8 +13,6 @@ from .basis import (
     SectorError,
     dimension_oracle,
     enumerate_basis,
-    index_of,
-    translate_config,
 )
 from .operators import (
     HamiltonianTemplates,
@@ -45,7 +43,7 @@ from .states import (
 
 __all__ = [
     "BasisTable", "LatticeShape", "ResourceLimitError", "SectorError",
-    "dimension_oracle", "enumerate_basis", "index_of", "translate_config",
+    "dimension_oracle", "enumerate_basis",
     "HamiltonianTemplates", "LatticeParams", "build_correlator",
     "build_hopping", "build_reflection", "build_translation",
     "symmetric_isometry", "symmetric_sector",

@@ -15,7 +15,6 @@ a per-state dictionary lookup.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -114,17 +113,6 @@ class BasisTable:
     def dim(self) -> int:
         return len(self.keys)
 
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    @functools.cached_property
-    def states(self) -> tuple:
-        """Configurations as tuples of per-site (photons, qubit) pairs."""
-        return tuple(
-            tuple(zip(n, s))
-            for n, s in zip(self.photons.tolist(), self.qubits.tolist())
-        )
-
     def key_of(self, photons, qubits) -> np.ndarray:
         """Keys of configurations given as (..., L) photon and qubit arrays."""
         return (qubits * (self.shape.excitations + 1) + photons) @ self._weights
@@ -181,37 +169,6 @@ def enumerate_basis(shape: LatticeShape, dim_cap: int = DEFAULT_DIM_CAP) -> Basi
             f"enumeration produced {len(digits)} states, expected {predicted}"
         )
     return BasisTable(shape, digits % (N + 1), digits // (N + 1))
-
-
-def index_of(table: BasisTable, config) -> int:
-    """Ordinal of `config` in the table; inverse of `table.states[i]`."""
-    config = tuple((int(n), int(s)) for n, s in config)
-    if len(config) != table.shape.sites:
-        raise SectorError(
-            f"config has {len(config)} sites, table has {table.shape.sites}"
-        )
-    N = table.shape.excitations
-    total = sum(n + s for n, s in config)
-    if total != N:
-        raise SectorError(
-            f"config holds {total} excitations, sector requires {N}"
-        )
-    if any(not (0 <= n <= N and s in (0, 1)) for n, s in config):
-        raise SectorError(f"malformed configuration {config}")
-    photons, qubits = np.array(config, dtype=np.int64).T
-    return int(table.rank(table.key_of(photons, qubits)))
-
-
-def translate_config(config, shift: int):
-    """Cyclic site shift under the periodic boundary.
-
-    Site j of the output equals site (j - shift) mod L of the input, so
-    shift = L (or any multiple) is the identity.
-    """
-    config = tuple(config)
-    L = len(config)
-    shift %= L
-    return tuple(config[(j - shift) % L] for j in range(L))
 
 
 def write_basis_text(table: BasisTable, path) -> None:

@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _dispatch(args) -> int:
     if args.command == "combine-max":
         grids = [sweeps.read_grid_csv(path) for path in args.inputs]
-        combined = sweeps.combine_max_fidelity(grids, labels=list(args.inputs))
+        combined = sweeps.combine_max_fidelity(grids)
         sweeps.write_grid_csv(args.out, combined)
         print(f"combined {len(grids)} grids -> {args.out} "
               f"(min F = {fmt(float(combined.fidelity.min()))})")

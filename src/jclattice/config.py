@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, field
 
 from .operators import DISSIPATION_CONVENTIONS
+from .propagate import DEFAULT_STEPS, DEFAULT_TOL
 from .ramp import RampPlan, RampSchedule
 
 
@@ -30,8 +31,6 @@ class GridSpec:
     def __post_init__(self):
         if self.points < 1:
             raise ConfigError(f"grid needs at least one point, got {self.points}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ConfigError("grid bounds must be finite")
 
     def values(self):
         if self.points == 1:
@@ -68,8 +67,8 @@ class RunConfig:
     kappa: float = 0.0
     gamma: float = 0.0
     convention: str = "literal-sigma-z"
-    tol: float | None = None  # None = integrator-specific default
-    steps: int = 0  # 0 = solver default
+    tol: float = DEFAULT_TOL
+    steps: int = DEFAULT_STEPS
     checkpoints: int = 0
     out: str | None = None
     resolution: int = 33
@@ -95,9 +94,12 @@ def _parse_number(raw: str, where: str) -> float:
         factor = math.pi
         text = text[:-2].strip() or "1"
     try:
-        return float(text) * factor
+        value = float(text) * factor
     except ValueError:
         raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -164,15 +166,25 @@ def build_config(raw: dict) -> RunConfig:
     if cfg.init == "file" and not cfg.init_file:
         raise ConfigError("init = file requires init_file")
 
-    total_time = number("T", cfg.plan.total_time)
     g_hz = number("g_hz", None)
-    if g_hz is not None:
-        if "T_seconds" in raw:
-            total_time = 2 * math.pi * g_hz * number("T_seconds", 0.0)
-        cfg.kappa = number("kappa_hz", 0.0) / g_hz
-        cfg.gamma = number("gamma_hz", 0.0) / g_hz
-    cfg.kappa = number("kappa", cfg.kappa)
-    cfg.gamma = number("gamma", cfg.gamma)
+
+    def either(key, physical, convert, default):
+        """`key`, or `physical` (Hz or seconds) converted with g_hz."""
+        if physical not in raw:
+            return number(key, default)
+        where = raw[physical][1]
+        if key in raw:
+            raise ConfigError(f"{where}: {physical} and {key} set the same "
+                              f"quantity; give one of them")
+        if g_hz is None or not g_hz > 0:
+            raise ConfigError(f"{where}: {physical} needs g_hz > 0 (g/2pi in "
+                              f"Hz) to convert it to units of g")
+        return convert(number(physical, 0.0))
+
+    total_time = either("T", "T_seconds", lambda s: 2 * math.pi * g_hz * s,
+                        cfg.plan.total_time)
+    cfg.kappa = either("kappa", "kappa_hz", lambda hz: hz / g_hz, cfg.kappa)
+    cfg.gamma = either("gamma", "gamma_hz", lambda hz: hz / g_hz, cfg.gamma)
 
     try:
         cfg.plan = RampPlan(
@@ -224,8 +236,7 @@ def build_config(raw: dict) -> RunConfig:
     cfg.pulse = fetch("pulse", cfg.pulse)
     cfg.eps = number("eps", cfg.eps)
     cfg.g_d = number("g_d", cfg.g_d)
-    if "pulse_N" in raw:
-        cfg.pulse_n = integer("pulse_N", 0)
+    cfg.pulse_n = integer("pulse_N", None)
 
     for key, value, ok, expected in (
         ("L", cfg.sites, cfg.sites >= 1, "at least 1 site"),
@@ -236,12 +247,19 @@ def build_config(raw: dict) -> RunConfig:
          DISSIPATION_CONVENTIONS),
         ("kappa", cfg.kappa, cfg.kappa >= 0, "a rate >= 0"),
         ("gamma", cfg.gamma, cfg.gamma >= 0, "a rate >= 0"),
-        ("tol", cfg.tol, cfg.tol is None or cfg.tol > 0, "a tolerance > 0"),
+        ("tol", cfg.tol, cfg.tol > 0, "a tolerance > 0"),
+        ("steps", cfg.steps, cfg.steps >= 1, "a step count >= 1"),
+        ("checkpoints", cfg.checkpoints, cfg.checkpoints >= 0, "a count >= 0"),
         ("resolution", cfg.resolution, cfg.resolution >= 16,
          "at least 16 (the gap scan's minimum)"),
+        ("refine_tol", cfg.refine_tol, cfg.refine_tol > 0, "a tolerance > 0"),
         ("count", cfg.count, cfg.count >= 2, "at least 2"),
         ("rJ_values", cfg.rj_values, all(rj > 0 for rj in cfg.rj_values),
          "ramping indices > 0"),
+        ("eps", cfg.eps, cfg.eps != 0, "a nonzero drive amplitude"),
+        ("g_d", cfg.g_d, cfg.g_d != 0, "a nonzero coupling"),
+        ("pulse_N", cfg.pulse_n, cfg.pulse_n is None or cfg.pulse_n >= 1,
+         "an excitation count >= 1"),
     ):
         if not ok:
             where = raw[key][1] + ": " if key in raw else ""

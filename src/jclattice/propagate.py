@@ -27,6 +27,7 @@ from .operators import HamiltonianTemplates
 from .ramp import RampPlan
 from .spectrum import ground_state
 
+DEFAULT_TOL = 1e-8
 DEFAULT_STEPS = 512
 MAX_REFINEMENTS = 6
 MAX_KRYLOV = 24
@@ -84,7 +85,7 @@ def evolve(
     templates: HamiltonianTemplates,
     plan: RampPlan,
     psi0: np.ndarray,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     initial_steps: int = DEFAULT_STEPS,
     max_refinements: int = MAX_REFINEMENTS,
     checkpoints: int = 0,
@@ -105,7 +106,7 @@ def evolve_dissipative(
     kappa: float,
     gamma: float,
     convention: str = "literal-sigma-z",
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     initial_steps: int = DEFAULT_STEPS,
     max_refinements: int = MAX_REFINEMENTS,
     checkpoints: int = 0,

@@ -34,13 +34,8 @@ class RampSchedule:
     def varies(self) -> bool:
         return self.start != self.stop
 
-    def value_at(self, t: float, total_time: float) -> float:
-        """p(t) = p0 + (pT - p0) (t/T)^r for 0 <= t <= T."""
-        if not 0.0 <= t <= total_time:
-            raise ValueError(f"t={t} outside ramp window [0, {total_time}]")
-        return self.value_at_fraction(t / total_time)
-
     def value_at_fraction(self, u: float) -> float:
+        """p = p0 + (pT - p0) u^r at the time fraction u = t/T."""
         if not 0.0 <= u <= 1.0:
             raise ValueError(f"fraction {u} outside [0, 1]")
         return self.start + (self.stop - self.start) * u**self.index
@@ -87,11 +82,6 @@ class RampPlan:
         if not self.total_time > 0:
             raise ValueError("total ramp time must be positive")
 
-    def schedule(self, param: str) -> RampSchedule:
-        if param not in PARAM_IDS:
-            raise KeyError(f"unknown parameter {param!r}")
-        return getattr(self, param)
-
     def params_at_fraction(self, u: float) -> LatticeParams:
         return LatticeParams(
             g=self.g.value_at_fraction(u),
@@ -99,26 +89,14 @@ class RampPlan:
             delta=self.delta.value_at_fraction(u),
         )
 
-    def params_at_time(self, t: float) -> LatticeParams:
-        if not 0.0 <= t <= self.total_time:
-            raise ValueError(f"t={t} outside [0, {self.total_time}]")
-        return self.params_at_fraction(t / self.total_time)
-
     def reference_parameter(self) -> str | None:
         """Varying parameter with the largest span; J wins ties."""
         best, span = None, -1.0
         for name in ("J", "g", "delta"):  # tie preference order
-            sched = self.schedule(name)
+            sched = getattr(self, name)
             if sched.varies and abs(sched.stop - sched.start) > span:
                 best, span = name, abs(sched.stop - sched.start)
         return best
-
-    def reversed(self) -> "RampPlan":
-        """Endpoint-swapped plan (the time-mirror of linear ramps)."""
-        def flip(s: RampSchedule) -> RampSchedule:
-            return RampSchedule(s.stop, s.start, s.index)
-
-        return RampPlan(flip(self.g), flip(self.J), flip(self.delta), self.total_time)
 
 
 def optimal_index(p0: float, pT: float, p_gp: float) -> float:
@@ -151,7 +129,7 @@ def trajectory_point(plan: RampPlan, s: float) -> LatticeParams:
     ref = plan.reference_parameter()
     if ref is None:
         return plan.params_at_fraction(0.0)
-    u = s ** (1.0 / plan.schedule(ref).index)
+    u = s ** (1.0 / getattr(plan, ref).index)
     return plan.params_at_fraction(u)
 
 
@@ -178,7 +156,7 @@ def sweep_rate_at_gap(plan: RampPlan, gap_params: LatticeParams, partials: dict)
     velocities = {}
     total = 0.0
     for name in PARAM_IDS:
-        sched = plan.schedule(name)
+        sched = getattr(plan, name)
         v = sched.velocity_at_value(values[name], plan.total_time)
         velocities[name] = v
         if v != 0.0:

@@ -12,12 +12,12 @@ trajectory pass the previous ground vector as `v0` instead.
 
 Symmetric states are the range of P P^T, where the isometry P
 (`operators.symmetric_isometry`) holds one normalised orbit sum per
-column. Given the translation T of a full-space H, that is the k = 0
-sector, P P^T = (1/L) sum_m T^m; the runs use templates on the fully
-symmetric sector (`operators.symmetric_sector`: k = 0 and mirror-even),
-whose matrices are used as they are. The minimal gap along a ramping
-trajectory is the separation of the two lowest eigenvalues of P^T H P:
-on the fully symmetric sector, the two lowest levels a ramp can reach.
+column. The runs use templates on the fully symmetric sector
+(`operators.symmetric_sector`: k = 0 and mirror-even), whose matrices
+are used as they are. The minimal gap along a ramping trajectory
+(`gap_scan`) is the separation of the two lowest levels of that sector,
+the two a ramp can reach. `symmetric_pair` also takes a full-space H
+with its translation T and solves its k = 0 sector, P P^T = (1/L) sum_m T^m.
 Levels over all sectors merge those of every real block of the dihedral
 group (`operators.block_sectors`), each labelled by its block
 (`block_levels`); the gap over all sectors asks each block other than
@@ -95,17 +95,17 @@ def _lowest_eigh(h, k: int, v0=None):
     return w[order], v[:, order]
 
 
-def ground_state(h, degeneracy_tol: float = DEGENERACY_TOL, v0=None) -> EigenPair:
+def ground_state(h, v0=None) -> EigenPair:
     """Lowest eigenpair with deterministic sign (largest amplitude positive).
 
     Raises DegeneracyError when the two lowest eigenvalues are closer than
-    `degeneracy_tol`. `v0`, a nearby ground vector, warm-starts the
+    DEGENERACY_TOL. `v0`, a nearby ground vector, warm-starts the
     iterative solve.
     """
     w, v = _lowest_eigh(h, 2, v0)
-    if len(w) > 1 and w[1] - w[0] < degeneracy_tol:
+    if len(w) > 1 and w[1] - w[0] < DEGENERACY_TOL:
         raise DegeneracyError(
-            f"ground state degenerate within {degeneracy_tol}: "
+            f"ground state degenerate within {DEGENERACY_TOL}: "
             f"E0={w[0]!r}, E1={w[1]!r}"
         )
     return EigenPair(float(w[0]), _fix_sign(v[:, 0]))
@@ -155,32 +155,34 @@ def gap_scan(
     plan: RampPlan,
     resolution: int = 33,
     refine_tol: float = 1e-4,
-    degeneracy_tol: float = DEGENERACY_TOL,
     blocks=None,
 ) -> GapReport:
     """Locate the minimal symmetric gap along the plan's trajectory.
 
-    Coarse scan over `resolution` equispaced s points, then golden-section
-    refinement of s to `refine_tol`. Flat scans report the leftmost
-    minimum. Raises DegeneracyError when any sampled gap drops below
-    10x the degeneracy threshold (suspected level crossing). `templates`
-    may act on the full space (the gap is then that of the k = 0 sector of
-    their `translation`) or on the symmetric sector. With `blocks`, the
-    templates of every other dihedral block (`operators.block_sectors`),
-    each coarse row also holds the lowest gap over all sectors (`_any_gap`).
-    Each solve is warm-started from the previous point's in its block.
+    `templates` act on a symmetric sector (`operators.symmetric_sector`);
+    the gap is that of its two lowest levels. Coarse scan over
+    `resolution` equispaced s points, then golden-section refinement of s
+    to `refine_tol` > 0. Flat scans report the leftmost minimum. Raises
+    DegeneracyError when any sampled gap drops below 10x DEGENERACY_TOL
+    (suspected level crossing). With `blocks`, the templates of every
+    other dihedral block (`operators.block_sectors`), each coarse row also
+    holds the lowest gap over all sectors (`_any_gap`). Each solve is
+    warm-started from the previous point's in its block.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
-    translation = templates.translation
+    if not refine_tol > 0:
+        raise ValueError(f"refine_tol must be positive, got {refine_tol}")
+    if templates.translation is not None:
+        raise ValueError("gap_scan needs templates on a symmetric sector")
     warm = [None] * (1 + len(blocks or ()))
 
     def gap_at(s: float):
         p = trajectory_point(plan, s)
         h = templates.assemble(p.g, p.J, p.delta)
-        e0, e1, warm[0] = symmetric_pair(h, translation, v0=warm[0])
+        e0, e1, warm[0] = symmetric_pair(h, v0=warm[0])
         gap = e1 - e0
-        if gap < 10 * degeneracy_tol:
+        if gap < 10 * DEGENERACY_TOL:
             raise DegeneracyError(
                 f"symmetric gap {gap!r} at s={s} suggests a level crossing"
             )

@@ -45,10 +45,6 @@ class PolaritonDoublet:
         """(photon-rich, qubit-rich) components of |n,->."""
         return (math.sin(self.theta / 2.0), -math.cos(self.theta / 2.0))
 
-    @property
-    def upper_amplitudes(self):
-        return (math.cos(self.theta / 2.0), math.sin(self.theta / 2.0))
-
 
 def polariton_doublet(n: int, delta: float, g: float) -> PolaritonDoublet:
     if n < 1:
@@ -100,21 +96,15 @@ def sf_ground_state(table: BasisTable) -> np.ndarray:
 class MiPulseResult:
     fidelity: float
     duration: float
-    rabi_frequency: float
     leakage_upper: float
 
 
-def simulate_mi_pulse(
-    delta: float,
-    g: float,
-    eps: float,
-    duration_override: float | None = None,
-) -> MiPulseResult:
+def simulate_mi_pulse(delta: float, g: float, eps: float) -> MiPulseResult:
     """Rabi flip |g0> -> |1,-> on one JC site under a resonant drive.
 
     Evolves the driven three-level model {|g0>, |1,->, |1,+>} with drive
     eps e^{i w_L t} sigma^- + h.c. at w_L = E(1,-), for the pi-pulse
-    duration tau = pi / (2 |eps cos(theta/2)|) unless overridden. In the
+    duration tau = pi / (2 |eps cos(theta/2)|). In the
     frame rotating at the drive frequency this Hamiltonian is static, so
     the propagator is an exact matrix exponential; the |1,+> admixture
     (detuned by chi(1)) quantifies the (eps/g)^2 leakage that enforces
@@ -125,8 +115,7 @@ def simulate_mi_pulse(
     doublet = polariton_doublet(1, delta, g)
     cos_half = math.cos(doublet.theta / 2.0)
     sin_half = math.sin(doublet.theta / 2.0)
-    rabi = abs(eps * cos_half)
-    tau = math.pi / (2.0 * rabi) if duration_override is None else duration_override
+    tau = math.pi / (2.0 * abs(eps * cos_half))
 
     # rotating frame at w_L = E(1,-): |1,-> sits at zero, |1,+> at chi(1)
     h = np.zeros((3, 3))
@@ -142,7 +131,6 @@ def simulate_mi_pulse(
     return MiPulseResult(
         fidelity=float(abs(psi[1]) ** 2),
         duration=tau,
-        rabi_frequency=rabi,
         leakage_upper=float(abs(psi[2]) ** 2),
     )
 

@@ -212,40 +212,31 @@ def map_points(fn, count: int, threads: int = 1,
 class RampResult:
     fidelity_raw: float
     fidelity_normalized: float
-    final_norm: float
     norm_drift: float
     step_count: int
-    target_energy: float
     error_estimate: float
 
 
 def _run_plan(ctx: SimContext, plan: RampPlan, checkpoints: int = 0):
     cfg = ctx.cfg
-    kwargs = {"checkpoints": checkpoints}
-    if cfg.tol is not None:
-        kwargs["tol"] = cfg.tol
-    if cfg.steps > 0:
-        kwargs["initial_steps"] = cfg.steps
     if cfg.dissipation:
         result = evolve_dissipative(
             ctx.templates, plan, ctx.psi0,
             kappa=cfg.kappa, gamma=cfg.gamma, convention=cfg.convention,
-            **kwargs,
+            tol=cfg.tol, initial_steps=cfg.steps, checkpoints=checkpoints,
         )
     else:
-        result = evolve(ctx.templates, plan, ctx.psi0, **kwargs)
+        result = evolve(ctx.templates, plan, ctx.psi0, tol=cfg.tol,
+                        initial_steps=cfg.steps, checkpoints=checkpoints)
     end = plan.params_at_fraction(1.0)
     h = ctx.templates.assemble_copy(end.g, end.J, end.delta)
-    target = ground_state(h)
-    raw = fidelity(result.final_state, target.vector)
+    raw = fidelity(result.final_state, ground_state(h).vector)
     nrm = float(np.linalg.norm(result.final_state))
     return result, RampResult(
         fidelity_raw=raw,
         fidelity_normalized=raw / nrm**2,
-        final_norm=nrm,
         norm_drift=result.norm_drift,
         step_count=result.step_count,
-        target_energy=target.energy,
         error_estimate=result.error_estimate,
     )
 
@@ -290,7 +281,6 @@ class FidelityGrid:
     axis2: tuple
     fidelity: np.ndarray  # shape (len(axis1), len(axis2))
     provenance: np.ndarray | None = None
-    metadata: dict = dataclasses.field(default_factory=dict)
 
     def rows(self):
         for i, a in enumerate(self.axis1):
@@ -330,9 +320,6 @@ def run_phase_diagram(cfg: RunConfig, threads: int = 1,
         axis1=tuple(jts),
         axis2=tuple(dts),
         fidelity=np.array(values).reshape(len(jts), len(dts)),
-        metadata={"init": cfg.init, "rJ": cfg.plan.J.index,
-                  "T": cfg.plan.total_time,
-                  "dissipation": cfg.dissipation},
     )
     if cfg.out:
         write_grid_csv(cfg.out, grid)
@@ -364,7 +351,7 @@ def read_grid_csv(path) -> FidelityGrid:
     return FidelityGrid((header[0], header[1]), tuple(a1), tuple(a2), f)
 
 
-def combine_max_fidelity(grids, labels=None) -> FidelityGrid:
+def combine_max_fidelity(grids) -> FidelityGrid:
     """Pointwise maximum over grids with identical axes, with provenance."""
     if not grids:
         raise ValueError("no grids to combine")
@@ -376,9 +363,7 @@ def combine_max_fidelity(grids, labels=None) -> FidelityGrid:
     stack = np.stack([g.fidelity for g in grids])
     winner = np.argmax(stack, axis=0)
     best = np.max(stack, axis=0)
-    meta = {"sources": labels or [g.metadata for g in grids]}
-    return FidelityGrid(first.axis_names, first.axis1, first.axis2,
-                        best, winner, meta)
+    return FidelityGrid(first.axis_names, first.axis1, first.axis2, best, winner)
 
 
 @dataclass
@@ -452,36 +437,33 @@ def run_rho1_map(cfg: RunConfig, threads: int = 1, resume: bool = False):
 
 
 def run_gap_scan(cfg: RunConfig) -> GapReport:
-    """Coarse symmetric/any gap curve plus refined minimum (CSV footer row).
+    """Coarse symmetric/any gap curve plus refined minimum (CSV footer row),
+    written to `cfg.out`.
 
     The symmetric gap is that of the two lowest states of the sector ramps
-    evolve in (k = 0, mirror-even). E_gap_any, the gap over all sectors, is
-    computed only when there is an output to hold it: from the lowest levels
-    of every real dihedral block, the symmetric one first (`gap_scan`)."""
+    evolve in (k = 0, mirror-even). E_gap_any, the gap over all sectors,
+    comes from the lowest levels of every real dihedral block, the
+    symmetric one first (`gap_scan`)."""
     _require_nonnegative_j((cfg.plan.J.start, cfg.plan.J.stop), "the gap scan")
     table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
-    if cfg.out:
-        sector, *blocks = block_sectors(table)
-    else:
-        sector, blocks = symmetric_sector(table), None
+    sector, *blocks = block_sectors(table)
     report = gap_scan(sector, cfg.plan, resolution=cfg.resolution,
                       refine_tol=cfg.refine_tol, blocks=blocks)
-    if cfg.out:
-        rows = [
-            (s, p.g, p.J, p.delta, gap_sym, gap_any)
-            for (s, p, gap_sym, gap_any) in report.curve
-        ]
-        rows.append((report.s, report.params.g, report.params.J,
-                     report.params.delta, report.gap, ""))
-        write_csv(
-            cfg.out,
-            ("s", "g", "J", "Delta", "E_gap_symmetric", "E_gap_any"),
-            rows,
-            footer_comments=[
-                "refined minimum s=%s J=%s E_gap=%s"
-                % (fmt(report.s), fmt(report.params.J), fmt(report.gap)),
-            ],
-        )
+    rows = [
+        (s, p.g, p.J, p.delta, gap_sym, gap_any)
+        for (s, p, gap_sym, gap_any) in report.curve
+    ]
+    rows.append((report.s, report.params.g, report.params.J,
+                 report.params.delta, report.gap, ""))
+    write_csv(
+        cfg.out,
+        ("s", "g", "J", "Delta", "E_gap_symmetric", "E_gap_any"),
+        rows,
+        footer_comments=[
+            "refined minimum s=%s J=%s E_gap=%s"
+            % (fmt(report.s), fmt(report.params.J), fmt(report.gap)),
+        ],
+    )
     return report
 
 

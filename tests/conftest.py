@@ -1,8 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
-from jclattice.basis import LatticeShape, enumerate_basis
-from jclattice.operators import HamiltonianTemplates
+from jclattice.basis import LatticeShape, SectorError, enumerate_basis
+from jclattice.operators import HamiltonianTemplates, symmetric_sector
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +25,56 @@ def table66():
 @pytest.fixture(scope="session")
 def templates66(table66):
     return HamiltonianTemplates(table66)
+
+
+@pytest.fixture(scope="session")
+def sector33(table33):
+    return symmetric_sector(table33)
+
+
+@pytest.fixture(scope="session")
+def sector66(table66):
+    return symmetric_sector(table66)
+
+
+@functools.cache
+def basis_states(table) -> tuple:
+    """Configurations of `table` as tuples of per-site (photons, qubit) pairs."""
+    return tuple(
+        tuple(zip(n, s))
+        for n, s in zip(table.photons.tolist(), table.qubits.tolist())
+    )
+
+
+def index_of(table, config) -> int:
+    """Ordinal of `config` in the table; inverse of `basis_states(table)[i]`."""
+    config = tuple((int(n), int(s)) for n, s in config)
+    if len(config) != table.shape.sites:
+        raise SectorError(
+            f"config has {len(config)} sites, table has {table.shape.sites}"
+        )
+    N = table.shape.excitations
+    total = sum(n + s for n, s in config)
+    if total != N:
+        raise SectorError(
+            f"config holds {total} excitations, sector requires {N}"
+        )
+    if any(not (0 <= n <= N and s in (0, 1)) for n, s in config):
+        raise SectorError(f"malformed configuration {config}")
+    photons, qubits = np.array(config, dtype=np.int64).T
+    return int(table.rank(table.key_of(photons, qubits)))
+
+
+def translate_config(config, shift: int):
+    """Cyclic site shift under the periodic boundary.
+
+    Site j of the output equals site (j - shift) mod L of the input, so
+    shift = L (or any multiple) is the identity.
+    """
+    config = tuple(config)
+    L = len(config)
+    shift %= L
+    return tuple(config[(j - shift) % L] for j in range(L))
 
 
 def kron_sector_hamiltonian(L, N, g, J, delta):

@@ -105,7 +105,7 @@ def gap_report(which):
     key = ("gap", which)
     if key not in _CACHE:
         plan = mi_sf_plan() if which == "mi_sf" else sf_mi_plan()
-        _CACHE[key] = gap_scan(templates66(), plan, resolution=33,
+        _CACHE[key] = gap_scan(sector66(), plan, resolution=33,
                                refine_tol=1e-4)
     return _CACHE[key]
 
@@ -285,9 +285,9 @@ def test_criterion_11_property_suite():
         for _ in range(50):
             tt = rng.uniform(0.05, 0.95) * T15
             hstep = 1e-6 * T15
-            fd = (sched.value_at(tt + hstep, T15)
-                  - sched.value_at(tt - hstep, T15)) / (2 * hstep)
-            v = sched.velocity_at_value(sched.value_at(tt, T15), T15)
+            fd = (sched.value_at_fraction((tt + hstep) / T15)
+                  - sched.value_at_fraction((tt - hstep) / T15)) / (2 * hstep)
+            v = sched.velocity_at_value(sched.value_at_fraction(tt / T15), T15)
             fd_worst = max(fd_worst, abs(v - fd) / abs(fd))
     fd_ok = fd_worst <= 1e-6
     details.append(f"velocity vs FD {fd_worst:.1e}")

@@ -7,11 +7,11 @@ from jclattice.basis import (
     SectorError,
     dimension_oracle,
     enumerate_basis,
-    index_of,
     sector_dimension,
-    translate_config,
     write_basis_text,
 )
+
+from conftest import basis_states, index_of, translate_config
 
 
 def test_unit_filling_six_sites_dimension():
@@ -22,14 +22,14 @@ def test_unit_filling_six_sites_dimension():
 def test_vacuum_single_site():
     table = enumerate_basis(LatticeShape(1, 0))
     assert table.dim == 1
-    assert table.states == (((0, 0),),)
+    assert basis_states(table) == (((0, 0),),)
 
 
 def test_single_site_doublet_order():
     table = enumerate_basis(LatticeShape(1, 1))
     assert table.dim == 2
     # qubit-down sorts first: (1, down) then (0, up)
-    assert table.states == (((1, 0),), ((0, 1),))
+    assert basis_states(table) == (((1, 0),), ((0, 1),))
     assert index_of(table, ((1, 0),)) == 0
     assert index_of(table, ((0, 1),)) == 1
 
@@ -42,9 +42,9 @@ def test_two_sites_one_excitation_dimension():
 
 def test_round_trip_bijection():
     table = enumerate_basis(LatticeShape(3, 2))
-    for i, config in enumerate(table.states):
+    for i, config in enumerate(basis_states(table)):
         assert index_of(table, config) == i
-    assert len(set(table.states)) == table.dim
+    assert len(set(basis_states(table))) == table.dim
 
 
 def test_index_of_rejects_wrong_sector():
@@ -89,8 +89,8 @@ def test_translate_identity_and_periodicity():
 def test_translate_is_basis_permutation():
     table = enumerate_basis(LatticeShape(3, 3))
     for shift in range(3):
-        shifted = {translate_config(c, shift) for c in table.states}
-        assert shifted == set(table.states)
+        shifted = {translate_config(c, shift) for c in basis_states(table)}
+        assert shifted == set(basis_states(table))
 
 
 def test_translate_preserves_excitations():
@@ -122,12 +122,13 @@ def test_serialization_is_stable(tmp_path):
 
 @pytest.mark.parametrize("shape", [LatticeShape(3, 3), LatticeShape(2, 11)], ids=str)
 def test_basis_text_is_the_configurations_line_by_line(tmp_path, shape):
-    # the format as first written from the `states` tuples; N = 11 has
-    # two-digit photon counts
+    # the format as first written from the configuration tuples; N = 11
+    # has two-digit photon counts
     table = enumerate_basis(shape)
     write_basis_text(table, tmp_path / "basis.txt")
     expected = f"# L={shape.sites} N={shape.excitations} dim={table.dim}\n" + "".join(
-        " ".join(f"{n} {s}" for n, s in config) + "\n" for config in table.states)
+        " ".join(f"{n} {s}" for n, s in config) + "\n"
+        for config in basis_states(table))
     assert (tmp_path / "basis.txt").read_bytes() == expected.encode("ascii")
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from jclattice.basis import LatticeShape, enumerate_basis, index_of
+from jclattice.basis import LatticeShape, enumerate_basis
 from jclattice.operators import (
     HamiltonianTemplates,
     build_coupling,
@@ -13,7 +13,7 @@ from jclattice.operators import (
 )
 from jclattice.states import mi_ground_state, sf_ground_state
 
-from conftest import kron_sector_hamiltonian
+from conftest import index_of, kron_sector_hamiltonian
 
 
 def max_abs(m):

@@ -15,19 +15,19 @@ from jclattice.ramp import (
 
 def test_value_endpoints_and_midpoints():
     s = RampSchedule(0.2, 0.8, 1.0)
-    assert s.value_at(0.0, 10.0) == pytest.approx(0.2)
-    assert s.value_at(10.0, 10.0) == pytest.approx(0.8)
-    assert s.value_at(5.0, 10.0) == pytest.approx(0.5)
+    assert s.value_at_fraction(0.0) == pytest.approx(0.2)
+    assert s.value_at_fraction(1.0) == pytest.approx(0.8)
+    assert s.value_at_fraction(0.5) == pytest.approx(0.5)
     quad = RampSchedule(0.0, 0.5, 2.0)
-    assert quad.value_at(5.0, 10.0) == pytest.approx(0.125)
+    assert quad.value_at_fraction(0.5) == pytest.approx(0.125)
 
 
 def test_value_domain_error():
     s = RampSchedule(0.0, 1.0)
     with pytest.raises(ValueError):
-        s.value_at(-0.1, 1.0)
+        s.value_at_fraction(-0.1)
     with pytest.raises(ValueError):
-        s.value_at(1.1, 1.0)
+        s.value_at_fraction(1.1)
 
 
 def test_value_monotone_in_time():
@@ -35,8 +35,8 @@ def test_value_monotone_in_time():
         up = RampSchedule(0.1, 0.9, r)
         down = RampSchedule(0.9, 0.1, r)
         ts = np.linspace(0, 3.0, 101)
-        vu = [up.value_at(t, 3.0) for t in ts]
-        vd = [down.value_at(t, 3.0) for t in ts]
+        vu = [up.value_at_fraction(t / 3.0) for t in ts]
+        vd = [down.value_at_fraction(t / 3.0) for t in ts]
         assert all(np.diff(vu) > 0)
         assert all(np.diff(vd) < 0)
 
@@ -75,8 +75,9 @@ def test_velocity_matches_finite_differences():
         for _ in range(25):
             t = rng.uniform(0.05, 0.95) * T
             h = 1e-6 * T
-            fd = (s.value_at(t + h, T) - s.value_at(t - h, T)) / (2 * h)
-            v = s.velocity_at_value(s.value_at(t, T), T)
+            fd = (s.value_at_fraction((t + h) / T)
+                  - s.value_at_fraction((t - h) / T)) / (2 * h)
+            v = s.velocity_at_value(s.value_at_fraction(t / T), T)
             assert v == pytest.approx(fd, rel=1e-6)
 
 
@@ -149,8 +150,8 @@ def test_trajectory_ratio_two_against_time_elimination():
     # independent oracle: sample p(t) on a fine time grid and interpolate
     T = plan.total_time
     ts = np.linspace(0, T, 200001)
-    js = np.array([plan.J.value_at(t, T) for t in ts])
-    gs = np.array([plan.g.value_at(t, T) for t in ts])
+    js = np.array([plan.J.value_at_fraction(t / T) for t in ts])
+    gs = np.array([plan.g.value_at_fraction(t / T) for t in ts])
     g_interp = np.interp(0.25, js[::-1], gs[::-1])
     assert g_found == pytest.approx(g_interp, abs=1e-4)
 

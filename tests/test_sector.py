@@ -21,8 +21,6 @@ from jclattice.basis import (
     ResourceLimitError,
     SectorError,
     enumerate_basis,
-    index_of,
-    translate_config,
 )
 from jclattice.cli import main
 from jclattice.config import GridSpec, RunConfig, load_config
@@ -50,6 +48,8 @@ from jclattice.spectrum import (
 from jclattice.states import mi_ground_state, sf_ground_state
 from jclattice.sweeps import _journal, _load_progress, run_phase_diagram, run_rho1_map
 
+from conftest import basis_states, index_of, translate_config
+
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SHAPES = [LatticeShape(L, L) for L in range(2, 7)]
 POINTS = [(1.0, 0.05, 0.0), (1.0, 0.2, -0.5), (0.7, 0.35, 0.6)]
@@ -67,13 +67,13 @@ def pair(shape):
 # --- loop-built oracle -----------------------------------------------------
 
 def _loop_index(table):
-    return {c: i for i, c in enumerate(table.states)}
+    return {c: i for i, c in enumerate(basis_states(table))}
 
 
 def loop_coupling(table):
     index = _loop_index(table)
     rows, cols, vals = [], [], []
-    for i, config in enumerate(table.states):
+    for i, config in enumerate(basis_states(table)):
         for j, (n, s) in enumerate(config):
             if s != 1:
                 continue
@@ -91,7 +91,7 @@ def loop_hopping(table):
     index = _loop_index(table)
     L = table.shape.sites
     rows, cols, vals = [], [], []
-    for i, config in enumerate(table.states):
+    for i, config in enumerate(basis_states(table)):
         for j in range(L if L > 1 else 0):
             jp = (j + 1) % L
             n_from, s_from = config[jp]
@@ -113,7 +113,7 @@ def loop_correlator(table, i, j):
     index = _loop_index(table)
     si, sj = i - 1, j - 1
     rows, cols, vals = [], [], []
-    for b, config in enumerate(table.states):
+    for b, config in enumerate(basis_states(table)):
         n_from, s_from = config[sj]
         if n_from == 0:
             continue
@@ -129,13 +129,13 @@ def loop_correlator(table, i, j):
 
 def loop_translation(table):
     index = _loop_index(table)
-    rows = [index[translate_config(c, 1)] for c in table.states]
+    rows = [index[translate_config(c, 1)] for c in basis_states(table)]
     return rows, list(range(table.dim)), [1.0] * table.dim
 
 
 def loop_reflection(table):
     index = _loop_index(table)
-    rows = [index[tuple(reversed(c))] for c in table.states]
+    rows = [index[tuple(reversed(c))] for c in basis_states(table)]
     return rows, list(range(table.dim)), [1.0] * table.dim
 
 
@@ -144,7 +144,7 @@ def loop_mi(table, delta, g):
 
     amp_photon, amp_qubit = polariton_doublet(1, delta, g).lower_amplitudes
     psi = np.zeros(table.dim)
-    for i, config in enumerate(table.states):
+    for i, config in enumerate(basis_states(table)):
         amp = 1.0
         for n, s in config:
             if (n, s) == (1, 0):
@@ -161,7 +161,7 @@ def loop_mi(table, delta, g):
 def loop_sf(table):
     N = table.shape.excitations
     psi = np.zeros(table.dim)
-    for i, config in enumerate(table.states):
+    for i, config in enumerate(basis_states(table)):
         if any(s for _, s in config):
             continue
         denom = 1
@@ -301,7 +301,7 @@ def test_symmetric_sector_dimensions():
 def loop_orbits(table):
     """Translation orbits, each as the state indices a, T a, T^2 a, ..."""
     index, seen, orbits = _loop_index(table), set(), []
-    for config in table.states:
+    for config in basis_states(table):
         if config not in seen:
             orbit = [config]
             while translate_config(orbit[-1], 1) != config:
@@ -366,7 +366,7 @@ def loop_symmetric_isometry(table):
     index = _loop_index(table)
     label = np.arange(table.dim)
     for orbit in loop_orbits(table):
-        mirrored = [index[tuple(reversed(table.states[i]))] for i in orbit]
+        mirrored = [index[tuple(reversed(basis_states(table)[i]))] for i in orbit]
         label[orbit + mirrored] = min(orbit + mirrored)
     _, column, sizes = np.unique(label, return_inverse=True, return_counts=True)
     return sp.csr_matrix((1.0 / np.sqrt(sizes[column]), (np.arange(table.dim), column)),

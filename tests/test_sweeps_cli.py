@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from jclattice import sweeps
 from jclattice.cli import main
 from jclattice.config import (
-    ConfigError, GridSpec, RunConfig, build_config, parse_config_text, write_csv,
+    ConfigError, GridSpec, RunConfig, build_config, load_config,
+    parse_config_text, write_csv,
 )
 from jclattice.ramp import RampPlan, RampSchedule
 from jclattice.spectrum import ground_state
@@ -22,6 +25,7 @@ from jclattice.sweeps import (
     write_grid_csv,
 )
 
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 T22 = 2 * math.pi
 
 
@@ -75,6 +79,30 @@ def test_physical_unit_conversion():
     assert cfg.gamma == pytest.approx(1e-5)
     # 2 pi * 200 MHz * 37.5 ns = 15 pi
     assert cfg.plan.total_time == pytest.approx(15 * math.pi)
+    shipped = load_config(CONFIGS / "ramp_mi_sf_dissipative.cfg")
+    assert (shipped.kappa, shipped.gamma) == pytest.approx((1e-3, 1e-5))
+
+
+@pytest.mark.parametrize("text,physical,other", [
+    ("kappa_hz = 200e3\n", "kappa_hz", "g_hz"),
+    ("gamma_hz = 2e3\n", "gamma_hz", "g_hz"),
+    ("T_seconds = 37.5e-9\n", "T_seconds", "g_hz"),
+    ("g_hz = 0\nkappa_hz = 200e3\n", "kappa_hz", "g_hz"),
+    ("g_hz = 200e6\nkappa_hz = 200e3\nkappa = 1e-3\n", "kappa_hz", "kappa"),
+    ("g_hz = 200e6\ngamma_hz = 2e3\ngamma = 1e-5\n", "gamma_hz", "gamma"),
+    ("g_hz = 200e6\nT_seconds = 37.5e-9\nT = 15pi\n", "T_seconds", "T"),
+])
+def test_physical_unit_keys_need_g_hz_and_no_twin(tmp_path, capsys, text,
+                                                   physical, other):
+    # a physical-unit key without g_hz, or beside its dimensionless twin,
+    # was dropped or overridden without a word
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 2\nN = 2\nJT = 0.2\ndissipation = on\n" + text)
+    assert main(["ramp", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    for key in (physical, other):
+        assert re.search(rf"\b{key}\b", err), key
 
 
 def test_run_ramp_stationary_target(tmp_path):
@@ -270,6 +298,19 @@ def test_write_csv_is_atomic(tmp_path):
     ("ramp", "L = 0\n", "L"),
     ("ramp", "N = -1\n", "N"),
     ("rj-sweep", "rJ_values = 1, 0\n", "rJ_values"),
+    ("ramp", "checkpoints = -2\n", "checkpoints"),
+    ("ramp", "steps = -5\n", "steps"),
+    ("ramp", "steps = 0\n", "steps"),
+    ("gap-scan", "refine_tol = 0\n", "refine_tol"),
+    ("gap-scan", "refine_tol = -1\n", "refine_tol"),
+    ("init-pulse", "pulse_N = 0\n", "pulse_N"),
+    ("init-pulse", "pulse_N = -1\n", "pulse_N"),
+    ("init-pulse", "eps = 0\n", "eps"),
+    ("init-pulse", "g_d = 0\n", "g_d"),
+    ("ramp", "JT = nan\n", "finite"),
+    ("init-pulse", "eps = inf\n", "finite"),
+    ("phase-diagram", "JT_min = 0\nJT_max = inf\nJT_points = 2\n"
+                      "dT_min = 0\ndT_max = 0\ndT_points = 1\n", "finite"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, command, text, key):
     lines = {"L": "3", "N": "3", "T": "2pi", "JT": "0.2", "steps": "64", "tol": "1e-4"}
