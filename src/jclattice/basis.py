@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default safety cap. Dense fallback diagonalization must stay feasible.
+# Default safety cap: admits L = N = 8 (157,184 states), refuses L = N = 9
+# (864,146). Why this bound and not another is unverified.
 DEFAULT_DIM_CAP = 200_000
 
 
@@ -140,8 +141,8 @@ def enumerate_basis(shape: LatticeShape, dim_cap: int = DEFAULT_DIM_CAP) -> Basi
     """Enumerate every configuration with exactly N total excitations.
 
     Raises ResourceLimitError when the predicted dimension exceeds
-    `dim_cap` (the dense fallback eigensolver must stay feasible) or when
-    the configuration keys would overflow int64.
+    `dim_cap` (see DEFAULT_DIM_CAP; dense `eigh` only runs below
+    spectrum.DENSE_CUTOFF) or when the configuration keys would overflow int64.
     """
     predicted = sector_dimension(shape)
     if predicted > dim_cap:

@@ -101,8 +101,7 @@ def _dispatch(args) -> int:
         print(f"{len(rows)} map points -> {cfg.out}")
     elif args.command == "init-pulse":
         res = sweeps.run_init_pulse(cfg)
-        print(f"pulse fidelity={fmt(res.fidelity)} "
-              f"duration={fmt(getattr(res, 'total_duration', None) or res.duration)}")
+        print(f"pulse fidelity={fmt(res.fidelity)} duration={fmt(res.duration)}")
     return EXIT_OK
 
 

@@ -42,7 +42,7 @@ class GridSpec:
 _KNOWN_KEYS = {
     "L", "N", "init", "init_file",
     "g0", "gT", "rg", "J0", "JT", "rJ", "d0", "dT", "rd", "T",
-    "dissipation", "kappa", "gamma", "convention",
+    "kappa", "gamma", "convention",
     "tol", "steps", "checkpoints", "out",
     "resolution", "refine_tol", "count",
     "JT_min", "JT_max", "JT_points", "dT_min", "dT_max", "dT_points",
@@ -63,7 +63,6 @@ class RunConfig:
         RampSchedule(1.0, 1.0), RampSchedule(0.0, 0.5), RampSchedule(0.0, 0.0),
         15 * math.pi,
     ))
-    dissipation: bool = False
     kappa: float = 0.0
     gamma: float = 0.0
     convention: str = "literal-sigma-z"
@@ -100,15 +99,6 @@ def _parse_number(raw: str, where: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
     return value
-
-
-def _parse_bool(raw: str, where: str) -> bool:
-    val = raw.strip().lower()
-    if val in ("on", "true", "yes", "1"):
-        return True
-    if val in ("off", "false", "no", "0"):
-        return False
-    raise ConfigError(f"{where}: expected on/off, got {raw!r}")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -196,8 +186,6 @@ def build_config(raw: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    if "dissipation" in raw:
-        cfg.dissipation = _parse_bool(*raw["dissipation"])
     cfg.convention = fetch("convention", cfg.convention)
     cfg.tol = number("tol", cfg.tol)
     cfg.steps = integer("steps", cfg.steps)
@@ -249,7 +237,8 @@ def build_config(raw: dict) -> RunConfig:
         ("gamma", cfg.gamma, cfg.gamma >= 0, "a rate >= 0"),
         ("tol", cfg.tol, cfg.tol > 0, "a tolerance > 0"),
         ("steps", cfg.steps, cfg.steps >= 1, "a step count >= 1"),
-        ("checkpoints", cfg.checkpoints, cfg.checkpoints >= 0, "a count >= 0"),
+        ("checkpoints", cfg.checkpoints, cfg.checkpoints == 0 or cfg.checkpoints >= 2,
+         "0, or at least 2 (rows at t = 0, t = T and evenly between)"),
         ("resolution", cfg.resolution, cfg.resolution >= 16,
          "at least 16 (the gap scan's minimum)"),
         ("refine_tol", cfg.refine_tol, cfg.refine_tol > 0, "a tolerance > 0"),

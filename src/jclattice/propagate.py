@@ -1,12 +1,13 @@
 """Time-dependent Schrodinger propagation along a ramp plan.
 
-Hermitian and dissipative runs (H - i*D, never renormalized mid-flight)
-share one integrator, the fourth-order commutator-free Magnus scheme CF4:2
-(Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)): per step, two
-exponentials of H at weighted sums of the parameters at the two Gauss
-points (H is linear in g, J and Delta), each applied by an Arnoldi (for
-Hermitian H, Lanczos; Park & Light, J. Chem. Phys. 85, 5870 (1986))
-iteration that stops on its a-posteriori residual estimate.
+`evolve` is the one integrator body, for Hermitian runs (decay=None) and
+dissipative ones (H - i*D, never renormalized mid-flight) alike: the
+fourth-order commutator-free Magnus scheme CF4:2 (Alvermann & Fehske,
+J. Comput. Phys. 230, 5930 (2011)). Per step it applies two exponentials
+of H at weighted sums of the parameters at the two Gauss points (H is
+linear in g, J and Delta), each by an Arnoldi (for Hermitian H, Lanczos;
+Park & Light, J. Chem. Phys. 85, 5870 (1986)) iteration that stops on
+its a-posteriori residual estimate.
 
 `tol` bounds the error in the final state: from `initial_steps` the step
 count doubles until ||psi_2n - psi_n|| <= tol * max(1, ||psi_2n||), then
@@ -85,41 +86,18 @@ def evolve(
     templates: HamiltonianTemplates,
     plan: RampPlan,
     psi0: np.ndarray,
+    decay: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
     initial_steps: int = DEFAULT_STEPS,
-    max_refinements: int = MAX_REFINEMENTS,
     checkpoints: int = 0,
 ) -> EvolutionResult:
-    """Integrate i dpsi/dt = H(t) psi from t = 0 to plan.total_time.
+    """Integrate i dpsi/dt = (H(t) - i D) psi from t = 0 to plan.total_time.
 
-    `checkpoints` > 0 adds that many rows at evenly spaced times with the
-    instantaneous-ground overlap (one eigensolve per row).
+    `decay` is the real diagonal D (`templates.dissipative_rates`), None for
+    H alone. `checkpoints` = n >= 2 adds rows at t = 0, t = T and evenly
+    between, each with the instantaneous-ground overlap (one eigensolve per
+    row). The step count doubles at most MAX_REFINEMENTS times.
     """
-    return _evolve_impl(templates, plan, psi0, np.zeros(templates.dim), tol,
-                        initial_steps, max_refinements, checkpoints)
-
-
-def evolve_dissipative(
-    templates: HamiltonianTemplates,
-    plan: RampPlan,
-    psi0: np.ndarray,
-    kappa: float,
-    gamma: float,
-    convention: str = "literal-sigma-z",
-    tol: float = DEFAULT_TOL,
-    initial_steps: int = DEFAULT_STEPS,
-    max_refinements: int = MAX_REFINEMENTS,
-    checkpoints: int = 0,
-) -> EvolutionResult:
-    """Integrate under H(t) - i D without mid-flight renormalization;
-    with kappa = gamma = 0 the arithmetic is that of `evolve`."""
-    decay = templates.dissipative_rates(kappa, gamma, convention)
-    return _evolve_impl(templates, plan, psi0, decay, tol, initial_steps,
-                        max_refinements, checkpoints)
-
-
-def _evolve_impl(templates, plan, psi0, decay, tol, initial_steps,
-                 max_refinements, checkpoints):
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (templates.dim,):
         raise ValueError(
@@ -128,6 +106,9 @@ def _evolve_impl(templates, plan, psi0, decay, tol, initial_steps,
     steps = int(initial_steps)
     if steps < 1:
         raise ValueError(f"step count must be positive, got {initial_steps}")
+    if checkpoints == 1:
+        raise ValueError("checkpoints = 1 would record only t = 0; use 0 or >= 2")
+    decay = np.zeros(templates.dim) if decay is None else decay
     norm0 = np.linalg.norm(psi0)
     blowup = NORM_BLOWUP_FACTOR * norm0 if decay.any() else None
     indices = [s.index for s in (plan.g, plan.J, plan.delta) if s.varies]
@@ -136,7 +117,7 @@ def _evolve_impl(templates, plan, psi0, decay, tol, initial_steps,
     marks = np.linspace(0.0, 1.0, checkpoints)
     nodes = np.union1d([0.0, 1.0], marks) ** (1.0 / q)  # segment ends in v
     previous = None
-    for _ in range(max_refinements + 1):
+    for _ in range(MAX_REFINEMENTS + 1):
         # about `steps` steps in all, at least one per segment
         counts = np.maximum(1, np.diff(np.rint(steps * nodes).astype(int)))
         exp_tol = tol / (2 * counts.sum())
@@ -163,8 +144,24 @@ def _evolve_impl(templates, plan, psi0, decay, tol, initial_steps,
                                        int(counts.sum()), rows, diff)
         previous = psi
         steps *= 2
-    raise StepSizeUnderflow(f"tolerance {tol} not met after {max_refinements} "
+    raise StepSizeUnderflow(f"tolerance {tol} not met after {MAX_REFINEMENTS} "
                             f"refinements (final step count {steps // 2})")
+
+
+def evolve_dissipative(
+    templates: HamiltonianTemplates,
+    plan: RampPlan,
+    psi0: np.ndarray,
+    kappa: float,
+    gamma: float,
+    convention: str = "literal-sigma-z",
+    tol: float = DEFAULT_TOL,
+    initial_steps: int = DEFAULT_STEPS,
+    checkpoints: int = 0,
+) -> EvolutionResult:
+    """`evolve` with D = templates.dissipative_rates(kappa, gamma, convention)."""
+    decay = templates.dissipative_rates(kappa, gamma, convention)
+    return evolve(templates, plan, psi0, decay, tol, initial_steps, checkpoints)
 
 
 def _cf4_stepper(templates, plan, decay, q):

@@ -146,7 +146,7 @@ class PulseSegment:
 @dataclass
 class SfPulseResult:
     fidelity: float
-    total_duration: float
+    duration: float
     segments: list
 
 
@@ -206,6 +206,6 @@ def simulate_sf_pulse(n_excitations: int, eps: float, g_d: float) -> SfPulseResu
 
     return SfPulseResult(
         fidelity=float(abs(psi[idx(N, 0)]) ** 2),
-        total_duration=total,
+        duration=total,
         segments=segments,
     )

@@ -36,7 +36,7 @@ from .basis import LatticeShape, enumerate_basis, write_basis_text
 from .config import ConfigError, RunConfig, fmt, write_csv
 from .operators import (HamiltonianTemplates, block_sectors, build_correlator,
                         symmetric_sector)
-from .propagate import evolve, evolve_dissipative, fidelity
+from .propagate import evolve, fidelity
 from .ramp import RampPlan, RampSchedule, trajectory_point
 from .spectrum import GapReport, block_levels, gap_scan, ground_state
 
@@ -46,19 +46,19 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 
 @dataclass
 class SimContext:
-    """Symmetric-sector templates and the initial state on that sector,
-    shared by every point of a sweep."""
+    """Symmetric-sector templates, initial state and decay diagonal (None
+    unless kappa or gamma is positive), shared by every point of a sweep."""
 
     cfg: RunConfig
     templates: HamiltonianTemplates
     psi0: np.ndarray
+    decay: np.ndarray | None
 
 
 def prepare_context(cfg: RunConfig) -> SimContext:
     table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
     templates = symmetric_sector(table)
-    isometry = templates.isometry
-    psi0 = isometry.T @ initial_state(cfg, table, isometry)
+    psi0 = templates.isometry.T @ initial_state(cfg, table)
     weight = float(np.vdot(psi0, psi0).real)
     if weight < 1.0 - SECTOR_WEIGHT_TOL:
         raise ConfigError(
@@ -67,7 +67,9 @@ def prepare_context(cfg: RunConfig) -> SimContext:
             f"invariant under translations and the mirror (k = 0, "
             f"mirror-even), which cannot represent it"
         )
-    return SimContext(cfg, templates, psi0)
+    decay = (templates.dissipative_rates(cfg.kappa, cfg.gamma, cfg.convention)
+             if cfg.kappa > 0 or cfg.gamma > 0 else None)
+    return SimContext(cfg, templates, psi0, decay)
 
 
 def _require_nonnegative_j(values, what: str) -> None:
@@ -80,24 +82,19 @@ def _require_nonnegative_j(values, what: str) -> None:
         )
 
 
-def initial_state(cfg: RunConfig, table, isometry=None) -> np.ndarray:
-    """Initial state on the full basis. With the symmetric-sector
-    `isometry`, an init_file may instead hold one amplitude per column of
-    the isometry (per orbit of translations and the mirror)."""
+def initial_state(cfg: RunConfig, table) -> np.ndarray:
+    """Initial state on the full basis; an init_file holds one amplitude
+    per basis state."""
     if cfg.init == "mi":
         return states.mi_ground_state(table, cfg.plan.delta.start, cfg.plan.g.start)
     if cfg.init == "sf":
         return states.sf_ground_state(table)
     psi = np.load(cfg.init_file)
     psi = np.asarray(psi, dtype=complex).ravel()
-    if isometry is not None and psi.shape == (isometry.shape[1],):
-        psi = isometry @ psi
     if psi.shape != (table.dim,):
-        sector = ("" if isometry is None else
-                  f" or {isometry.shape[1]} (symmetric sector)")
         raise ConfigError(
             f"init_file state has {psi.shape[0]} amplitudes, basis dim is "
-            f"{table.dim}{sector}"
+            f"{table.dim}"
         )
     nrm = np.linalg.norm(psi)
     if not nrm > 0:
@@ -218,16 +215,8 @@ class RampResult:
 
 
 def _run_plan(ctx: SimContext, plan: RampPlan, checkpoints: int = 0):
-    cfg = ctx.cfg
-    if cfg.dissipation:
-        result = evolve_dissipative(
-            ctx.templates, plan, ctx.psi0,
-            kappa=cfg.kappa, gamma=cfg.gamma, convention=cfg.convention,
-            tol=cfg.tol, initial_steps=cfg.steps, checkpoints=checkpoints,
-        )
-    else:
-        result = evolve(ctx.templates, plan, ctx.psi0, tol=cfg.tol,
-                        initial_steps=cfg.steps, checkpoints=checkpoints)
+    result = evolve(ctx.templates, plan, ctx.psi0, ctx.decay, ctx.cfg.tol,
+                    ctx.cfg.steps, checkpoints)
     end = plan.params_at_fraction(1.0)
     h = ctx.templates.assemble_copy(end.g, end.J, end.delta)
     raw = fidelity(result.final_state, ground_state(h).vector)
@@ -241,10 +230,16 @@ def _run_plan(ctx: SimContext, plan: RampPlan, checkpoints: int = 0):
     )
 
 
-def _fidelity(ctx: SimContext, plan: RampPlan) -> float:
-    """A grid point's fidelity, renormalized when the run is dissipative."""
-    _, summary = _run_plan(ctx, plan)
-    return summary.fidelity_normalized if ctx.cfg.dissipation else summary.fidelity_raw
+def _fidelities(ctx: SimContext, plans, threads: int, journal: Journal | None,
+                resume: bool) -> list:
+    """Each plan's fidelity, renormalized when the run is dissipative,
+    evaluated by `map_points`."""
+    def point(k):
+        _, summary = _run_plan(ctx, plans[k])
+        return (summary.fidelity_raw if ctx.decay is None
+                else summary.fidelity_normalized)
+
+    return map_points(point, len(plans), threads, journal, resume)
 
 
 def run_ramp(cfg: RunConfig) -> RampResult:
@@ -303,18 +298,13 @@ def run_phase_diagram(cfg: RunConfig, threads: int = 1,
     ctx = prepare_context(cfg)
     jts = cfg.jt_grid.values()
     dts = cfg.dt_grid.values()
-    targets = [(jt, dt) for jt in jts for dt in dts]
     plan = cfg.plan
-
-    def point(k):
-        jt, dt = targets[k]
-        return _fidelity(ctx, RampPlan(
-            plan.g, RampSchedule(plan.J.start, jt, plan.J.index),
-            RampSchedule(plan.delta.start, dt, plan.delta.index), plan.total_time,
-        ))
-
+    plans = [RampPlan(plan.g, RampSchedule(plan.J.start, jt, plan.J.index),
+                      RampSchedule(plan.delta.start, dt, plan.delta.index),
+                      plan.total_time)
+             for jt in jts for dt in dts]
     journal = _journal(cfg, "phase-diagram")
-    values = map_points(point, len(targets), threads, journal, resume)
+    values = _fidelities(ctx, plans, threads, journal, resume)
     grid = FidelityGrid(
         axis_names=("JT", "dT"),
         axis1=tuple(jts),
@@ -380,20 +370,17 @@ def run_rj_sweep(cfg: RunConfig, threads: int = 1,
         raise ConfigError("rj-sweep needs rJ_values")
     _require_nonnegative_j((cfg.plan.J.start, cfg.plan.J.stop), "the ramp")
     ctx = prepare_context(cfg)
-    base = cfg.plan
-
-    def point(k):
-        rj = cfg.rj_values[k]
+    base, plans = cfg.plan, []
+    for rj in cfg.rj_values:
         scale = rj / base.J.index
-        return _fidelity(ctx, RampPlan(
+        plans.append(RampPlan(
             RampSchedule(base.g.start, base.g.stop, base.g.index * scale),
             RampSchedule(base.J.start, base.J.stop, rj),
             RampSchedule(base.delta.start, base.delta.stop, base.delta.index * scale),
             base.total_time,
         ))
-
     journal = _journal(cfg, "rj-sweep")
-    fids = tuple(map_points(point, len(cfg.rj_values), threads, journal, resume))
+    fids = tuple(_fidelities(ctx, plans, threads, journal, resume))
     best = cfg.rj_values[int(np.argmax(fids))]
     if cfg.out:
         write_csv(
@@ -512,7 +499,7 @@ def run_init_pulse(cfg: RunConfig):
         rows = [(seg.step, seg.kind, seg.duration, seg.cumulative_fidelity)
                 for seg in res.segments]
         footer = [
-            "fidelity=%s tau_d2=%s" % (fmt(res.fidelity), fmt(res.total_duration))
+            "fidelity=%s tau_d2=%s" % (fmt(res.fidelity), fmt(res.duration))
         ]
     if cfg.out:
         write_csv(cfg.out, ("l", "type", "duration", "cumulative_fidelity"),

@@ -238,7 +238,7 @@ def test_criterion_10_pulse_sequences():
             else math.pi / (2 * math.sqrt(N * seg.step) * gd), rel=1e-14)
         for seg in res.segments
     )
-    totals = [simulate_sf_pulse(n, eps, gd).total_duration for n in range(1, 7)]
+    totals = [simulate_sf_pulse(n, eps, gd).duration for n in range(1, 7)]
     drive_parts = [n * math.pi / (2 * eps) for n in range(1, 7)]
     linear_ok = (all(np.diff(totals) > 0)
                  and np.allclose(np.diff(drive_parts, n=2), 0.0, atol=1e-12))

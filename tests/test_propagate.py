@@ -155,12 +155,14 @@ def test_norm_blowup_guard(table33, templates33):
                            tol=1e-3)
 
 
-def test_step_underflow(table33, templates33):
+def test_step_underflow(table33, templates33, monkeypatch):
+    import jclattice.propagate as propagate
+
+    monkeypatch.setattr(propagate, "MAX_REFINEMENTS", 1)
     plan = plan_mi_sf(2 * math.pi)
     psi0 = mi_ground_state(table33, 0.0, 1.0)
     with pytest.raises(StepSizeUnderflow):
-        evolve(templates33, plan, psi0, tol=1e-16, initial_steps=64,
-               max_refinements=1)
+        evolve(templates33, plan, psi0, tol=1e-16, initial_steps=64)
 
 
 def test_checkpoints_schema(table33, templates33):
@@ -171,6 +173,8 @@ def test_checkpoints_schema(table33, templates33):
     assert res.checkpoints[0].t == 0.0
     assert res.checkpoints[-1].t == pytest.approx(2 * math.pi)
     assert res.checkpoints[0].overlap_instantaneous_ground == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ValueError, match="only t = 0"):
+        evolve(templates33, plan, psi0, checkpoints=1)
 
 
 def test_dimension_mismatch(table33, templates33):
@@ -248,10 +252,13 @@ def test_checkpoints_at_exact_times_with_one_solve_each(table33, templates33,
         fidelity(psi, gs), abs=1e-7)
 
 
-def test_norm_blowup_guard_short_runs(table33, templates33):
+def test_norm_blowup_guard_short_runs(table33, templates33, monkeypatch):
     # the guard checks every step, so a single short run trips it
+    import jclattice.propagate as propagate
+
+    monkeypatch.setattr(propagate, "MAX_REFINEMENTS", 0)
     plan = constant_plan(40.0, g=0.0, J=0.3)
     with pytest.raises(NormBlowUp):
         evolve_dissipative(templates33, plan, sf_ground_state(table33),
                            kappa=0.0, gamma=2.0, convention="literal-sigma-z",
-                           initial_steps=64, max_refinements=0, tol=1e-3)
+                           initial_steps=64, tol=1e-3)

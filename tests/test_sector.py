@@ -592,32 +592,29 @@ def test_init_file_outside_the_sector_is_refused(tmp_path, capsys):
     assert main(["ramp", "--config", cfg]) == 2
     assert "symmetric-sector weight" in capsys.readouterr().err
 
-    # the same ramp from a symmetric file, given on the basis or the sector
+    # the same ramp from its symmetric part runs
     symmetric = sector.isometry @ (sector.isometry.T @ localized)
     np.save(tmp_path / "sym.npy", symmetric)
-    np.save(tmp_path / "sym_sector.npy", sector.isometry.T @ symmetric)
-    fids = []
-    for name in ("sym.npy", "sym_sector.npy"):
-        cfg = write_cfg(tmp_path, "JT = 0.4\ninit = file\ninit_file = "
-                        + str(tmp_path / name) + "\n")
-        assert main(["ramp", "--config", cfg]) == 0
-        fids.append(float(capsys.readouterr().out.split()[0][2:]))
-    assert fids[0] == pytest.approx(fids[1], abs=1e-12)
+    cfg = write_cfg(tmp_path, "JT = 0.4\ninit = file\ninit_file = "
+                    + str(tmp_path / "sym.npy") + "\n")
+    assert main(["ramp", "--config", cfg]) == 0
 
 
 def test_init_file_of_k0_amplitudes_is_refused(tmp_path, capsys):
-    # at L = 3 the k = 0 sector (14 states) is larger than the symmetric one
+    # at L = 3 the k = 0 sector (14 states) is larger than the symmetric one;
+    # an init_file holds amplitudes on the full basis only
     table = enumerate_basis(LatticeShape(3, 3))
     k0 = symmetric_isometry(build_translation(table))
     sector = symmetric_isometry(build_translation(table), build_reflection(table))
     assert (table.dim, k0.shape[1], sector.shape[1]) == (38, 14, 10)
-    np.save(tmp_path / "k0.npy", k0.T @ mi_ground_state(table, 0.0, 1.0))
-    path = tmp_path / "run.cfg"
-    path.write_text("L = 3\nN = 3\nT = 2pi\nJT = 0.4\nsteps = 64\ntol = 1e-4\n"
-                    f"init = file\ninit_file = {tmp_path / 'k0.npy'}\n")
-    assert main(["ramp", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "has 14 amplitudes" in err and "38 or 10" in err
+    for name, p in (("k0", k0), ("sector", sector)):
+        np.save(tmp_path / f"{name}.npy", p.T @ mi_ground_state(table, 0.0, 1.0))
+        path = tmp_path / "run.cfg"
+        path.write_text("L = 3\nN = 3\nT = 2pi\nJT = 0.4\nsteps = 64\n"
+                        f"tol = 1e-4\ninit = file\ninit_file = {tmp_path / name}.npy\n")
+        assert main(["ramp", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"has {p.shape[1]} amplitudes, basis dim is 38" in err
 
 
 def grid_cfg(tmp_path, name):

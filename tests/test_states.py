@@ -162,12 +162,12 @@ def test_sf_pulse_six_excitations_exact():
         assert t == pytest.approx(math.pi / (2 * math.sqrt(N * l) * gd))
     expected_total = N * math.pi / (2 * eps) + sum(
         math.pi / (2 * math.sqrt(N * l) * gd) for l in range(1, N + 1))
-    assert res.total_duration == pytest.approx(expected_total, rel=1e-12)
+    assert res.duration == pytest.approx(expected_total, rel=1e-12)
 
 
 def test_sf_pulse_duration_linear_in_n():
     eps = gd = 0.02
-    totals = [simulate_sf_pulse(n, eps, gd).total_duration for n in range(1, 9)]
+    totals = [simulate_sf_pulse(n, eps, gd).duration for n in range(1, 9)]
     assert all(np.diff(totals) > 0)
     # the drive part is exactly N pi/(2 eps): zero curvature
     drive_part = [

@@ -25,7 +25,8 @@ from jclattice.sweeps import (
     write_grid_csv,
 )
 
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 T22 = 2 * math.pi
 
 
@@ -49,7 +50,6 @@ N = 2
 T = 2pi            # inline comment
 JT = 0.4
 rJ_values = 0.5, 1, 2
-dissipation = on
 kappa = 1e-3
 """
     raw = parse_config_text(text, "inline")
@@ -57,7 +57,31 @@ kappa = 1e-3
     assert cfg.sites == 2
     assert cfg.plan.total_time == pytest.approx(2 * math.pi)
     assert cfg.rj_values == (0.5, 1.0, 2.0)
-    assert cfg.dissipation and cfg.kappa == 1e-3
+    assert cfg.kappa == 1e-3
+
+
+@pytest.mark.parametrize("path", sorted(
+    [*CONFIGS.glob("*.cfg"), *(ROOT / "perfbench" / "configs").glob("*.cfg")]),
+    ids=lambda path: str(path.relative_to(ROOT)))
+def test_every_shipped_config_loads(path):
+    # a key that the parser no longer knows would otherwise show only when
+    # someone runs the file
+    assert isinstance(load_config(path), RunConfig)
+
+
+def test_rates_decide_dissipation():
+    # positive rates alone make the run dissipative; dropping them would
+    # give the Hermitian F = 0.7733498...
+    text = "L = 3\nN = 3\nJT = 0.3\nT = 2pi\nkappa = 0.5\ngamma = 0.1\n"
+    cfg = build_config(parse_config_text(text))
+    summary = run_ramp(cfg)
+    assert summary.fidelity_raw == pytest.approx(0.0038643298987304044, rel=1e-7)
+    assert summary.fidelity_normalized == pytest.approx(0.66822568794512893,
+                                                        rel=1e-7)
+    # a grid point with rates reports the renormalized fidelity
+    cfg.jt_grid, cfg.dt_grid = GridSpec(0.3, 0.3, 1), GridSpec(0.0, 0.0, 1)
+    grid = run_phase_diagram(cfg)
+    assert grid.fidelity[0, 0] == summary.fidelity_normalized
 
 
 def test_config_errors_carry_line_numbers():
@@ -97,7 +121,7 @@ def test_physical_unit_keys_need_g_hz_and_no_twin(tmp_path, capsys, text,
     # a physical-unit key without g_hz, or beside its dimensionless twin,
     # was dropped or overridden without a word
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("L = 2\nN = 2\nJT = 0.2\ndissipation = on\n" + text)
+    cfg.write_text("L = 2\nN = 2\nJT = 0.2\n" + text)
     assert main(["ramp", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
@@ -110,12 +134,10 @@ def test_run_ramp_stationary_target(tmp_path):
     cfg.plan = RampPlan(RampSchedule(1.0, 1.0), RampSchedule(0.4, 0.4),
                         RampSchedule(0.0, 0.0), T22)
     cfg.init = "file"
-    ctx_probe = prepare_context(small_cfg())  # table for the state file
-    from jclattice.spectrum import ground_state
-
-    gs = ground_state(ctx_probe.templates.assemble_copy(1.0, 0.4, 0.0))
+    sector = prepare_context(small_cfg()).templates  # for the state file
+    gs = ground_state(sector.assemble_copy(1.0, 0.4, 0.0))
     state_path = tmp_path / "init.npy"
-    np.save(state_path, gs.vector.astype(complex))
+    np.save(state_path, (sector.isometry @ gs.vector).astype(complex))
     cfg.init_file = str(state_path)
     summary = run_ramp(cfg)
     assert summary.fidelity_raw > 1 - 1e-8
@@ -290,15 +312,17 @@ def test_write_csv_is_atomic(tmp_path):
     ("gap-scan", "resolution = 8\n", "resolution"),
     ("rho1-map", "J_min = 0\nJ_max = 0.2\nJ_points = 2\n"
                  "d_min = 0\nd_max = 0\nd_points = 1\nrho_j = 5\n", "rho_j"),
-    ("ramp", "dissipation = on\nkappa = 1e-3\nconvention = bogus\n", "convention"),
+    ("ramp", "kappa = 1e-3\nconvention = bogus\n", "convention"),
     ("spectrum", "count = 1\n", "count"),
-    ("ramp", "dissipation = on\nkappa = -1e-3\n", "kappa"),
-    ("ramp", "dissipation = on\ngamma = -1e-5\n", "gamma"),
+    ("ramp", "kappa = -1e-3\n", "kappa"),
+    ("ramp", "gamma = -1e-5\n", "gamma"),
     ("ramp", "tol = -1\n", "tol"),
     ("ramp", "L = 0\n", "L"),
     ("ramp", "N = -1\n", "N"),
     ("rj-sweep", "rJ_values = 1, 0\n", "rJ_values"),
     ("ramp", "checkpoints = -2\n", "checkpoints"),
+    ("ramp", "checkpoints = 1\n", "checkpoints"),  # it recorded only t = 0
+    ("ramp", "dissipation = on\n", "unknown key 'dissipation'"),  # rates decide
     ("ramp", "steps = -5\n", "steps"),
     ("ramp", "steps = 0\n", "steps"),
     ("gap-scan", "refine_tol = 0\n", "refine_tol"),
