@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: basis, spectrum, gap-scan, ramp, rj-sweep, phase-diagram,
-rho1-map, init-pulse, combine-max. Exit codes: 0 success, 2 configuration
-error, 3 numerical failure.
+rho1-map, init-pulse, combine-max. Exit codes: 0 success, 2 bad input (a
+config, file or value the run cannot use), 3 a solver failure.
 """
 
 from __future__ import annotations
@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .basis import ResourceLimitError, SectorError
+import numpy as np
+
+from .basis import ResourceLimitError
 from .config import ConfigError, fmt, load_config
 from .propagate import PropagationError
 from .spectrum import ConvergenceError, DegeneracyError
@@ -109,13 +111,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, SectorError, ResourceLimitError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (DegeneracyError, ConvergenceError, PropagationError,
-            ValueError) as exc:
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, ResourceLimitError, OSError) as exc:
+        # LinAlgError is a ValueError too, so it is caught above first
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

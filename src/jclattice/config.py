@@ -4,14 +4,16 @@ The config format is plain text, one `key = value` per line, `#` comments,
 all quantities dimensionless in units of the g reference. Times accept a
 `pi` suffix (`T = 15pi`). An optional `g_hz` key (g/2pi in Hz) converts
 physical decay rates `kappa_hz`, `gamma_hz` (rates/2pi in Hz) and a ramp
-duration `T_seconds` into dimensionless units.
+duration `T_seconds` into dimensionless units. Each key is declared once,
+in `_KEYS`; its default is that of the `RunConfig` field it sets.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 
 from .operators import DISSIPATION_CONVENTIONS
 from .propagate import DEFAULT_STEPS, DEFAULT_TOL
@@ -37,20 +39,6 @@ class GridSpec:
             return [self.lo]
         step = (self.hi - self.lo) / (self.points - 1)
         return [self.lo + k * step for k in range(self.points)]
-
-
-_KNOWN_KEYS = {
-    "L", "N", "init", "init_file",
-    "g0", "gT", "rg", "J0", "JT", "rJ", "d0", "dT", "rd", "T",
-    "kappa", "gamma", "convention",
-    "tol", "steps", "checkpoints", "out",
-    "resolution", "refine_tol", "count",
-    "JT_min", "JT_max", "JT_points", "dT_min", "dT_max", "dT_points",
-    "J_min", "J_max", "J_points", "d_min", "d_max", "d_points",
-    "rJ_values", "rho_i", "rho_j",
-    "pulse", "eps", "g_d", "pulse_N",
-    "g_hz", "kappa_hz", "gamma_hz", "T_seconds",
-}
 
 
 @dataclass
@@ -86,19 +74,87 @@ class RunConfig:
     pulse_n: int | None = None
 
 
-def _parse_number(raw: str, where: str) -> float:
-    text = raw.strip().lower()
+# A config key: the RunConfig field it sets (a dotted path into `plan`), the
+# kind its text is read as (str, float, int or a tuple of floats), and the
+# bound `ok` its value must meet, which `expected` names.
+_Key = namedtuple("_Key", "field kind ok expected", defaults=(float, None, None))
+_RATE = (lambda x: x >= 0, "a rate >= 0")
+_INDEX = (lambda r: r > 0, "a ramping index > 0")
+_TOLERANCE = (lambda x: x > 0, "a tolerance > 0")
+# grid key prefix: the RunConfig field its _min, _max and _points keys set
+_GRIDS = {"JT": "jt_grid", "dT": "dt_grid", "J": "j_grid", "d": "d_grid"}
+# physical-unit key: (the key it stands for, its value in units of g given g_hz)
+_UNITS = {
+    "kappa_hz": ("kappa", lambda hz, g_hz: hz / g_hz),
+    "gamma_hz": ("gamma", lambda hz, g_hz: hz / g_hz),
+    "T_seconds": ("T", lambda s, g_hz: 2 * math.pi * g_hz * s),
+}
+
+_KEYS = {
+    "L": _Key("sites", int, lambda n: n >= 1, "at least 1 site"),
+    "N": _Key("excitations", int, lambda n: n >= 0, "an excitation count >= 0"),
+    "init": _Key("init", str, lambda s: s in ("mi", "sf", "file"), "mi, sf or file"),
+    "init_file": _Key("init_file", str),
+    "g0": _Key("plan.g.start"), "gT": _Key("plan.g.stop"),
+    "rg": _Key("plan.g.index", float, *_INDEX),
+    "J0": _Key("plan.J.start"), "JT": _Key("plan.J.stop"),
+    "rJ": _Key("plan.J.index", float, *_INDEX),
+    "d0": _Key("plan.delta.start"), "dT": _Key("plan.delta.stop"),
+    "rd": _Key("plan.delta.index", float, *_INDEX),
+    "T": _Key("plan.total_time", float, lambda t: t > 0, "a ramp time > 0"),
+    "kappa": _Key("kappa", float, *_RATE),
+    "gamma": _Key("gamma", float, *_RATE),
+    "convention": _Key("convention", str, DISSIPATION_CONVENTIONS.__contains__,
+                       DISSIPATION_CONVENTIONS),
+    "tol": _Key("tol", float, *_TOLERANCE),
+    "steps": _Key("steps", int, lambda n: n >= 1, "a step count >= 1"),
+    "checkpoints": _Key("checkpoints", int, lambda n: n == 0 or n >= 2,
+                        "0, or at least 2 (rows at t = 0, t = T and evenly between)"),
+    "out": _Key("out", str),
+    "resolution": _Key("resolution", int, lambda n: n >= 16,
+                       "at least 16 (the gap scan's minimum)"),
+    "refine_tol": _Key("refine_tol", float, *_TOLERANCE),
+    "count": _Key("count", int, lambda n: n >= 2, "at least 2"),
+    **{f"{p}_{end}": _Key(grid) for p, grid in _GRIDS.items()
+       for end in ("min", "max")},
+    **{f"{p}_points": _Key(grid, int, lambda n: n >= 1, "at least 1 point")
+       for p, grid in _GRIDS.items()},
+    "rJ_values": _Key("rj_values", tuple, lambda v: all(r > 0 for r in v),
+                      "ramping indices > 0"),
+    "rho_i": _Key("rho_i", int), "rho_j": _Key("rho_j", int),
+    "pulse": _Key("pulse", str, lambda s: s in ("mi", "sf"), "mi or sf"),
+    "eps": _Key("eps", float, lambda x: x != 0, "a nonzero drive amplitude"),
+    "g_d": _Key("g_d", float, lambda x: x != 0, "a nonzero coupling"),
+    "pulse_N": _Key("pulse_n", int, lambda n: n >= 1, "an excitation count >= 1"),
+    **{key: _Key(None) for key in ("g_hz", *_UNITS)},  # converted by _UNITS
+}
+
+
+def _read(key: str, kind: type, text: str, where: str):
+    """`text` read as `kind`. A number is finite and may end in `pi`; an int
+    is a number with no fraction; a tuple is a comma-separated list."""
+    if kind is str:
+        return text
+    if kind is tuple:
+        values = tuple(_read(key, float, tok, where)
+                       for tok in text.split(",") if tok.strip())
+        if not values:
+            raise ConfigError(f"{where}: empty {key} list")
+        return values
+    number = text.strip().lower()
     factor = 1.0
-    if text.endswith("pi"):
+    if number.endswith("pi"):
         factor = math.pi
-        text = text[:-2].strip() or "1"
+        number = number[:-2].strip() or "1"
     try:
-        value = float(text) * factor
+        value = float(number) * factor
     except ValueError:
-        raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
+        raise ConfigError(f"{where}: expected a number, got {text!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
-    return value
+        raise ConfigError(f"{where}: expected a finite number, got {text!r}")
+    if kind is int and value != int(value):
+        raise ConfigError(f"{where}: expected an integer, got {text!r}")
+    return int(value) if kind is int else value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -111,7 +167,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected key = value")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -128,131 +184,49 @@ def load_config(path) -> RunConfig:
     return build_config(parse_config_text(text, str(path)))
 
 
+def _assign(obj, path: str, value):
+    """A copy of `obj` with the attribute at the dotted `path` set to `value`."""
+    name, _, rest = path.partition(".")
+    if rest:
+        value = _assign(getattr(obj, name), rest, value)
+    return replace(obj, **{name: value})
+
+
 def build_config(raw: dict) -> RunConfig:
+    """Read each key of `raw` as its kind, convert the physical-unit keys,
+    refuse a value outside its key's bound, and set the fields."""
+    where = {key: line for key, (_, line) in raw.items()}
+    values = {key: _read(key, _KEYS[key].kind, *raw[key]) for key in raw}
+    g_hz = values.pop("g_hz", None)
+    for physical, (key, convert) in _UNITS.items():
+        if physical not in values:
+            continue
+        if key in values:
+            raise ConfigError(f"{where[physical]}: {physical} and {key} set the "
+                              f"same quantity; give one of them")
+        if g_hz is None or not g_hz > 0:
+            raise ConfigError(f"{where[physical]}: {physical} needs g_hz > 0 "
+                              f"(g/2pi in Hz) to convert it to units of g")
+        values[key] = convert(values.pop(physical), g_hz)
+        where[key] = f"{where[physical]} ({physical})"
+
+    for key, value in values.items():
+        _, _, ok, expected = _KEYS[key]
+        if ok is not None and not ok(value):
+            raise ConfigError(f"{where[key]}: {key} = {value!r}, expected {expected}")
+
     cfg = RunConfig()
-
-    def fetch(key, default=None):
-        return raw.get(key, (None, None))[0] if key in raw else default
-
-    def number(key, default):
-        if key not in raw:
-            return default
-        value, where = raw[key]
-        return _parse_number(value, where)
-
-    def integer(key, default):
-        if key not in raw:
-            return default
-        value, where = raw[key]
-        num = _parse_number(value, where)
-        if num != int(num):
-            raise ConfigError(f"{where}: expected an integer, got {value!r}")
-        return int(num)
-
-    cfg.sites = integer("L", cfg.sites)
-    cfg.excitations = integer("N", cfg.excitations)
-    cfg.init = fetch("init", cfg.init)
-    cfg.init_file = fetch("init_file", None)
+    for prefix, name in _GRIDS.items():
+        keys = (f"{prefix}_min", f"{prefix}_max", f"{prefix}_points")
+        given = [values.pop(key) for key in keys if key in values]
+        if 0 < len(given) < 3:
+            raise ConfigError(f"grid {prefix} needs all of {keys}")
+        if given:
+            setattr(cfg, name, GridSpec(*given))
+    for key, value in values.items():
+        cfg = _assign(cfg, _KEYS[key].field, value)
     if cfg.init == "file" and not cfg.init_file:
         raise ConfigError("init = file requires init_file")
-
-    g_hz = number("g_hz", None)
-
-    def either(key, physical, convert, default):
-        """`key`, or `physical` (Hz or seconds) converted with g_hz."""
-        if physical not in raw:
-            return number(key, default)
-        where = raw[physical][1]
-        if key in raw:
-            raise ConfigError(f"{where}: {physical} and {key} set the same "
-                              f"quantity; give one of them")
-        if g_hz is None or not g_hz > 0:
-            raise ConfigError(f"{where}: {physical} needs g_hz > 0 (g/2pi in "
-                              f"Hz) to convert it to units of g")
-        return convert(number(physical, 0.0))
-
-    total_time = either("T", "T_seconds", lambda s: 2 * math.pi * g_hz * s,
-                        cfg.plan.total_time)
-    cfg.kappa = either("kappa", "kappa_hz", lambda hz: hz / g_hz, cfg.kappa)
-    cfg.gamma = either("gamma", "gamma_hz", lambda hz: hz / g_hz, cfg.gamma)
-
-    try:
-        cfg.plan = RampPlan(
-            RampSchedule(number("g0", 1.0), number("gT", 1.0), number("rg", 1.0)),
-            RampSchedule(number("J0", 0.0), number("JT", 0.5), number("rJ", 1.0)),
-            RampSchedule(number("d0", 0.0), number("dT", 0.0), number("rd", 1.0)),
-            total_time,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    cfg.convention = fetch("convention", cfg.convention)
-    cfg.tol = number("tol", cfg.tol)
-    cfg.steps = integer("steps", cfg.steps)
-    cfg.checkpoints = integer("checkpoints", cfg.checkpoints)
-    cfg.out = fetch("out", None)
-    cfg.resolution = integer("resolution", cfg.resolution)
-    cfg.refine_tol = number("refine_tol", cfg.refine_tol)
-    cfg.count = integer("count", cfg.count)
-
-    def grid(prefix):
-        keys = (f"{prefix}_min", f"{prefix}_max", f"{prefix}_points")
-        present = [k for k in keys if k in raw]
-        if not present:
-            return None
-        if len(present) != 3:
-            raise ConfigError(f"grid {prefix} needs all of {keys}")
-        return GridSpec(
-            number(keys[0], 0.0), number(keys[1], 0.0), integer(keys[2], 1)
-        )
-
-    cfg.jt_grid = grid("JT")
-    cfg.dt_grid = grid("dT")
-    cfg.j_grid = grid("J")
-    cfg.d_grid = grid("d")
-
-    if "rJ_values" in raw:
-        value, where = raw["rJ_values"]
-        cfg.rj_values = tuple(
-            _parse_number(tok, where) for tok in value.split(",") if tok.strip()
-        )
-        if not cfg.rj_values:
-            raise ConfigError(f"{where}: empty rJ_values list")
-
-    cfg.rho_i = integer("rho_i", cfg.rho_i)
-    cfg.rho_j = integer("rho_j", cfg.rho_j)
-    cfg.pulse = fetch("pulse", cfg.pulse)
-    cfg.eps = number("eps", cfg.eps)
-    cfg.g_d = number("g_d", cfg.g_d)
-    cfg.pulse_n = integer("pulse_N", None)
-
-    for key, value, ok, expected in (
-        ("L", cfg.sites, cfg.sites >= 1, "at least 1 site"),
-        ("N", cfg.excitations, cfg.excitations >= 0, "an excitation count >= 0"),
-        ("init", cfg.init, cfg.init in ("mi", "sf", "file"), "mi, sf or file"),
-        ("pulse", cfg.pulse, cfg.pulse in ("mi", "sf"), "mi or sf"),
-        ("convention", cfg.convention, cfg.convention in DISSIPATION_CONVENTIONS,
-         DISSIPATION_CONVENTIONS),
-        ("kappa", cfg.kappa, cfg.kappa >= 0, "a rate >= 0"),
-        ("gamma", cfg.gamma, cfg.gamma >= 0, "a rate >= 0"),
-        ("tol", cfg.tol, cfg.tol > 0, "a tolerance > 0"),
-        ("steps", cfg.steps, cfg.steps >= 1, "a step count >= 1"),
-        ("checkpoints", cfg.checkpoints, cfg.checkpoints == 0 or cfg.checkpoints >= 2,
-         "0, or at least 2 (rows at t = 0, t = T and evenly between)"),
-        ("resolution", cfg.resolution, cfg.resolution >= 16,
-         "at least 16 (the gap scan's minimum)"),
-        ("refine_tol", cfg.refine_tol, cfg.refine_tol > 0, "a tolerance > 0"),
-        ("count", cfg.count, cfg.count >= 2, "at least 2"),
-        ("rJ_values", cfg.rj_values, all(rj > 0 for rj in cfg.rj_values),
-         "ramping indices > 0"),
-        ("eps", cfg.eps, cfg.eps != 0, "a nonzero drive amplitude"),
-        ("g_d", cfg.g_d, cfg.g_d != 0, "a nonzero coupling"),
-        ("pulse_N", cfg.pulse_n, cfg.pulse_n is None or cfg.pulse_n >= 1,
-         "an excitation count >= 1"),
-    ):
-        if not ok:
-            where = raw[key][1] + ": " if key in raw else ""
-            raise ConfigError(f"{where}{key} = {value!r}, expected {expected}")
     return cfg
 
 

@@ -325,17 +325,23 @@ def write_grid_csv(path, grid: FidelityGrid):
 
 
 def read_grid_csv(path) -> FidelityGrid:
+    rows = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh
-                if line.strip() and not line.startswith("#")]
+        for lineno, line in enumerate(fh, start=2):
+            if line.strip() and not line.startswith("#"):
+                try:
+                    x, y, fidelity = map(float, line.split(",")[:3])
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
+                rows.append((x, y, fidelity))
     if len(header) < 3:
         raise ConfigError(f"{path}: not a fidelity grid CSV")
-    a1 = sorted({float(r[0]) for r in rows})
-    a2 = sorted({float(r[1]) for r in rows})
+    a1 = sorted({r[0] for r in rows})
+    a2 = sorted({r[1] for r in rows})
     f = np.full((len(a1), len(a2)), np.nan)
     for r in rows:
-        f[a1.index(float(r[0])), a2.index(float(r[1]))] = float(r[2])
+        f[a1.index(r[0]), a2.index(r[1])] = r[2]
     if np.isnan(f).any():
         raise ConfigError(f"{path}: grid is not complete/rectangular")
     return FidelityGrid((header[0], header[1]), tuple(a1), tuple(a2), f)

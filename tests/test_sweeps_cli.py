@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from jclattice import sweeps
+from jclattice import config, sweeps
 from jclattice.cli import main
 from jclattice.config import (
     ConfigError, GridSpec, RunConfig, build_config, load_config,
@@ -67,6 +67,46 @@ def test_every_shipped_config_loads(path):
     # a key that the parser no longer knows would otherwise show only when
     # someone runs the file
     assert isinstance(load_config(path), RunConfig)
+
+
+GRID_LINES = {f"{p}_{end}": value for p in ("JT", "dT", "J", "d")
+              for end, value in (("min", "0"), ("max", "0"), ("points", "1"))}
+# a valid value other than the default for every key the parser accepts
+KEY_VALUES = {
+    "L": "2", "N": "2", "init": "sf", "init_file": "psi.npy",
+    "g0": "0.5", "gT": "0.5", "rg": "2", "J0": "0.1", "JT": "0.2", "rJ": "2",
+    "d0": "0.1", "dT": "0.1", "rd": "2", "T": "2pi",
+    "kappa": "1e-3", "gamma": "1e-5", "convention": "number-conserving",
+    "tol": "1e-6", "steps": "64", "checkpoints": "2", "out": "o.csv",
+    "resolution": "16", "refine_tol": "1e-3", "count": "3",
+    **{key: "2" if key.endswith("points") else "0.1" for key in GRID_LINES},
+    "rJ_values": "1, 2", "rho_i": "2", "rho_j": "3",
+    "pulse": "mi", "eps": "0.05", "g_d": "0.05", "pulse_N": "3",
+    "g_hz": "100e6", "kappa_hz": "200e3", "gamma_hz": "2e3", "T_seconds": "1e-9",
+}
+
+
+@pytest.mark.parametrize("key", sorted(config._KEYS))
+def test_every_key_reaches_the_config(key):
+    # a key that parses and is then dropped would leave the config as it is
+    # without the key; each key here is set beside the lines it needs
+    if key in GRID_LINES:
+        grid = key.split("_")[0]
+        needs = {k: v for k, v in GRID_LINES.items() if k.split("_")[0] == grid}
+    elif key == "g_hz":
+        needs = {"g_hz": "200e6", "kappa_hz": "200e3"}
+    elif key in ("kappa_hz", "gamma_hz", "T_seconds"):
+        needs = {"g_hz": "200e6"}
+    else:
+        needs = {}
+
+    def build(lines):
+        return build_config(parse_config_text(
+            "".join(f"{k} = {v}\n" for k, v in lines.items())))
+
+    cfg = build({**needs, key: KEY_VALUES[key]})
+    assert cfg != RunConfig()
+    assert cfg != build(needs)
 
 
 def test_rates_decide_dissipation():
@@ -335,6 +375,14 @@ def test_write_csv_is_atomic(tmp_path):
     ("init-pulse", "eps = inf\n", "finite"),
     ("phase-diagram", "JT_min = 0\nJT_max = inf\nJT_points = 2\n"
                       "dT_min = 0\ndT_max = 0\ndT_points = 1\n", "finite"),
+    # ramp and grid bounds, refused with the key and its line
+    ("ramp", "rJ = 0\n", "run.cfg:7: rJ = 0.0"),
+    ("ramp", "rg = -1\n", "run.cfg:7: rg = -1.0"),
+    ("ramp", "rd = 0\n", "run.cfg:7: rd = 0.0"),
+    ("ramp", "T = 0\n", "run.cfg:3: T = 0.0"),
+    ("phase-diagram", "JT_min = 0\nJT_max = 0.2\nJT_points = 0\n"
+                      "dT_min = 0\ndT_max = 0\ndT_points = 1\n",
+     "run.cfg:9: JT_points = 0"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, command, text, key):
     lines = {"L": "3", "N": "3", "T": "2pi", "JT": "0.2", "steps": "64", "tol": "1e-4"}
@@ -445,6 +493,29 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     code = main(["gap-scan", "--config", str(cfg)])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("files,argv,message", [
+    ({"run.cfg": "L = 2\nN = 3\n"}, ["ramp", "--config", "run.cfg"], "N = L"),
+    ({"run.cfg": "L = 2\nN = 2\ng0 = 0\ngT = 0\n"}, ["ramp", "--config", "run.cfg"],
+     "g > 0"),
+    ({"run.cfg": "L = 2\nN = 2\ninit = file\ninit_file = psi.txt\n",
+      "psi.txt": "1 0 0 0\n"}, ["ramp", "--config", "run.cfg"], "pickled"),
+    ({"a.csv": "JT,dT,F\n0,0,1\n", "b.csv": "JT,dT,F\n0.1,0,1\n"},
+     ["combine-max", "a.csv", "b.csv", "--out", "c.csv"], "axes do not match"),
+    ({"a.csv": "JT,dT,F\n0,0,1\n0,0.5,zero\n"},
+     ["combine-max", "a.csv", "--out", "c.csv"], "a.csv:3: could not convert"),
+], ids=["mi-needs-N-equal-L", "mi-needs-g", "init-file-not-npy",
+        "combine-axes-differ", "combine-cell-not-a-number"])
+def test_cli_input_errors_exit_2(tmp_path, monkeypatch, capsys, files, argv,
+                                 message):
+    # a ValueError from outside input is not a solver failure (exit 3)
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
 
 
 def test_cli_basis_and_spectrum_and_gap(tmp_path, capsys):
