@@ -11,7 +11,6 @@ from .basis import (
     LatticeShape,
     ResourceLimitError,
     SectorError,
-    dimension_oracle,
     enumerate_basis,
 )
 from .operators import (
@@ -25,7 +24,7 @@ from .operators import (
     symmetric_sector,
 )
 from .propagate import EvolutionResult, evolve, evolve_dissipative, fidelity
-from .ramp import RampPlan, RampSchedule, optimal_index, sweep_rate_at_gap, trajectory_point
+from .ramp import RampPlan, RampSchedule, optimal_index, trajectory_point
 from .spectrum import (
     DegeneracyError,
     EigenPair,
@@ -43,13 +42,12 @@ from .states import (
 
 __all__ = [
     "BasisTable", "LatticeShape", "ResourceLimitError", "SectorError",
-    "dimension_oracle", "enumerate_basis",
+    "enumerate_basis",
     "HamiltonianTemplates", "LatticeParams", "build_correlator",
     "build_hopping", "build_reflection", "build_translation",
     "symmetric_isometry", "symmetric_sector",
     "EvolutionResult", "evolve", "evolve_dissipative", "fidelity",
-    "RampPlan", "RampSchedule", "optimal_index", "sweep_rate_at_gap",
-    "trajectory_point",
+    "RampPlan", "RampSchedule", "optimal_index", "trajectory_point",
     "DegeneracyError", "EigenPair", "GapReport", "gap_scan", "ground_state",
     "mi_ground_state", "polariton_doublet", "sf_ground_state",
     "simulate_mi_pulse", "simulate_sf_pulse",

@@ -64,27 +64,6 @@ def sector_dimension(shape: LatticeShape) -> int:
     )
 
 
-def dimension_oracle(shape: LatticeShape, product_cap: int = 1 << 26) -> int:
-    """Count sector states by exhaustive filtering of the product space.
-
-    Enumerates every photon configuration in {0..N}^L and every qubit
-    configuration in {0,1}^L, keeping pairs whose total excitation number
-    is exactly N. Independent of both `sector_dimension` and
-    `enumerate_basis`; intended as a cross-check for small shapes.
-    """
-    L, N = shape.sites, shape.excitations
-    total = (N + 1) ** L * 2**L
-    if total > product_cap:
-        raise ResourceLimitError(
-            f"product space has {total} states, above cap {product_cap}"
-        )
-    photon_totals = np.indices((N + 1,) * L).reshape(L, -1).sum(axis=0)
-    qubit_totals = np.indices((2,) * L).reshape(L, -1).sum(axis=0)
-    qubit_hist = np.bincount(qubit_totals, minlength=N + 1)
-    valid = photon_totals[photon_totals <= N]
-    return int(qubit_hist[N - valid].sum())
-
-
 class BasisTable:
     """Ordered enumeration of all fixed-N configurations, ranked by array keys.
 

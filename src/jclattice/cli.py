@@ -29,6 +29,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jclattice",
@@ -40,7 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", help="override the config's output path")
         if name in _GRID_COMMANDS:
-            p.add_argument("--threads", type=int, default=1, help="pool workers")
+            p.add_argument("--threads", type=_positive_int, default=1,
+                           help="pool workers, at least 1")
             p.add_argument("--resume", action="store_true",
                            help="reuse <out>.progress of the same command and config")
     comb = sub.add_parser("combine-max")

@@ -17,17 +17,20 @@ exactly, not merely to rounding.
 
 The builders work on whole arrays of configurations: each one shifts the
 configuration keys of every state it acts on and ranks the results with
-`BasisTable.rank`. `block_isometries` turns the translation permutation
-and the mirror j -> L-1-j (`build_reflection`) into the isometry P onto
-each real block of their dihedral group (`Block`: momentum and mirror
-parity; Weinberg & Bukov, SciPost Phys. 2, 003 (2017) build the same
-blocks). `block_sectors` builds `HamiltonianTemplates` on every block
-(operators P^T B P), and `symmetric_sector` on the (0, +) one, k = 0 and
-mirror-even: 500 of the 5336 states at six sites.
+`BasisTable.rank`. `block_isometries` tabulates the image of every state
+under each element of the dihedral group that the translation and the
+mirror j -> L-1-j (`build_reflection`) generate, and sums each real
+block's characters over that table into the isometry P onto the block
+(`Block`: momentum and mirror parity; character-weighted orbit sums as
+in Sandvik, AIP Conf. Proc. 1297, 135 (2010), sec. 4). `block_sectors`
+builds `HamiltonianTemplates` on every block (operators P^T B P), and
+`symmetric_sector` on the (0, +) one, k = 0 and mirror-even: 500 of the
+5336 states at six sites.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -185,49 +188,47 @@ def symmetric_isometry(translation, reflection=None) -> sp.csr_matrix:
 def block_isometries(translation, reflection, blocks) -> list[sp.csr_matrix]:
     """Isometry P (dim x d) onto each block's states, columns by orbit.
 
-    Orbits are labelled by their smallest index: translation orbits by
-    composing T with itself once per step of the longest orbit (L passes
-    for a lattice translation); R maps them onto each other, so a dihedral
-    orbit takes the smaller label of x and R x. The orbit of label a gives
-    the column (1 + p R) sum_m cos(k m) T^m a, m over one period n of a,
+    One table holds the group's images of every state x: row m is T^m x
+    for m below L, the order of T, and with a `reflection` R row L + m is
+    R T^m x. (L is raised to a multiple of each block's `sites`, which
+    matters only for the vacuum, whose T is the identity.) An orbit is
+    labelled by its smallest index, the minimum of its states' columns.
+    The orbit of label a gives the column (1 + p R) sum_m cos(k m) T^m a,
     and for a two-dimensional irrep also (1 + R) sum_m sin(k m) T^m a,
     unless R a lies in the translation orbit of a, where the two are
-    parallel. Summed over all L shifts these vanish unless k n is a
-    multiple of 2 pi, so only such orbits contribute. Columns are
-    normalised; a one-dimensional block's entries are +-1 / sqrt(orbit
-    size). P^T B P restricts any B that commutes with the group. Without
-    a `reflection` the group is the translations and only `Block()`, the
-    k = 0 sector, is defined.
+    parallel. Each column counts the table's entries in the labels'
+    columns, weighted by one character per row and divided by the number
+    of rows that reach each state; it vanishes unless k times the period
+    of a is a multiple of 2 pi. Columns are normalised; a one-dimensional
+    block's entries are +-1 / sqrt(orbit size). P^T B P restricts any B
+    that commutes with the group. Without a `reflection` the group is the
+    translations and only `Block()`, the k = 0 sector, is defined.
     """
     perm = _permutation(translation, "translation")
-    ident = np.arange(len(perm))
-    rep, image = ident.copy(), perm.copy()
-    closed = image == ident
-    while not closed.all():
-        np.minimum(rep, image, out=rep)
-        image = perm[image]
-        closed |= image == ident
+    dim = len(perm)
+    ident = np.arange(dim, dtype=perm.dtype)
+    powers = [ident]
+    while not np.array_equal(image := perm[powers[-1]], ident):
+        powers.append(image)
+    sites = math.lcm(len(powers), *(block.sites for block in blocks))
+    images = np.tile(powers, (sites // len(powers), 1))
+    rep = images.min(axis=0)  # translation orbits
     label, mirror = rep, None
     if reflection is not None:
         mirror = _permutation(reflection, "reflection")
-        if len(mirror) != len(perm):
+        if len(mirror) != dim:
             raise ValueError("translation and reflection sizes differ")
-        label = np.minimum(rep, rep[mirror])
+        images = np.vstack([images, mirror[images]])
+        label = images.min(axis=0)
         if not (np.array_equal(label[perm], label)
                 and np.array_equal(label[mirror], label)):
             raise ValueError("reflection does not map translation orbits "
                              "onto translation orbits")
     reps = np.flatnonzero(label == ident)
-    self_mirror = None if mirror is None else rep[mirror[reps]] == rep[reps]
-    orbit, image, parts = np.arange(len(reps)), reps, []
-    while orbit.size:  # T^m a over one period of each label a
-        parts.append((image, orbit, np.full(orbit.size, len(parts))))
-        image = perm[image]
-        open_ = image != reps[orbit]
-        orbit, image = orbit[open_], image[open_]
-    states, orbit, shift = map(np.concatenate, zip(*parts))
-    period = np.bincount(orbit, minlength=len(reps))
-    dim, column = len(perm), np.empty(len(perm), dtype=np.intp)
+    self_mirror = None if mirror is None else rep[mirror[reps]] == reps
+    reached = images[:, reps].ravel()
+    count = np.bincount(reached, minlength=dim)  # rows reaching each state
+    column = np.empty(dim, dtype=np.intp)
     column[reps] = np.arange(len(reps))
     column = column[label]  # each state's orbit
 
@@ -235,14 +236,12 @@ def block_isometries(translation, reflection, blocks) -> list[sp.csr_matrix]:
         q, L, width = block.q, block.sites, block.multiplicity
         if mirror is None and (width == 2 or block.parity != 1 or q):
             raise ValueError("without a reflection only Block() is defined")
-        keep = (q * period[orbit]) % L == 0
-        x, angle = states[keep], 2 * np.pi * ((q * shift[keep]) % L) / L
+        angle = 2 * np.pi * ((q * np.arange(sites)) % L) / L
         coef = np.empty((dim, width))
         for k, (c, p) in enumerate([(np.cos(angle), block.parity),
                                     (np.sin(angle), 1)][:width]):
-            coef[:, k] = np.bincount(x, c, dim)
-            if mirror is not None:
-                coef[:, k] += np.bincount(mirror[x], p * c, dim)
+            chi = c if mirror is None else np.concatenate([c, p * c])
+            coef[:, k] = np.bincount(reached, np.repeat(chi, len(reps)), dim) / count
         coef[np.abs(coef) < CANCELLED] = 0.0
         col = width * column[:, None] + np.arange(width)
         norm2 = np.bincount(col.ravel(), (coef * coef).ravel(), width * len(reps))
@@ -283,10 +282,11 @@ def _restricted(block, isometry) -> sp.csr_matrix:
 class HamiltonianTemplates:
     """Structural blocks sharing one sparsity pattern for fast H(t) assembly.
 
-    The detuning diagonal, coupling and hopping blocks are expanded onto the
-    union pattern (plus the full diagonal) once; `assemble` then only scales
-    and sums aligned data vectors, which makes per-step Hamiltonians and
-    dH/dp expectations essentially free.
+    The detuning diagonal, coupling and hopping blocks are expanded once
+    onto one pattern, that of |coupling| + |hopping| + 1, so the full
+    diagonal is stored; `assemble` then only scales and sums aligned data
+    vectors, which makes per-step Hamiltonians and dH/dp expectations
+    essentially free.
 
     With an `isometry` P (see `block_isometries`) the templates act on its
     column space, the symmetry `block` it names: every operator is P^T B P
@@ -317,40 +317,30 @@ class HamiltonianTemplates:
             self.translation = None
         self.dim = len(self.number_diag)
 
-        blocks = [
-            sp.diags(self.number_diag).tocsr(),
-            self.coupling,
-            self.hopping,
-            sp.identity(self.dim, format="csr"),  # keeps the full diagonal addressable
-        ]
-        keys = []
-        for block in blocks:
-            coo = block.tocoo()
-            keys.append(coo.row.astype(np.int64) * self.dim + coo.col)
-        union = np.sort(np.concatenate(keys))
-        union = union[np.concatenate(([True], union[1:] != union[:-1]))]
-        shared = sp.csr_matrix(
-            (np.zeros(union.size), (union // self.dim, union % self.dim)),
-            shape=(self.dim, self.dim),
-        )
+        shared = (abs(self.coupling) + abs(self.hopping)
+                  + sp.identity(self.dim, format="csr")).tocsr()
         shared.sort_indices()
+        shared.data[:] = 0.0
         self._shared = shared
 
-        def aligned(block):
-            coo = block.tocoo()
-            k = coo.row.astype(np.int64) * self.dim + coo.col
-            order = np.argsort(k, kind="stable")
+        def keys(m):  # row * dim + col of each stored entry, in storage order
+            coo = m.tocoo()
+            return coo.row.astype(np.int64) * self.dim + coo.col
+
+        union = keys(shared)
+
+        def aligned(part):
             vec = np.zeros(union.size)
-            vec[np.searchsorted(union, k[order])] = coo.data[order]
+            vec[np.searchsorted(union, keys(part))] = part.data
             return vec
 
-        self.data_number = aligned(blocks[0])
         self.data_coupling = aligned(self.coupling)
         self.data_hopping = aligned(self.hopping)
-        self._scratch = np.empty(union.size)
         self.diag_positions = np.searchsorted(
-            union, np.arange(self.dim, dtype=np.int64) * self.dim + np.arange(self.dim)
-        )
+            union, np.arange(self.dim, dtype=np.int64) * (self.dim + 1))
+        self.data_number = np.zeros(union.size)
+        self.data_number[self.diag_positions] = self.number_diag
+        self._scratch = np.empty(union.size)
 
     def dissipative_rates(self, kappa: float, gamma: float,
                           convention: str = "literal-sigma-z") -> np.ndarray:

@@ -89,8 +89,15 @@ def initial_state(cfg: RunConfig, table) -> np.ndarray:
         return states.mi_ground_state(table, cfg.plan.delta.start, cfg.plan.g.start)
     if cfg.init == "sf":
         return states.sf_ground_state(table)
-    psi = np.load(cfg.init_file)
-    psi = np.asarray(psi, dtype=complex).ravel()
+    try:
+        with open(cfg.init_file, "rb") as fh:
+            psi = np.load(fh)  # an .npz archive loads as an NpzFile
+            if not isinstance(psi, np.ndarray):
+                raise TypeError(f"it loads as {type(psi).__name__}")
+            psi = psi.astype(complex).ravel()
+    except (ValueError, TypeError, EOFError) as exc:
+        raise ConfigError(f"init_file {cfg.init_file} is not a .npy array of "
+                          f"{table.dim} amplitudes: {exc}") from None
     if psi.shape != (table.dim,):
         raise ConfigError(
             f"init_file state has {psi.shape[0]} amplitudes, basis dim is "

@@ -1,9 +1,11 @@
 import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from jclattice.basis import LatticeShape, SectorError, enumerate_basis
+from jclattice.basis import LatticeShape, ResourceLimitError, SectorError, enumerate_basis
 from jclattice.operators import HamiltonianTemplates, symmetric_sector
 
 
@@ -109,3 +111,98 @@ def kron_sector_hamiltonian(L, N, g, J, delta):
         tot += np.diag(site_op(nph, np.eye(2), j) + site_op(np.eye(N + 1), qup, j))
     mask = np.isclose(tot, N)
     return h[np.ix_(mask, mask)]
+
+
+def dimension_oracle(shape: LatticeShape, product_cap: int = 1 << 26) -> int:
+    """Count sector states by exhaustive filtering of the product space.
+
+    Enumerates every photon configuration in {0..N}^L and every qubit
+    configuration in {0,1}^L, keeping pairs whose total excitation number
+    is exactly N. Independent of both `sector_dimension` and
+    `enumerate_basis`; intended as a cross-check for small shapes.
+    """
+    L, N = shape.sites, shape.excitations
+    total = (N + 1) ** L * 2**L
+    if total > product_cap:
+        raise ResourceLimitError(
+            f"product space has {total} states, above cap {product_cap}"
+        )
+    photon_totals = np.indices((N + 1,) * L).reshape(L, -1).sum(axis=0)
+    qubit_totals = np.indices((2,) * L).reshape(L, -1).sum(axis=0)
+    qubit_hist = np.bincount(qubit_totals, minlength=N + 1)
+    valid = photon_totals[photon_totals <= N]
+    return int(qubit_hist[N - valid].sum())
+
+
+def velocity_at_value(schedule, p: float, total_time: float) -> float:
+    """dp/dt of a `RampSchedule` expressed as a function of the current value p.
+
+    Signed form of the power-law derivative, exact for decreasing
+    ramps: r |p-p0|^((r-1)/r) |pT-p0|^(1/r) sign(pT-p0) / T.
+    At p = p0 the derivative is 0 for r > 1 and divergent (returned
+    as signed inf) for r < 1.
+    """
+    p0, pT, r = schedule.start, schedule.stop, schedule.index
+    if p0 == pT:
+        return 0.0
+    lo, hi = min(p0, pT), max(p0, pT)
+    if not lo <= p <= hi:
+        raise ValueError(f"p={p} outside ramp range [{lo}, {hi}]")
+    sign = 1.0 if pT > p0 else -1.0
+    if p == p0:
+        if r > 1.0:
+            return 0.0
+        if r < 1.0:
+            return sign * math.inf
+    return (
+        r
+        * abs(p - p0) ** ((r - 1.0) / r)
+        * abs(pT - p0) ** (1.0 / r)
+        * sign
+        / total_time
+    )
+
+
+PARAM_IDS = ("g", "J", "delta")
+
+
+@dataclass(frozen=True)
+class SweepRate:
+    """Hamiltonian sweeping rate <dH/dt> decomposed at the gap."""
+
+    total: float
+    velocities: dict
+    ratio_g_over_j: float | None
+    ratio_g_over_j_trajectory: float | None
+
+
+def sweep_rate_at_gap(plan, gap_params, partials: dict) -> SweepRate:
+    """H'_gp = sum_p p'(p_gp) <dH/dp>_gp from ground-state partials.
+
+    `partials` maps parameter ids to <dH/dp> at the gap: for this model
+    I_J = -<hopping>, I_g = <coupling>, I_delta = <total photon number>.
+    Also reports g'/J' both directly and through the trajectory identity
+    g'/J' = (r_g/r_J) (g_gp - g0) / (J_gp - J0), which must agree whenever
+    both parameters vary.
+    """
+    values = {"g": gap_params.g, "J": gap_params.J, "delta": gap_params.delta}
+    velocities = {}
+    total = 0.0
+    for name in PARAM_IDS:
+        sched = getattr(plan, name)
+        v = velocity_at_value(sched, values[name], plan.total_time)
+        velocities[name] = v
+        if v != 0.0:
+            if name not in partials:
+                raise KeyError(f"missing <dH/d{name}> for varying parameter")
+            total += v * partials[name]
+
+    ratio = ratio_traj = None
+    if plan.J.varies and velocities["J"] != 0.0 and plan.g.varies:
+        ratio = velocities["g"] / velocities["J"]
+        ratio_traj = (
+            (plan.g.index / plan.J.index)
+            * (values["g"] - plan.g.start)
+            / (values["J"] - plan.J.start)
+        )
+    return SweepRate(total, velocities, ratio, ratio_traj)

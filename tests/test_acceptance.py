@@ -19,14 +19,16 @@ import time
 import numpy as np
 import pytest
 
-from jclattice.basis import LatticeShape, dimension_oracle, enumerate_basis
+from jclattice.basis import LatticeShape, enumerate_basis
 from jclattice.config import GridSpec, RunConfig
 from jclattice.operators import HamiltonianTemplates, symmetric_isometry, symmetric_sector
 from jclattice.propagate import evolve, evolve_dissipative, fidelity
-from jclattice.ramp import RampPlan, RampSchedule, optimal_index, sweep_rate_at_gap, trajectory_point
+from jclattice.ramp import RampPlan, RampSchedule, optimal_index, trajectory_point
 from jclattice.spectrum import gap_scan, ground_state
 from jclattice.states import mi_ground_state, sf_ground_state, simulate_sf_pulse
 from jclattice.sweeps import combine_max_fidelity, run_phase_diagram
+
+from conftest import dimension_oracle, sweep_rate_at_gap, velocity_at_value
 
 T15 = 15 * math.pi
 _CACHE = {}
@@ -151,7 +153,7 @@ def test_criterion_4_optimal_index():
 
 
 def test_criterion_5_velocity_at_gap():
-    v = RampSchedule(0.0, 0.5, 1.41).velocity_at_value(0.122, T15)
+    v = velocity_at_value(RampSchedule(0.0, 0.5, 1.41), 0.122, T15)
     ok = abs(v - 0.010) <= 0.0005
     check("criterion 5", ok, f"J'_gp={v:.5f} (0.010+-0.0005)")
 
@@ -287,7 +289,7 @@ def test_criterion_11_property_suite():
             hstep = 1e-6 * T15
             fd = (sched.value_at_fraction((tt + hstep) / T15)
                   - sched.value_at_fraction((tt - hstep) / T15)) / (2 * hstep)
-            v = sched.velocity_at_value(sched.value_at_fraction(tt / T15), T15)
+            v = velocity_at_value(sched, sched.value_at_fraction(tt / T15), T15)
             fd_worst = max(fd_worst, abs(v - fd) / abs(fd))
     fd_ok = fd_worst <= 1e-6
     details.append(f"velocity vs FD {fd_worst:.1e}")

@@ -5,13 +5,12 @@ from jclattice.basis import (
     LatticeShape,
     ResourceLimitError,
     SectorError,
-    dimension_oracle,
     enumerate_basis,
     sector_dimension,
     write_basis_text,
 )
 
-from conftest import basis_states, index_of, translate_config
+from conftest import basis_states, dimension_oracle, index_of, translate_config
 
 
 def test_unit_filling_six_sites_dimension():

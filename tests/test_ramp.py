@@ -8,9 +8,10 @@ from jclattice.ramp import (
     RampPlan,
     RampSchedule,
     optimal_index,
-    sweep_rate_at_gap,
     trajectory_point,
 )
+
+from conftest import sweep_rate_at_gap, velocity_at_value
 
 
 def test_value_endpoints_and_midpoints():
@@ -44,27 +45,27 @@ def test_value_monotone_in_time():
 def test_velocity_linear_is_constant():
     s = RampSchedule(0.1, 0.7, 1.0)
     for p in (0.1, 0.3, 0.7):
-        assert s.velocity_at_value(p, 6.0) == pytest.approx(0.1)
+        assert velocity_at_value(s, p, 6.0) == pytest.approx(0.1)
 
 
 def test_velocity_benchmark_value_at_gap():
     s = RampSchedule(0.0, 0.5, 1.41)
-    v = s.velocity_at_value(0.122, 15 * math.pi)
+    v = velocity_at_value(s, 0.122, 15 * math.pi)
     assert v == pytest.approx(0.0099, abs=2e-4)
 
 
 def test_velocity_edge_behavior():
-    assert RampSchedule(0.0, 0.5, 2.0).velocity_at_value(0.0, 1.0) == 0.0
-    assert RampSchedule(0.0, 0.5, 0.5).velocity_at_value(0.0, 1.0) == math.inf
-    assert RampSchedule(0.5, 0.0, 0.5).velocity_at_value(0.5, 1.0) == -math.inf
-    assert RampSchedule(0.3, 0.3, 2.0).velocity_at_value(0.3, 1.0) == 0.0
+    assert velocity_at_value(RampSchedule(0.0, 0.5, 2.0), 0.0, 1.0) == 0.0
+    assert velocity_at_value(RampSchedule(0.0, 0.5, 0.5), 0.0, 1.0) == math.inf
+    assert velocity_at_value(RampSchedule(0.5, 0.0, 0.5), 0.5, 1.0) == -math.inf
+    assert velocity_at_value(RampSchedule(0.3, 0.3, 2.0), 0.3, 1.0) == 0.0
     with pytest.raises(ValueError):
-        RampSchedule(0.0, 0.5).velocity_at_value(0.6, 1.0)
+        velocity_at_value(RampSchedule(0.0, 0.5), 0.6, 1.0)
 
 
 def test_velocity_sign_for_decreasing_ramp():
     s = RampSchedule(0.5, 0.0, 0.7)
-    assert s.velocity_at_value(0.3, 4.0) < 0
+    assert velocity_at_value(s, 0.3, 4.0) < 0
 
 
 def test_velocity_matches_finite_differences():
@@ -77,7 +78,7 @@ def test_velocity_matches_finite_differences():
             h = 1e-6 * T
             fd = (s.value_at_fraction((t + h) / T)
                   - s.value_at_fraction((t - h) / T)) / (2 * h)
-            v = s.velocity_at_value(s.value_at_fraction(t / T), T)
+            v = velocity_at_value(s, s.value_at_fraction(t / T), T)
             assert v == pytest.approx(fd, rel=1e-6)
 
 
@@ -88,7 +89,7 @@ def test_velocity_minimized_at_optimal_index():
         T = 15 * math.pi
 
         def vel(r):
-            return abs(RampSchedule(p0, pT, r).velocity_at_value(pg, T))
+            return abs(velocity_at_value(RampSchedule(p0, pT, r), pg, T))
 
         assert vel(r_min) <= vel(r_min + 0.05)
         assert vel(r_min) <= vel(r_min - 0.05)

@@ -27,12 +27,14 @@ from jclattice.config import GridSpec, RunConfig, load_config
 from jclattice.operators import (
     Block,
     HamiltonianTemplates,
+    block_isometries,
     block_sectors,
     build_correlator,
     build_coupling,
     build_hopping,
     build_reflection,
     build_translation,
+    dihedral_blocks,
     symmetric_isometry,
     symmetric_sector,
 )
@@ -358,6 +360,30 @@ def test_merged_block_spectra_equal_the_full_spectrum(shape):
     else:  # dense eigh of all 5336 states takes about 20 s
         merged, reference = merged[:10], momentum_levels(table, h)[:10]
     assert np.abs(merged - reference).max() <= 1e-10
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_block_dimensions_follow_the_character_formula(shape):
+    # a one-dimensional irrep's block has (1/2L) sum_g chi(g) fix(g) states,
+    # over g = T^m and R T^m; a two-dimensional irrep's cosine row has
+    # (1/L) sum_m cos(2 pi q m / L) fix(T^m); fix(g) is counted by loops
+    table, L = pair(shape)[0], shape.sites
+    states = basis_states(table)
+    fix_t = [sum(translate_config(c, m) == c for c in states) for m in range(L)]
+    fix_rt = [sum(tuple(reversed(translate_config(c, m))) == c for c in states)
+              for m in range(L)]
+    blocks = dihedral_blocks(L)
+    isometries = block_isometries(build_translation(table),
+                                  build_reflection(table), blocks)
+    for block, p in zip(blocks, isometries):
+        cos = [math.cos(2 * math.pi * block.q * m / L) for m in range(L)]
+        if block.multiplicity == 1:
+            dim = sum(c * (t + block.parity * r)
+                      for c, t, r in zip(cos, fix_t, fix_rt)) / (2 * L)
+        else:
+            dim = sum(c * t for c, t in zip(cos, fix_t)) / L
+        assert abs(dim - round(dim)) < 1e-9
+        assert p.shape[1] == round(dim), block
 
 
 def loop_symmetric_isometry(table):

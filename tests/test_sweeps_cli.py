@@ -1,3 +1,4 @@
+import io
 import math
 import pathlib
 import re
@@ -394,13 +395,23 @@ def test_config_errors_exit_2(tmp_path, capsys, command, text, key):
     assert "config error" in err and key in err
 
 
+GRID_KEYS = ("rJ_values = 1\nJT_min = 0\nJT_max = 0.4\nJT_points = 1\n"
+             "dT_min = 0\ndT_max = 0\ndT_points = 1\nJ_min = 0\nJ_max = 0.2\n"
+             "J_points = 1\nd_min = 0\nd_max = 0\nd_points = 1\nrho_j = 2\n")
+
+
 @pytest.mark.parametrize("command,flag", [
     ("ramp", "--threads=2"), ("gap-scan", "--resume"), ("init-pulse", "--threads=2"),
+    # a grid needs at least one worker
+    ("rj-sweep", "--threads=0"), ("phase-diagram", "--threads=-3"),
+    ("rho1-map", "--threads=0"),
 ])
-def test_threads_and_resume_only_on_grid_commands(tmp_path, command, flag):
+def test_threads_and_resume_only_on_grid_commands(tmp_path, capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(cli_config(tmp_path)), flag])
+        main([command, "--config", str(cli_config(tmp_path, GRID_KEYS)),
+              "--out", str(tmp_path / "o.csv"), flag])
     assert exc.value.code == 2
+    assert flag.split("=")[0] in capsys.readouterr().err
 
 
 def test_rj_sweep_single_point_matches_ramp():
@@ -495,24 +506,50 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def saved(save, array) -> bytes:
+    """What `save` (np.save or np.savez) writes for `array`."""
+    buffer = io.BytesIO()
+    save(buffer, array)
+    return buffer.getvalue()
+
+
+NOT_NPY = "is not a .npy array of 8 amplitudes"
+
+
 @pytest.mark.parametrize("files,argv,message", [
     ({"run.cfg": "L = 2\nN = 3\n"}, ["ramp", "--config", "run.cfg"], "N = L"),
     ({"run.cfg": "L = 2\nN = 2\ng0 = 0\ngT = 0\n"}, ["ramp", "--config", "run.cfg"],
      "g > 0"),
     ({"run.cfg": "L = 2\nN = 2\ninit = file\ninit_file = psi.txt\n",
       "psi.txt": "1 0 0 0\n"}, ["ramp", "--config", "run.cfg"], "pickled"),
+    ({"run.cfg": "L = 2\nN = 2\ninit = file\ninit_file = psi.npz\n",
+      "psi.npz": saved(np.savez, np.ones(8))}, ["ramp", "--config", "run.cfg"],
+     f"init_file psi.npz {NOT_NPY}"),
+    ({"run.cfg": "L = 2\nN = 2\ninit = file\ninit_file = obj.npy\n",
+      "obj.npy": saved(np.save, np.array([1.0, None] * 4, dtype=object))},
+     ["ramp", "--config", "run.cfg"], f"init_file obj.npy {NOT_NPY}"),
+    ({"run.cfg": "L = 2\nN = 2\ninit = file\ninit_file = str.npy\n",
+      "str.npy": saved(np.save, np.array(["one"] * 8))},
+     ["ramp", "--config", "run.cfg"], f"init_file str.npy {NOT_NPY}"),
+    ({"run.cfg": "L = 2\nN = 2\ninit = file\ninit_file = empty.npy\n",
+      "empty.npy": b""}, ["ramp", "--config", "run.cfg"],
+     f"init_file empty.npy {NOT_NPY}"),
     ({"a.csv": "JT,dT,F\n0,0,1\n", "b.csv": "JT,dT,F\n0.1,0,1\n"},
      ["combine-max", "a.csv", "b.csv", "--out", "c.csv"], "axes do not match"),
     ({"a.csv": "JT,dT,F\n0,0,1\n0,0.5,zero\n"},
      ["combine-max", "a.csv", "--out", "c.csv"], "a.csv:3: could not convert"),
 ], ids=["mi-needs-N-equal-L", "mi-needs-g", "init-file-not-npy",
-        "combine-axes-differ", "combine-cell-not-a-number"])
+        "init-file-npz-archive", "init-file-object-array", "init-file-string-array",
+        "init-file-empty", "combine-axes-differ", "combine-cell-not-a-number"])
 def test_cli_input_errors_exit_2(tmp_path, monkeypatch, capsys, files, argv,
                                  message):
     # a ValueError from outside input is not a solver failure (exit 3)
     monkeypatch.chdir(tmp_path)
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
