@@ -116,17 +116,17 @@ class BasisTable:
         )
 
 
-def enumerate_basis(shape: LatticeShape, dim_cap: int = DEFAULT_DIM_CAP) -> BasisTable:
+def enumerate_basis(shape: LatticeShape) -> BasisTable:
     """Enumerate every configuration with exactly N total excitations.
 
     Raises ResourceLimitError when the predicted dimension exceeds
-    `dim_cap` (see DEFAULT_DIM_CAP; dense `eigh` only runs below
-    spectrum.DENSE_CUTOFF) or when the configuration keys would overflow int64.
+    DEFAULT_DIM_CAP (dense `eigh` only runs below spectrum.DENSE_CUTOFF) or
+    when the configuration keys would overflow int64.
     """
     predicted = sector_dimension(shape)
-    if predicted > dim_cap:
+    if predicted > DEFAULT_DIM_CAP:
         raise ResourceLimitError(
-            f"sector dimension {predicted} exceeds cap {dim_cap}"
+            f"sector dimension {predicted} exceeds cap {DEFAULT_DIM_CAP}"
         )
     L, N = shape.sites, shape.excitations
     if (2 * N + 2) ** L > np.iinfo(np.int64).max:

@@ -175,14 +175,11 @@ def dihedral_blocks(sites: int) -> list[Block]:
             for parity in ((1, -1) if (2 * q) % sites == 0 else (1,))]
 
 
-def symmetric_isometry(translation, reflection=None) -> sp.csr_matrix:
-    """Isometry P (dim x d) onto the states invariant under the permutations.
-
-    P P^T is the group average, (1/L) sum_m T^m (the k = 0 projector) for
-    the translation alone and (1/2L) sum_m T^m (1 + R) with the mirror
-    `reflection`: the `Block()` case of `block_isometries`.
-    """
-    return block_isometries(translation, reflection, [Block()])[0]
+def symmetric_isometry(translation) -> sp.csr_matrix:
+    """Isometry P (dim x d) onto the k = 0 states of `translation`: P P^T
+    is the group average (1/L) sum_m T^m, the `Block()` of
+    `block_isometries` without a reflection."""
+    return block_isometries(translation, None, [Block()])[0]
 
 
 def block_isometries(translation, reflection, blocks) -> list[sp.csr_matrix]:

@@ -20,8 +20,9 @@ the two a ramp can reach. `symmetric_pair` also takes a full-space H
 with its translation T and solves its k = 0 sector, P P^T = (1/L) sum_m T^m.
 Levels over all sectors merge those of every real block of the dihedral
 group (`operators.block_sectors`), each labelled by its block
-(`block_levels`); the gap over all sectors asks each block other than
-the symmetric one for its lowest level only (`_any_gap`).
+(`block_levels`); the gap over all sectors adds the lowest level of the
+other blocks to the symmetric pair, which holds the ground state for
+J >= 0.
 """
 
 from __future__ import annotations
@@ -91,7 +92,18 @@ def _lowest_eigh(h, k: int, v0=None):
             f"ARPACK converged {len(exc.eigenvalues)}/{k} eigenvalues "
             f"(dim={dim})"
         ) from exc
-    order = np.argsort(w)
+    if w.max() > 0:
+        # a zero row (a photon-free state at g = 0) is a level 0 that only v0
+        # puts in the Krylov space: solve the rest, add each zero row once
+        live = np.asarray(abs(h).sum(axis=1)).ravel() > 0
+        if not live.all():
+            w, v_live = _lowest_eigh(h[live][:, live], k)
+            zero = np.flatnonzero(~live)[:k]
+            v = np.zeros((dim, len(w) + len(zero)), v_live.dtype)
+            v[live, :len(w)] = v_live
+            v[zero, len(w) + np.arange(len(zero))] = 1
+            w = np.concatenate([w, np.zeros(len(zero))])
+    order = np.argsort(w, kind="stable")[:k]
     return w[order], v[:, order]
 
 
@@ -111,19 +123,22 @@ def ground_state(h, v0=None) -> EigenPair:
     return EigenPair(float(w[0]), _fix_sign(v[:, 0]))
 
 
-def block_levels(blocks, p, count: int) -> list[tuple]:
+def block_levels(blocks, p, count: int, warm: list) -> list[tuple]:
     """The lowest `count` levels at parameters `p` over all `blocks`
     (templates from `operators.block_sectors`), ascending, each as
     (energy, block that holds it).
 
     A block of multiplicity m gives its lowest ceil(count / m) levels, each
     listed m times, as in the full spectrum. Equal levels keep the order
-    of `blocks`.
+    of `blocks`. `warm` holds one start vector (or None) per block; each
+    solve starts from its block's and leaves its lowest vector there.
     """
     levels = []
     for k, tpl in enumerate(blocks):
         width = tpl.block.multiplicity
-        w, _ = _lowest_eigh(tpl.assemble(p.g, p.J, p.delta), -(-count // width))
+        w, v = _lowest_eigh(tpl.assemble(p.g, p.J, p.delta), -(-count // width),
+                            warm[k])
+        warm[k] = v[:, 0]
         levels += [(float(e), k) for e in w for _ in range(width)]
     levels.sort()
     return [(e, blocks[k].block) for e, k in levels[:count]]
@@ -166,8 +181,10 @@ def gap_scan(
     DegeneracyError when any sampled gap drops below 10x DEGENERACY_TOL
     (suspected level crossing). With `blocks`, the templates of every
     other dihedral block (`operators.block_sectors`), each coarse row also
-    holds the lowest gap over all sectors (`_any_gap`). Each solve is
-    warm-started from the previous point's in its block.
+    holds the gap over all sectors, from the symmetric pair and the lowest
+    level of the other blocks (`block_levels`): enough for J >= 0, where
+    the ground state is symmetric, so a plan that reaches J < 0 is
+    refused. Each solve starts from the previous point's in its block.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
@@ -175,12 +192,16 @@ def gap_scan(
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     if templates.translation is not None:
         raise ValueError("gap_scan needs templates on a symmetric sector")
-    warm = [None] * (1 + len(blocks or ()))
+    if min(plan.J.start, plan.J.stop) < 0:
+        raise ValueError("gap_scan needs J >= 0: below it the ground state "
+                         "can leave the symmetric sector")
+    previous, warm = None, [None] * len(blocks or ())
 
     def gap_at(s: float):
+        nonlocal previous
         p = trajectory_point(plan, s)
         h = templates.assemble(p.g, p.J, p.delta)
-        e0, e1, warm[0] = symmetric_pair(h, v0=warm[0])
+        e0, e1, previous = symmetric_pair(h, v0=previous)
         gap = e1 - e0
         if gap < 10 * DEGENERACY_TOL:
             raise DegeneracyError(
@@ -196,46 +217,22 @@ def gap_scan(
         gaps[i] = gap
         row = [float(s), p, gap]
         if blocks is not None:
-            row.append(_any_gap(blocks, p, pair, warm))
+            levels = sorted([*pair] + [e for e, b in block_levels(blocks, p, 1, warm)
+                                       for _ in range(b.multiplicity)])
+            row.append(levels[1] - levels[0])
         curve.append(tuple(row))
 
-    i_min = int(np.argmin(gaps))  # argmin is leftmost on ties
     # flat within solver noise (eigsh tol 1e-12): leftmost-minimum tie-break
     flat = np.ptp(gaps) <= 1e-9 * max(1.0, float(np.abs(gaps).max()))
-    if flat:
-        i_min = 0
-    if flat or i_min == 0 or i_min == resolution - 1:
+    i_min = 0 if flat else int(np.argmin(gaps))  # argmin is leftmost on ties
+    if i_min in (0, resolution - 1):
         s_gp, gap_gp = float(svals[i_min]), float(gaps[i_min])
     else:
         s_gp, gap_gp = _golden_section(
             lambda s: gap_at(s)[0],
             float(svals[i_min - 1]), float(svals[i_min + 1]), refine_tol,
         )
-    report = GapReport(s_gp, trajectory_point(plan, s_gp), gap_gp, curve)
-    return report
-
-
-def _any_gap(blocks, p, symmetric, warm) -> float:
-    """Gap between the two lowest levels over all blocks at parameters `p`.
-
-    `symmetric` holds the two lowest levels of the symmetric block; each
-    other block gives its lowest, counted twice for a two-dimensional irrep,
-    from a start at its previous vector (`warm[1:]`). Only when a
-    one-dimensional block holds the overall ground state (possible for
-    J < 0) is its second level needed: that block is solved again for two.
-    """
-    levels, lowest = list(symmetric), []
-    for k, tpl in enumerate(blocks, start=1):
-        h = tpl.assemble(p.g, p.J, p.delta)
-        w, v = _lowest_eigh(h, 1, warm[k])
-        warm[k] = v[:, 0]
-        lowest.append((float(w[0]), k, h))
-        levels += [float(w[0])] * tpl.block.multiplicity
-    e, k, h = min(lowest, default=(np.inf, 0, None))
-    if e < symmetric[0] and blocks[k - 1].block.multiplicity == 1:
-        levels += [float(w) for w in _lowest_eigh(h, 2, warm[k])[0][1:]]
-    levels.sort()
-    return levels[1] - levels[0]
+    return GapReport(s_gp, trajectory_point(plan, s_gp), gap_gp, curve)
 
 
 def _golden_section(f, a: float, b: float, tol: float):

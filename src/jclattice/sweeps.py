@@ -425,6 +425,10 @@ def run_rho1_map(cfg: RunConfig, threads: int = 1, resume: bool = False):
         vec = ground_state(templates.assemble_copy(cfg.plan.g.start, *params[k])).vector
         num = float(np.real(vec @ (corr @ vec)))
         den = float(np.real(vec @ (diag @ vec)))
+        if den < 1e-12:
+            raise ConfigError("rho1 divides by <n> = %s at rho_i = %d, too few "
+                              "photons in the ground state at J = %s, Delta = %s"
+                              % (fmt(den), cfg.rho_i, *map(fmt, params[k])))
         return num / den
 
     journal = _journal(cfg, "rho1-map")
@@ -477,7 +481,7 @@ def run_spectrum(cfg: RunConfig):
     rows = []
     for s in np.linspace(0.0, 1.0, cfg.resolution):
         p = trajectory_point(cfg.plan, float(s))
-        levels = block_levels(blocks, p, cfg.count)
+        levels = block_levels(blocks, p, cfg.count, [None] * len(blocks))
         for level, (energy, block) in enumerate(levels):
             parity = block.parity if block.multiplicity == 1 else 0
             rows.append((float(s), p.g, p.J, p.delta, level,

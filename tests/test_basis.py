@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jclattice import basis
 from jclattice.basis import (
     LatticeShape,
     ResourceLimitError,
@@ -98,9 +99,10 @@ def test_translate_preserves_excitations():
     assert sum(n + s for n, s in out) == sum(n + s for n, s in config)
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
+    monkeypatch.setattr(basis, "DEFAULT_DIM_CAP", 1000)
     with pytest.raises(ResourceLimitError):
-        enumerate_basis(LatticeShape(6, 6), dim_cap=1000)
+        enumerate_basis(LatticeShape(6, 6))
     with pytest.raises(ResourceLimitError):
         dimension_oracle(LatticeShape(12, 12), product_cap=10_000)
 

@@ -263,7 +263,7 @@ def test_isometry_refuses_a_non_permutation():
 def test_dihedral_isometry_spans_the_group_average(shape):
     table = enumerate_basis(shape)
     t, r = build_translation(table), build_reflection(table)
-    p = symmetric_isometry(t, r)
+    p, = block_isometries(t, r, [Block()])
     assert np.allclose((p.T @ p).toarray(), np.eye(p.shape[1]), atol=1e-15)
     average = sp.csr_matrix((table.dim, table.dim))
     power = sp.identity(table.dim, format="csr")
@@ -279,7 +279,7 @@ def test_isometry_refuses_a_reflection_that_mixes_orbits():
     perm = np.random.default_rng(3).permutation(table.dim)
     shuffle = sp.csr_matrix((np.ones(table.dim), (perm, np.arange(table.dim))))
     with pytest.raises(ValueError, match="translation orbits"):
-        symmetric_isometry(build_translation(table), shuffle)
+        block_isometries(build_translation(table), shuffle, [Block()])
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
@@ -294,7 +294,8 @@ def test_blocks_commute_with_the_mirror_exactly(shape):
 def test_symmetric_sector_dimensions():
     assert pair(LatticeShape(6, 6))[2].dim == 500
     table = enumerate_basis(LatticeShape(7, 7))
-    p = symmetric_isometry(build_translation(table), build_reflection(table))
+    p, = block_isometries(build_translation(table), build_reflection(table),
+                          [Block()])
     assert p.shape == (28814, 2122)
 
 
@@ -408,20 +409,26 @@ def test_symmetric_block_is_the_symmetric_sector_bit_for_bit(shape):
             assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
 
 
-def test_any_gap_follows_the_ground_state_out_of_the_symmetric_block():
+def test_gap_scan_refuses_a_plan_below_zero_hopping():
     # for J < 0 the gauge a_j, sigma_j -> (-1)^j a_j, (-1)^j sigma_j maps H
-    # to H(-J) and shifts the momentum by pi N: with N = 5 the ground state
-    # lies in (2, -), and so does the second level, below every other block
+    # to H(-J) and shifts the momentum by pi N: with N = 5 the two lowest
+    # levels lie in (2, -), below the symmetric block, whose pair then
+    # bounds no gap over all sectors
     table = enumerate_basis(LatticeShape(4, 5))
     full = HamiltonianTemplates(table)
     sector, *blocks = block_sectors(table)
     plan = RampPlan(RampSchedule(0.2, 0.2), RampSchedule(-0.25, -0.4),
                     RampSchedule(1.0, 1.0), 1.0)
-    for s, p, _, gap_any in gap_scan(sector, plan, resolution=16, blocks=blocks).curve:
+    for s in np.linspace(0.0, 1.0, 4):
+        p = trajectory_point(plan, float(s))
         w = np.linalg.eigvalsh(full.assemble_copy(p.g, p.J, p.delta).toarray())
-        assert gap_any == pytest.approx(w[1] - w[0], abs=1e-10)
         e0 = ground_state(sector.assemble_copy(p.g, p.J, p.delta)).energy
         assert e0 > w[1] + 1e-3
+    for j in [(-0.25, -0.4), (-0.1, 0.5), (0.5, -0.1)]:
+        plan = RampPlan(plan.g, RampSchedule(*j), plan.delta, plan.total_time)
+        for kwargs in ({}, {"blocks": blocks}):
+            with pytest.raises(ValueError, match="symmetric sector"):
+                gap_scan(sector, plan, resolution=16, **kwargs)
 
 
 # --- spectra ----------------------------------------------------------------
@@ -631,7 +638,8 @@ def test_init_file_of_k0_amplitudes_is_refused(tmp_path, capsys):
     # an init_file holds amplitudes on the full basis only
     table = enumerate_basis(LatticeShape(3, 3))
     k0 = symmetric_isometry(build_translation(table))
-    sector = symmetric_isometry(build_translation(table), build_reflection(table))
+    sector, = block_isometries(build_translation(table), build_reflection(table),
+                               [Block()])
     assert (table.dim, k0.shape[1], sector.shape[1]) == (38, 14, 10)
     for name, p in (("k0", k0), ("sector", sector)):
         np.save(tmp_path / f"{name}.npy", p.T @ mi_ground_state(table, 0.0, 1.0))

@@ -14,6 +14,7 @@ from jclattice.operators import (
     build_reflection,
     build_translation,
     symmetric_isometry,
+    symmetric_sector,
 )
 from jclattice.propagate import fidelity
 from jclattice.ramp import RampPlan, RampSchedule
@@ -98,6 +99,31 @@ def test_condensate_ground_state_fidelity(table66, templates66):
     assert fidelity(psi, gs.vector) > 1 - 1e-10
 
 
+@pytest.mark.parametrize("shape,sector,J,lowest", [
+    (LatticeShape(6, 6), True, 0.1, [0.0, 0.8, 0.9]),
+    (LatticeShape(6, 6), True, 0.0, [0.0, 1.0, 1.0]),
+    (LatticeShape(5, 5), False, 0.1, [0.0, 0.8]),  # 0.8 is five-fold
+], ids=["sector-J0.1", "sector-J0", "full-L5"])
+def test_zero_row_level_at_g_zero(shape, sector, J, lowest):
+    # at g = 0 the row of H for the all-qubits-up state is zero: a level 0
+    # that the Krylov space holds only through the start vector
+    table = enumerate_basis(shape)
+    tpl = symmetric_sector(table) if sector else HamiltonianTemplates(table)
+    h = tpl.assemble_copy(0.0, J, 1.0)
+    w = np.linalg.eigvalsh(h.toarray())
+    assert w[:len(lowest)] == pytest.approx(lowest, abs=1e-12)
+    gs = ground_state(h)
+    assert gs.energy == pytest.approx(0.0, abs=1e-12)
+    assert np.abs(gs.vector).max() == pytest.approx(1.0, abs=1e-12)
+    e0, e1, _ = symmetric_pair(h)
+    assert [e0, e1] == pytest.approx(lowest[:2], abs=1e-10)
+    # listed once, also from a start vector with no weight on that state
+    v0 = np.where(np.abs(gs.vector) > 0.5, 0.0, 1.0)
+    w, v = _lowest_eigh(h, len(lowest), v0)
+    assert w == pytest.approx(lowest, abs=1e-10)
+    assert np.allclose(h @ v, v * w, atol=1e-9)
+
+
 def test_symmetric_weight_limits(table33, templates33):
     t = templates33.translation
     assert k0_weight(mi_ground_state(table33, 0.0, 1.0), t) \
@@ -122,7 +148,9 @@ def test_projector_idempotent(table33, templates33):
 def test_symmetric_pair_matches_classified_spectrum(table33, templates33):
     h = templates33.assemble_copy(1.0, 0.15, 0.0)
     e0, e1, _ = symmetric_pair(h, templates33.translation)
-    levels = block_levels(block_sectors(table33), LatticeParams(1.0, 0.15, 0.0), 10)
+    blocks = block_sectors(table33)
+    levels = block_levels(blocks, LatticeParams(1.0, 0.15, 0.0), 10,
+                          [None] * len(blocks))
     assert e0 == pytest.approx(levels[0][0], abs=1e-9)
     sym_excited = [e for e, block in levels[1:] if block == Block(0, 1, 3)]
     assert sym_excited, "need a symmetric excited state within 10 levels"
@@ -138,7 +166,8 @@ def test_block_levels_are_the_full_spectrum_labelled_by_block(shape):
     blocks = block_sectors(table)
     t, r = build_translation(table), build_reflection(table)
     for g, J, delta in [(1.0, 0.2, 0.0), (0.7, 0.35, 0.6), (0.8, -0.25, -0.4)]:
-        levels = block_levels(blocks, LatticeParams(g, J, delta), 8)
+        levels = block_levels(blocks, LatticeParams(g, J, delta), 8,
+                              [None] * len(blocks))
         w, v = np.linalg.eigh(full.assemble_copy(g, J, delta).toarray())
         assert len(levels) == 8
         assert np.abs([e for e, _ in levels] - w[:8]).max() <= 1e-10

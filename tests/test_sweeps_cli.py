@@ -514,6 +514,11 @@ def saved(save, array) -> bytes:
 
 
 NOT_NPY = "is not a .npy array of 8 amplitudes"
+# rho1 divides by <n> at rho_i: 0 in the vacuum and, at g = 0 and Delta = 1,
+# in the all-qubits-up ground state
+RHO1_GRID = ("J_min = 0\nJ_max = 0.2\nJ_points = 2\nd_min = 1\nd_max = 1\n"
+             "d_points = 1\nrho_i = 2\nrho_j = 3\nout = rho.csv\n")
+NO_PHOTONS = "at rho_i = 2, too few photons in the ground state at J = 0, Delta = 1"
 
 
 @pytest.mark.parametrize("files,argv,message", [
@@ -534,13 +539,20 @@ NOT_NPY = "is not a .npy array of 8 amplitudes"
     ({"run.cfg": "L = 2\nN = 2\ninit = file\ninit_file = empty.npy\n",
       "empty.npy": b""}, ["ramp", "--config", "run.cfg"],
      f"init_file empty.npy {NOT_NPY}"),
+    ({"run.cfg": "L = 3\nN = 0\n" + RHO1_GRID}, ["rho1-map", "--config", "run.cfg"],
+     NO_PHOTONS),
+    ({"run.cfg": "L = 3\nN = 3\ng0 = 0\n" + RHO1_GRID},
+     ["rho1-map", "--config", "run.cfg"], NO_PHOTONS),
+    ({"run.cfg": "L = 6\nN = 6\ng0 = 0\n" + RHO1_GRID},
+     ["rho1-map", "--config", "run.cfg"], NO_PHOTONS),
     ({"a.csv": "JT,dT,F\n0,0,1\n", "b.csv": "JT,dT,F\n0.1,0,1\n"},
      ["combine-max", "a.csv", "b.csv", "--out", "c.csv"], "axes do not match"),
     ({"a.csv": "JT,dT,F\n0,0,1\n0,0.5,zero\n"},
      ["combine-max", "a.csv", "--out", "c.csv"], "a.csv:3: could not convert"),
 ], ids=["mi-needs-N-equal-L", "mi-needs-g", "init-file-not-npy",
         "init-file-npz-archive", "init-file-object-array", "init-file-string-array",
-        "init-file-empty", "combine-axes-differ", "combine-cell-not-a-number"])
+        "init-file-empty", "rho1-vacuum", "rho1-photon-free-dense",
+        "rho1-photon-free-arpack", "combine-axes-differ", "combine-cell-not-a-number"])
 def test_cli_input_errors_exit_2(tmp_path, monkeypatch, capsys, files, argv,
                                  message):
     # a ValueError from outside input is not a solver failure (exit 3)
