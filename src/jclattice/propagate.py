@@ -9,9 +9,12 @@ linear in g, J and Delta), each by an Arnoldi (for Hermitian H, Lanczos;
 Park & Light, J. Chem. Phys. 85, 5870 (1986)) iteration that stops on
 its a-posteriori residual estimate.
 
-`tol` bounds the error in the final state: from `initial_steps` the step
-count doubles until ||psi_2n - psi_n|| <= tol * max(1, ||psi_2n||), then
-psi_2n is returned; each exponential gets tol over their number in a run.
+`tol` bounds the error in the final state through its Richardson estimate:
+for a fourth-order scheme the error of psi_2n is about ||psi_2n - psi_n|| / 15
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4). From `initial_steps`
+the step count doubles until the safety-scaled estimate
+||psi_2n - psi_n|| / RICHARDSON_SCALE <= tol * max(1, ||psi_2n||), then psi_2n
+is returned; each exponential gets tol over their number in a run.
 For an index r < 1, dH/dt diverges at t = 0, so steps are uniform in v
 with t/T = v^q, q = 1/r_min, which keeps fourth order.
 """
@@ -29,7 +32,10 @@ from .ramp import RampPlan
 from .spectrum import ground_state
 
 DEFAULT_TOL = 1e-8
-DEFAULT_STEPS = 512
+DEFAULT_STEPS = 256
+# 2^4 - 1 = 15 for a fourth-order scheme, halved for safety: at n = 1,024 on
+# the T = 15pi ramp the /15 estimate ran 14% under the true error
+RICHARDSON_SCALE = 7.5
 MAX_REFINEMENTS = 6
 MAX_KRYLOV = 24
 NORM_BLOWUP_FACTOR = 1e6
@@ -66,7 +72,7 @@ class EvolutionResult:
     norm_drift: float
     step_count: int
     checkpoints: list = field(default_factory=list)
-    error_estimate: float = 0.0  # ||psi_2n - psi_n|| of the accepted run
+    error_estimate: float = 0.0  # ||psi_2n - psi_n|| / RICHARDSON_SCALE, accepted run
 
 
 def fidelity(psi: np.ndarray, phi: np.ndarray) -> float:
@@ -91,7 +97,9 @@ def evolve(
     initial_steps: int = DEFAULT_STEPS,
     checkpoints: int = 0,
 ) -> EvolutionResult:
-    """Integrate i dpsi/dt = (H(t) - i D) psi from t = 0 to plan.total_time.
+    """Integrate i dpsi/dt = (H(t) - i D) psi from t = 0 to plan.total_time,
+    to a state error within tol * max(1, ||psi||) by the scaled Richardson
+    estimate ||psi_2n - psi_n|| / RICHARDSON_SCALE (the module docstring).
 
     `decay` is the real diagonal D (`templates.dissipative_rates`), None for
     H alone. `checkpoints` = n >= 2 adds rows at t = 0, t = T and evenly
@@ -133,15 +141,15 @@ def evolve(
         except StepSizeUnderflow:
             psi = None  # a step too long for the Krylov space: refine
         if psi is not None and previous is not None:
-            diff = float(np.linalg.norm(psi - previous))
+            estimate = float(np.linalg.norm(psi - previous)) / RICHARDSON_SCALE
             nrm = np.linalg.norm(psi)
-            if diff <= tol * max(1.0, nrm):
+            if estimate <= tol * max(1.0, nrm):
                 rows, ground = [], None
                 for u, s in zip(marks, saved):
                     row, ground = _checkpoint(templates, plan, u, s, ground)
                     rows.append(row)
                 return EvolutionResult(psi, float(abs(nrm / norm0 - 1.0)),
-                                       int(counts.sum()), rows, diff)
+                                       int(counts.sum()), rows, estimate)
         previous = psi
         steps *= 2
     raise StepSizeUnderflow(f"tolerance {tol} not met after {MAX_REFINEMENTS} "

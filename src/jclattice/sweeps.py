@@ -130,8 +130,8 @@ def _load_progress(path: str, header: str) -> dict:
     """Points journaled under `header`; a journal with another first line
     is another run's, a ConfigError. A last line that is unterminated or
     does not parse is what a crash in mid-write leaves: it is dropped and
-    cut from the file, so the next appended line starts clean. A malformed
-    line before it is a ConfigError."""
+    cut from the file, with a warning on stderr, so the next appended line
+    starts clean. A malformed line before it is a ConfigError."""
     done = {}
     with open(path, "rb+") as fh:
         data = fh.read()
@@ -154,6 +154,9 @@ def _load_progress(path: str, header: str) -> dict:
                 break
             kept += len(line) + 1
         if kept < len(data):
+            print(f"warning: {path}: dropped the torn last journal line "
+                  f"{data[kept:][:100]!r} ({len(data) - kept} bytes)",
+                  file=sys.stderr)
             fh.truncate(kept)
     return done
 

@@ -262,3 +262,31 @@ def test_norm_blowup_guard_short_runs(table33, templates33, monkeypatch):
         evolve_dissipative(templates33, plan, sf_ground_state(table33),
                            kappa=0.0, gamma=2.0, convention="literal-sigma-z",
                            initial_steps=64, tol=1e-3)
+
+
+def test_first_pair_accepted_on_the_scaled_estimate(table33, templates33,
+                                                    monkeypatch):
+    # at n = 32 this ramp has ||psi_64 - psi_32|| = 2.6e-6: above tol = 1e-6,
+    # so the raw difference would go on to 128 steps, but / 7.5 is 3.4e-7
+    import jclattice.propagate as propagate
+
+    outputs = []
+
+    def counting(*args):
+        outputs.append(expmv(*args))
+        return outputs[-1]
+
+    expmv = propagate._expmv
+    monkeypatch.setattr(propagate, "_expmv", counting)
+    n, tol = 32, 1e-6
+    res = evolve(templates33, plan_mi_sf(4 * math.pi),
+                 mi_ground_state(table33, 0.0, 1.0), tol=tol, initial_steps=n)
+    assert len(outputs) == 6 * n  # two exponentials a step, n + 2n steps
+    assert res.step_count == 2 * n
+    psi_n, psi_2n = outputs[2 * n - 1], outputs[-1]
+    assert np.array_equal(res.final_state, psi_2n)
+    diff = np.linalg.norm(psi_2n - psi_n)
+    assert diff > tol
+    assert res.error_estimate == pytest.approx(diff / propagate.RICHARDSON_SCALE,
+                                               rel=1e-12)
+    assert res.error_estimate <= tol

@@ -663,7 +663,7 @@ def grid_cfg(tmp_path, name):
     return cfg
 
 
-def test_resume_drops_a_torn_last_journal_line(tmp_path):
+def test_resume_drops_a_torn_last_journal_line(tmp_path, capsys):
     cfg = grid_cfg(tmp_path, "full.csv")
     run_phase_diagram(cfg)
     full = (tmp_path / "full.csv").read_bytes()
@@ -676,9 +676,14 @@ def test_resume_drops_a_torn_last_journal_line(tmp_path):
     journal.write_text(first + "1,")
     assert _load_progress(str(journal), header) == {0: float(f0)}
     assert journal.read_text() == first  # cut, so appends start clean
+    assert capsys.readouterr().err == (f"warning: {journal}: dropped the torn "
+                                       f"last journal line b'1,' (2 bytes)\n")
+    _load_progress(str(journal), header)  # nothing torn, nothing said
+    assert capsys.readouterr().err == ""
 
     journal.write_text(first + "1,")
     run_phase_diagram(cfg, resume=True)
+    assert "dropped the torn last journal line" in capsys.readouterr().err
     assert (tmp_path / "res.csv").read_bytes() == full
     assert not journal.exists()
 
