@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .basis import BasisTable
 
@@ -50,6 +51,21 @@ class LatticeParams:
     g: float
     J: float = 0.0
     delta: float = 0.0
+
+
+def matvec(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = m @ x for a CSR m, bit for bit; `out` has the dtype of m @ x.
+    scipy's kernel under `@` without its dispatch, checks and new array,
+    which cost more than the product at a few hundred states. The one use
+    of the private `csr_matvec` (the tests compare it with `@`); it trusts
+    the lengths it is given, so they are checked here."""
+    rows, cols = m.shape
+    if x.shape != (cols,) or out.shape != (rows,):
+        raise ValueError(f"matvec of a {rows}x{cols} matrix needs x of shape ({cols},)"
+                         f" and out of ({rows},), got {x.shape} and {out.shape}")
+    out.fill(0)  # the kernel adds m @ x to out
+    csr_matvec(rows, cols, m.indptr, m.indices, m.data, x, out)
+    return out
 
 
 def number_diagonal(table: BasisTable) -> np.ndarray:

@@ -5,9 +5,12 @@ dissipative ones (H - i*D, never renormalized mid-flight) alike: the
 fourth-order commutator-free Magnus scheme CF4:2 (Alvermann & Fehske,
 J. Comput. Phys. 230, 5930 (2011)). Per step it applies two exponentials
 of H at weighted sums of the parameters at the two Gauss points (H is
-linear in g, J and Delta), each by an Arnoldi (for Hermitian H, Lanczos;
-Park & Light, J. Chem. Phys. 85, 5870 (1986)) iteration that stops on
-its a-posteriori residual estimate.
+linear in g, J and Delta), each by a Krylov iteration that stops on its
+a-posteriori residual estimate. Without decay the step matrix is
+Hermitian and the iteration is the Lanczos three-term recurrence (Park &
+Light, J. Chem. Phys. 85, 5870 (1986)); with decay it is Arnoldi with
+full modified Gram-Schmidt. Both use the bare CSR kernel
+`operators.matvec` into preallocated vectors.
 
 `tol` bounds the error in the final state through its Richardson estimate:
 for a fourth-order scheme the error of psi_2n is about ||psi_2n - psi_n|| / 15
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .operators import HamiltonianTemplates
+from .operators import HamiltonianTemplates, matvec
 from .ramp import RampPlan
 from .spectrum import ground_state
 
@@ -104,20 +107,23 @@ def evolve(
     `decay` is the real diagonal D (`templates.dissipative_rates`), None for
     H alone. `checkpoints` = n >= 2 adds rows at t = 0, t = T and evenly
     between, each with the instantaneous-ground overlap (one eigensolve per
-    row). The step count doubles at most MAX_REFINEMENTS times.
+    row). The step count doubles at most MAX_REFINEMENTS times. A psi0
+    whose norm is zero or not finite raises ValueError.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (templates.dim,):
         raise ValueError(
             f"state has shape {psi0.shape}, basis dimension is {templates.dim}"
         )
+    norm0 = np.linalg.norm(psi0)
+    if not 0 < norm0 < math.inf:
+        raise ValueError(f"psi0 has norm {norm0}: need a finite, nonzero state")
     steps = int(initial_steps)
     if steps < 1:
         raise ValueError(f"step count must be positive, got {initial_steps}")
     if checkpoints == 1:
         raise ValueError("checkpoints = 1 would record only t = 0; use 0 or >= 2")
     decay = np.zeros(templates.dim) if decay is None else decay
-    norm0 = np.linalg.norm(psi0)
     blowup = NORM_BLOWUP_FACTOR * norm0 if decay.any() else None
     indices = [s.index for s in (plan.g, plan.J, plan.delta) if s.varies]
     q = max(1.0, 1.0 / min(indices, default=1.0))
@@ -174,10 +180,12 @@ def evolve_dissipative(
 
 def _cf4_stepper(templates, plan, decay, q):
     """CF4:2 step psi(v0) -> psi(v0 + h) in v, where t/T = v^q, on the
-    integrator's own complex copy of the templates' shared pattern."""
+    integrator's own complex copy of the templates' shared pattern. Without
+    decay every step matrix is Hermitian, which `_expmv` is told once."""
     matrix = templates._shared.astype(complex)
     data = np.empty(matrix.nnz)  # real: writing it into matrix.data is one cast
     minus_i_decay = -1j * decay
+    hermitian = not decay.any()
     basis = np.empty((MAX_KRYLOV + 1, templates.dim), dtype=complex)
 
     def step(psi, v0, h, exp_tol):
@@ -188,29 +196,35 @@ def _cf4_stepper(templates, plan, decay, q):
         for weights in (CF4_WEIGHTS, CF4_WEIGHTS[::-1]):
             g, J, delta, dt = weights @ points
             matrix.data[:] = templates.data_for(g, J, delta, out=data)
-            matrix.data[templates.diag_positions] += dt * minus_i_decay
-            psi = _expmv(matrix, psi, exp_tol, basis)
+            if not hermitian:
+                matrix.data[templates.diag_positions] += dt * minus_i_decay
+            psi = _expmv(matrix, psi, exp_tol, basis, hermitian)
         return psi
 
     return step
 
 
-def _expmv(a, psi, tol, basis):
-    """exp(-i a) psi by Arnoldi, to within tol * max(1, ||psi||) by the
-    residual estimate ||psi|| h_{m+1,m} |[exp(-i H_m) e_1]_m|. The dense
+def _expmv(a, psi, tol, basis, hermitian):
+    """exp(-i a) psi in a Krylov space, to within tol * max(1, ||psi||) by
+    the residual estimate ||psi|| h_{m+1,m} |[exp(-i H_m) e_1]_m|. The dense
     exponential waits until the estimate's Taylor leading term,
     ||psi|| h_{2,1} ... h_{m+1,m} / (m-1)!, meets the tolerance. Raises
-    StepSizeUnderflow when MAX_KRYLOV vectors do not reach it. Vector dots
-    and einsum stand in for matrix-vector products: threaded BLAS gemv
-    between sparse matvecs cost milliseconds a call in thread wake-ups."""
+    StepSizeUnderflow when MAX_KRYLOV vectors do not reach it.
+
+    a v_j goes by `operators.matvec` into basis[j + 1], which modified
+    Gram-Schmidt turns into v_{j+1}: against v_{j-1} and v_j only for a
+    `hermitian` a (<v_k, a v_j> = 0 for k < j - 1: the Lanczos three-term
+    recurrence), against every earlier vector otherwise (Arnoldi). Vector
+    dots and einsum stand in for dense matrix-vector products: threaded
+    BLAS gemv between sparse matvecs cost milliseconds a call in wake-ups."""
     beta = math.sqrt(np.vdot(psi, psi).real)
     bound = tol * max(1.0, beta)
     hess = np.zeros((MAX_KRYLOV + 1, MAX_KRYLOV), dtype=complex)
     np.multiply(psi, 1.0 / beta, out=basis[0])
     lead = beta
     for j in range(MAX_KRYLOV):
-        w = a @ basis[j]
-        for k in range(j + 1):  # modified Gram-Schmidt
+        w = matvec(a, basis[j], basis[j + 1])
+        for k in range(max(j - 1, 0) if hermitian else 0, j + 1):
             hess[k, j] = c = np.vdot(basis[k], w)
             w -= c * basis[k]
         hess[j + 1, j] = h_next = math.sqrt(np.vdot(w, w).real)
@@ -219,7 +233,7 @@ def _expmv(a, psi, tol, basis):
             f = expm(-1j * hess[: j + 1, : j + 1])[:, 0]
             if beta * h_next * abs(f[j]) <= bound:
                 return np.einsum("k,ki->i", beta * f, basis[: j + 1])
-        np.multiply(w, 1.0 / h_next, out=basis[j + 1])
+        w *= 1.0 / h_next
     raise StepSizeUnderflow(f"{MAX_KRYLOV} Krylov vectors missed {tol:.3g}")
 
 

@@ -2,10 +2,13 @@
 
 The eigensolver is iterative Lanczos (scipy ARPACK) above a dense-fallback
 cutoff and full `eigh` below it; the dense path doubles as the oracle in
-tests. The cutoff sits near the measured single-thread crossover: at 200
-states `eigh` and `eigsh(k=2)` cost the same, at 899 `eigsh` is about ten
-times faster. The Lanczos start vector comes from a fixed seed: a naively
-chosen deterministic vector such as all-ones can be *exactly* orthogonal
+tests. ARPACK applies a CSR matrix through the bare kernel
+`operators.matvec`. The cutoff sits near the measured single-thread
+crossover: `eigsh(k=2)` overtakes `eigh` between 155 and 190 states (at
+192-208 states it is 1.4-2.1 times faster, 3-4.5 ms against 5-6.5 ms),
+and at the 500 states of the six-site symmetric sector about ten times.
+The Lanczos start vector comes from a fixed seed: a naively chosen
+deterministic vector such as all-ones can be *exactly* orthogonal
 to the ground state (it is, for the Mott product state), which stalls
 Krylov convergence in exact arithmetic. Repeated solves along a
 trajectory pass the previous ground vector as `v0` instead.
@@ -33,7 +36,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .operators import HamiltonianTemplates, LatticeParams, symmetric_isometry
+from .operators import (HamiltonianTemplates, LatticeParams, matvec,
+                        symmetric_isometry)
 from .ramp import RampPlan, trajectory_point
 
 DENSE_CUTOFF = 200
@@ -85,8 +89,12 @@ def _lowest_eigh(h, k: int, v0=None):
         return w[:k], v[:, :k]
     if v0 is None:
         v0 = start_vector(dim)
+    op = h
+    if sp.issparse(h) and h.format == "csr":  # the bare kernel, not `@`
+        op = spla.LinearOperator(h.shape, dtype=h.dtype, matvec=lambda x: matvec(
+            h, x, np.empty(dim, np.result_type(h.dtype, x.dtype))))
     try:
-        w, v = spla.eigsh(h, k=k, which="SA", v0=v0, tol=1e-12)
+        w, v = spla.eigsh(op, k=k, which="SA", v0=v0, tol=1e-12)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"ARPACK converged {len(exc.eigenvalues)}/{k} eigenvalues "

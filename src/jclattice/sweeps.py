@@ -60,7 +60,7 @@ def prepare_context(cfg: RunConfig) -> SimContext:
     templates = symmetric_sector(table)
     psi0 = templates.isometry.T @ initial_state(cfg, table)
     weight = float(np.vdot(psi0, psi0).real)
-    if weight < 1.0 - SECTOR_WEIGHT_TOL:
+    if not weight >= 1.0 - SECTOR_WEIGHT_TOL:  # NaN fails too
         raise ConfigError(
             f"initial state has symmetric-sector weight {weight:.12g}, below "
             f"1 - {SECTOR_WEIGHT_TOL:g}: ramps run in the sector of states "
@@ -103,6 +103,10 @@ def initial_state(cfg: RunConfig, table) -> np.ndarray:
             f"init_file state has {psi.shape[0]} amplitudes, basis dim is "
             f"{table.dim}"
         )
+    bad = np.flatnonzero(~np.isfinite(psi))
+    if bad.size:
+        raise ConfigError(f"init_file {cfg.init_file} has a non-finite "
+                          f"amplitude at index {bad[0]}: {psi[bad[0]]}")
     nrm = np.linalg.norm(psi)
     if not nrm > 0:
         raise ConfigError("init_file state has zero norm")

@@ -9,6 +9,7 @@ from jclattice.operators import (
     build_correlator,
     build_hopping,
     build_translation,
+    matvec,
     number_diagonal,
 )
 from jclattice.states import mi_ground_state, sf_ground_state
@@ -221,3 +222,25 @@ def test_data_for_into_a_buffer_is_bitwise_the_expression(templates66):
         assert np.array_equal(buf, expected)
         assert np.array_equal(t.data_for(g, J, delta), expected)
         assert np.array_equal(t.assemble(g, J, delta).data, expected)
+
+
+def test_matvec_is_bitwise_the_scipy_product(sector66):
+    # the one use of scipy's private CSR kernel: a scipy release that
+    # changes it fails here instead of drifting
+    rng = np.random.default_rng(11)
+    for tpl in (sector66, HamiltonianTemplates(enumerate_basis(LatticeShape(4, 4)))):
+        h = tpl.assemble_copy(0.9, 0.31, -0.2)
+        dissipative = h.astype(complex)
+        dissipative.data[tpl.diag_positions] -= 0.2j * tpl.number_diag
+        real = rng.standard_normal(tpl.dim)
+        for m in (h, dissipative):
+            for x in (real, real + 1j * rng.standard_normal(tpl.dim)):
+                expected = m @ x
+                out = np.full(tpl.dim, np.nan, dtype=expected.dtype)
+                assert matvec(m, x, out) is out
+                assert np.array_equal(out, expected)
+    # the kernel itself would read or write past a short vector
+    with pytest.raises(ValueError, match="needs x of shape"):
+        matvec(h, real[:-1], np.empty(h.shape[0]))
+    with pytest.raises(ValueError, match="needs x of shape"):
+        matvec(h, real, np.empty(h.shape[0] - 1))

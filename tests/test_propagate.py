@@ -6,8 +6,10 @@ import pytest
 from jclattice.basis import LatticeShape, enumerate_basis
 from jclattice.operators import HamiltonianTemplates, symmetric_isometry
 from jclattice.propagate import (
+    MAX_KRYLOV,
     NormBlowUp,
     StepSizeUnderflow,
+    _expmv,
     evolve,
     evolve_dissipative,
     fidelity,
@@ -290,3 +292,81 @@ def test_first_pair_accepted_on_the_scaled_estimate(table33, templates33,
     assert res.error_estimate == pytest.approx(diff / propagate.RICHARDSON_SCALE,
                                                rel=1e-12)
     assert res.error_estimate <= tol
+
+
+def test_evolve_refuses_a_zero_or_non_finite_state(table33, templates33):
+    psi = mi_ground_state(table33, 0.0, 1.0)
+    for bad in (0.0 * psi, np.where(psi > 0, math.inf, psi),
+                np.where(psi > 0, math.nan, psi)):
+        with pytest.raises(ValueError, match="need a finite, nonzero state"):
+            evolve(templates33, plan_mi_sf(2 * math.pi), bad, initial_steps=8)
+
+
+def step_matrix(templates, dt, decay=None, g=1.0, J=0.25):
+    """dt * (H - i D) as the complex CSR matrix the stepper exponentiates."""
+    a = templates.assemble_copy(g, J, 0.0).astype(complex)
+    if decay is not None:
+        a.data[templates.diag_positions] -= 1j * decay
+    a.data *= dt
+    return a
+
+
+def krylov_run(a, psi, hermitian, tol=1e-11):
+    """_expmv's result, its Krylov vector count m and the vectors."""
+    basis = np.full((MAX_KRYLOV + 1, len(psi)), np.nan, dtype=complex)
+    out = _expmv(a, psi, tol, basis, hermitian)
+    m = int(np.isfinite(basis[:, 0]).sum()) - 1  # one more row holds the residual
+    return out, m, basis[:m]
+
+
+def test_lanczos_recurrence_matches_full_orthogonalisation(table66, sector66):
+    psi = (sector66.isometry.T @ mi_ground_state(table66, 0.0, 1.0)).astype(complex)
+    # one exponential of the T = 15pi ramp at 512 steps, and a long step
+    for dt, least in ((15 * math.pi / 512, 1), (0.6, 15)):
+        a = step_matrix(sector66, dt)
+        lanczos, m, _ = krylov_run(a, psi, True)
+        arnoldi, m_full, _ = krylov_run(a, psi, False)
+        assert m == m_full >= least
+        assert np.linalg.norm(lanczos - arnoldi) <= 1e-13 * np.linalg.norm(psi)
+
+
+def test_dissipative_evolve_orthogonalises_fully(table33, templates33,
+                                                 monkeypatch):
+    import jclattice.propagate as propagate
+
+    flags = []
+
+    def recording(a, psi, tol, basis, hermitian):
+        flags.append(hermitian)
+        return expmv(a, psi, tol, basis, hermitian)
+
+    expmv = propagate._expmv
+    monkeypatch.setattr(propagate, "_expmv", recording)
+    plan, psi0 = plan_mi_sf(2 * math.pi), mi_ground_state(table33, 0.0, 1.0)
+    evolve_dissipative(templates33, plan, psi0, kappa=0.05, gamma=0.01,
+                       tol=1e-4, initial_steps=8)
+    assert flags and not any(flags)
+    flags.clear()
+    evolve(templates33, plan, psi0, tol=1e-4, initial_steps=8)
+    assert flags and all(flags)
+
+
+def test_truncated_recurrence_is_not_orthogonal_on_h_minus_i_d(table66,
+                                                               sector66):
+    # on H - iD the three-term recurrence still spans the Krylov space and
+    # its result met tol in every case tried, but its vectors are far from
+    # orthonormal, so the orthogonal projection Arnoldi's error analysis
+    # assumes is gone; on H alone they stay orthonormal
+    psi = (sector66.isometry.T @ mi_ground_state(table66, 0.0, 1.0)).astype(complex)
+    decay = sector66.dissipative_rates(0.5, 0.1)
+
+    def loss(vectors):
+        gram = vectors.conj() @ vectors.T
+        return np.abs(gram - np.eye(len(vectors))).max()
+
+    for dt in (15 * math.pi / 512, 0.3):
+        _, _, truncated = krylov_run(step_matrix(sector66, dt, decay), psi, True)
+        _, _, full = krylov_run(step_matrix(sector66, dt, decay), psi, False)
+        _, _, hermitian = krylov_run(step_matrix(sector66, dt), psi, True)
+        assert loss(truncated) > 0.1
+        assert loss(full) <= 1e-12 and loss(hermitian) <= 1e-12

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from jclattice.basis import LatticeShape, enumerate_basis
 from jclattice.operators import (
@@ -24,6 +25,7 @@ from jclattice.spectrum import (
     block_levels,
     gap_scan,
     ground_state,
+    start_vector,
     symmetric_pair,
 )
 from jclattice.states import mi_ground_state, sf_ground_state
@@ -82,6 +84,15 @@ def test_dense_vs_iterative_agreement(templates33):
     finally:
         spec.DENSE_CUTOFF = old
     assert np.allclose(w, dense, atol=1e-9)
+
+
+def test_lowest_eigh_is_bitwise_eigsh_on_the_csr_matrix(sector66):
+    h = sector66.assemble_copy(1.0, 0.3, 0.0)
+    w, v = _lowest_eigh(h, 3)
+    w_ref, v_ref = spla.eigsh(h, k=3, which="SA", v0=start_vector(h.shape[0]),
+                              tol=1e-12)
+    order = np.argsort(w_ref, kind="stable")
+    assert np.array_equal(w, w_ref[order]) and np.array_equal(v, v_ref[:, order])
 
 
 def test_mott_ground_state_fidelity(table66, templates66):

@@ -184,6 +184,14 @@ def test_run_ramp_stationary_target(tmp_path):
     assert summary.fidelity_raw > 1 - 1e-8
 
 
+def test_nan_sector_weight_is_refused(monkeypatch):
+    # NaN compares false both ways: the weight check must not let it through
+    monkeypatch.setattr(sweeps, "initial_state",
+                        lambda cfg, table: np.full(table.dim, np.nan))
+    with pytest.raises(ConfigError, match="symmetric-sector weight nan"):
+        prepare_context(small_cfg())
+
+
 def test_run_ramp_no_ramp_is_stationary():
     # Mott start with J(T) = J(0) = 0: the initial state is the exact ground
     cfg = small_cfg()
@@ -539,6 +547,17 @@ NO_PHOTONS = "at rho_i = 2, too few photons in the ground state at J = 0, Delta 
     ({"run.cfg": "L = 2\nN = 2\ninit = file\ninit_file = empty.npy\n",
       "empty.npy": b""}, ["ramp", "--config", "run.cfg"],
      f"init_file empty.npy {NOT_NPY}"),
+    ({"run.cfg": "L = 2\nN = 2\ninit = file\ninit_file = inf.npy\n",
+      "inf.npy": saved(np.save, np.array([1, 0, 0, np.inf, 0, 0, 1, 0]))},
+     ["ramp", "--config", "run.cfg"],
+     "init_file inf.npy has a non-finite amplitude at index 3"),
+    ({"run.cfg": "L = 2\nN = 2\ninit = file\ninit_file = nan.npy\n",
+      "nan.npy": saved(np.save, np.array([1, 0, 0, 0, 0, np.nan, 1, 0]))},
+     ["ramp", "--config", "run.cfg"],
+     "init_file nan.npy has a non-finite amplitude at index 5"),
+    ({"run.cfg": "L = 2\nN = 2\ninit = file\ninit_file = zero.npy\n",
+      "zero.npy": saved(np.save, np.zeros(8))},
+     ["ramp", "--config", "run.cfg"], "init_file state has zero norm"),
     ({"run.cfg": "L = 3\nN = 0\n" + RHO1_GRID}, ["rho1-map", "--config", "run.cfg"],
      NO_PHOTONS),
     ({"run.cfg": "L = 3\nN = 3\ng0 = 0\n" + RHO1_GRID},
@@ -551,7 +570,8 @@ NO_PHOTONS = "at rho_i = 2, too few photons in the ground state at J = 0, Delta 
      ["combine-max", "a.csv", "--out", "c.csv"], "a.csv:3: could not convert"),
 ], ids=["mi-needs-N-equal-L", "mi-needs-g", "init-file-not-npy",
         "init-file-npz-archive", "init-file-object-array", "init-file-string-array",
-        "init-file-empty", "rho1-vacuum", "rho1-photon-free-dense",
+        "init-file-empty", "init-file-inf", "init-file-nan", "init-file-zero",
+        "rho1-vacuum", "rho1-photon-free-dense",
         "rho1-photon-free-arpack", "combine-axes-differ", "combine-cell-not-a-number"])
 def test_cli_input_errors_exit_2(tmp_path, monkeypatch, capsys, files, argv,
                                  message):
