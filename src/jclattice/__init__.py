@@ -18,7 +18,6 @@ from .operators import (
     LatticeParams,
     build_correlator,
     build_hopping,
-    build_reflection,
     build_translation,
     symmetric_isometry,
     symmetric_sector,
@@ -44,8 +43,8 @@ __all__ = [
     "BasisTable", "LatticeShape", "ResourceLimitError", "SectorError",
     "enumerate_basis",
     "HamiltonianTemplates", "LatticeParams", "build_correlator",
-    "build_hopping", "build_reflection", "build_translation",
-    "symmetric_isometry", "symmetric_sector",
+    "build_hopping", "build_translation", "symmetric_isometry",
+    "symmetric_sector",
     "EvolutionResult", "evolve", "evolve_dissipative", "fidelity",
     "RampPlan", "RampSchedule", "optimal_index", "trajectory_point",
     "DegeneracyError", "EigenPair", "GapReport", "gap_scan", "ground_state",

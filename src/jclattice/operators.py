@@ -17,9 +17,9 @@ exactly, not merely to rounding.
 
 The builders work on whole arrays of configurations: each one shifts the
 configuration keys of every state it acts on and ranks the results with
-`BasisTable.rank`. `block_isometries` tabulates the image of every state
+`BasisTable.rank`. `dihedral_images` tabulates the image of every state
 under each element of the dihedral group that the translation and the
-mirror j -> L-1-j (`build_reflection`) generate, and sums each real
+mirror j -> L-1-j generate, and `block_isometries` sums each real
 block's characters over that table into the isometry P onto the block
 (`Block`: momentum and mirror parity; character-weighted orbit sums as
 in Sandvik, AIP Conf. Proc. 1297, 135 (2010), sec. 4). `block_sectors`
@@ -30,7 +30,6 @@ builds `HamiltonianTemplates` on every block (operators P^T B P), and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -146,23 +145,30 @@ def build_correlator(table: BasisTable, i: int, j: int) -> sp.csr_matrix:
 
 def build_translation(table: BasisTable) -> sp.csr_matrix:
     """Permutation matrix T shifting every configuration by one site."""
-    return _site_permutation(table, np.roll(table.photons, 1, axis=1),
-                             np.roll(table.qubits, 1, axis=1))
-
-
-def build_reflection(table: BasisTable) -> sp.csr_matrix:
-    """Permutation matrix R mirroring every configuration, site j -> L-1-j."""
-    return _site_permutation(table, table.photons[:, ::-1], table.qubits[:, ::-1])
-
-
-def _site_permutation(table, photons, qubits) -> sp.csr_matrix:
-    """Permutation matrix taking each state to the configuration in its
-    row of `photons` / `qubits`."""
-    rows = table.rank(table.key_of(photons, qubits))
+    rows = table.rank(table.key_of(np.roll(table.photons, 1, axis=1),
+                                   np.roll(table.qubits, 1, axis=1)))
     return sp.csr_matrix(
         (np.ones(table.dim), (rows, np.arange(table.dim))),
         shape=(table.dim, table.dim),
     )
+
+
+def dihedral_images(table: BasisTable) -> np.ndarray:
+    """(2L, dim) int32 table of every state's images under the dihedral
+    group: row m holds T^m x and row L + m holds R T^m x for each state x,
+    where T moves every site's content one site down, j + 1 -> j (the
+    inverse of `build_translation`), and R mirrors j -> L-1-j."""
+    L = table.shape.sites
+    shift = table.rank(table.key_of(np.roll(table.photons, -1, axis=1),
+                                    np.roll(table.qubits, -1, axis=1)))
+    mirror = table.rank(table.key_of(table.photons[:, ::-1], table.qubits[:, ::-1]))
+    shift, mirror = shift.astype(np.int32), mirror.astype(np.int32)
+    images = np.empty((2 * L, table.dim), dtype=np.int32)
+    images[0] = np.arange(table.dim)
+    for m in range(1, L):
+        images[m] = shift[images[m - 1]]
+    images[L:] = mirror[images[:L]]
+    return images
 
 
 class Block(NamedTuple):
@@ -192,53 +198,45 @@ def dihedral_blocks(sites: int) -> list[Block]:
 
 
 def symmetric_isometry(translation) -> sp.csr_matrix:
-    """Isometry P (dim x d) onto the k = 0 states of `translation`: P P^T
-    is the group average (1/L) sum_m T^m, the `Block()` of
-    `block_isometries` without a reflection."""
-    return block_isometries(translation, None, [Block()])[0]
+    """Isometry P (dim x d) onto the k = 0 states of the permutation matrix
+    `translation`: P P^T is the average over its powers. An orbit is
+    labelled by its smallest index, spread along the permutation until it
+    settles; column c is the normalised sum over the c-th orbit by label."""
+    m = sp.csr_matrix(translation, copy=True)
+    m.sum_duplicates()
+    dim = m.shape[0]
+    if (m.shape != (dim, dim) or m.nnz != dim or np.any(m.data != 1)
+            or not np.array_equal(np.sort(m.indices), np.arange(dim))):
+        raise ValueError("translation matrix is not a permutation")
+    label = np.arange(dim)
+    while not np.array_equal(label, spread := np.minimum(label, label[m.indices])):
+        label = spread
+    _, column, size = np.unique(label, return_inverse=True, return_counts=True)
+    return sp.csr_matrix((1.0 / np.sqrt(size[column]), column, np.arange(dim + 1)),
+                         shape=(dim, len(size)))
 
 
-def block_isometries(translation, reflection, blocks) -> list[sp.csr_matrix]:
+def block_isometries(table: BasisTable, blocks) -> list[sp.csr_matrix]:
     """Isometry P (dim x d) onto each block's states, columns by orbit.
 
-    One table holds the group's images of every state x: row m is T^m x
-    for m below L, the order of T, and with a `reflection` R row L + m is
-    R T^m x. (L is raised to a multiple of each block's `sites`, which
-    matters only for the vacuum, whose T is the identity.) An orbit is
-    labelled by its smallest index, the minimum of its states' columns.
-    The orbit of label a gives the column (1 + p R) sum_m cos(k m) T^m a,
-    and for a two-dimensional irrep also (1 + R) sum_m sin(k m) T^m a,
-    unless R a lies in the translation orbit of a, where the two are
-    parallel. Each column counts the table's entries in the labels'
-    columns, weighted by one character per row and divided by the number
-    of rows that reach each state; it vanishes unless k times the period
-    of a is a multiple of 2 pi. Columns are normalised; a one-dimensional
-    block's entries are +-1 / sqrt(orbit size). P^T B P restricts any B
-    that commutes with the group. Without a `reflection` the group is the
-    translations and only `Block()`, the k = 0 sector, is defined.
+    The images come from `dihedral_images`: row m is T^m x and row L + m
+    is R T^m x. An orbit is labelled by its smallest index, the minimum of
+    its states' columns. The orbit of label a gives the column
+    (1 + p R) sum_m cos(k m) T^m a, and for a two-dimensional irrep also
+    (1 + R) sum_m sin(k m) T^m a, unless R a lies in the translation orbit
+    of a, where the two are parallel. Each column counts the table's
+    entries in the labels' columns, weighted by one character per row and
+    divided by the number of rows that reach each state; it vanishes
+    unless k times the period of a is a multiple of 2 pi. Columns are
+    normalised; a one-dimensional block's entries are +-1 / sqrt(orbit
+    size). P^T B P restricts any B that commutes with the group.
     """
-    perm = _permutation(translation, "translation")
-    dim = len(perm)
-    ident = np.arange(dim, dtype=perm.dtype)
-    powers = [ident]
-    while not np.array_equal(image := perm[powers[-1]], ident):
-        powers.append(image)
-    sites = math.lcm(len(powers), *(block.sites for block in blocks))
-    images = np.tile(powers, (sites // len(powers), 1))
-    rep = images.min(axis=0)  # translation orbits
-    label, mirror = rep, None
-    if reflection is not None:
-        mirror = _permutation(reflection, "reflection")
-        if len(mirror) != dim:
-            raise ValueError("translation and reflection sizes differ")
-        images = np.vstack([images, mirror[images]])
-        label = images.min(axis=0)
-        if not (np.array_equal(label[perm], label)
-                and np.array_equal(label[mirror], label)):
-            raise ValueError("reflection does not map translation orbits "
-                             "onto translation orbits")
-    reps = np.flatnonzero(label == ident)
-    self_mirror = None if mirror is None else rep[mirror[reps]] == reps
+    images = dihedral_images(table)
+    dim, sites = table.dim, table.shape.sites
+    rep = images[:sites].min(axis=0)  # translation orbits
+    label = images.min(axis=0)
+    reps = np.flatnonzero(label == images[0])
+    self_mirror = rep[images[sites, reps]] == reps
     reached = images[:, reps].ravel()
     count = np.bincount(reached, minlength=dim)  # rows reaching each state
     column = np.empty(dim, dtype=np.intp)
@@ -247,13 +245,11 @@ def block_isometries(translation, reflection, blocks) -> list[sp.csr_matrix]:
 
     def columns(block):
         q, L, width = block.q, block.sites, block.multiplicity
-        if mirror is None and (width == 2 or block.parity != 1 or q):
-            raise ValueError("without a reflection only Block() is defined")
         angle = 2 * np.pi * ((q * np.arange(sites)) % L) / L
         coef = np.empty((dim, width))
         for k, (c, p) in enumerate([(np.cos(angle), block.parity),
                                     (np.sin(angle), 1)][:width]):
-            chi = c if mirror is None else np.concatenate([c, p * c])
+            chi = np.concatenate([c, p * c])
             coef[:, k] = np.bincount(reached, np.repeat(chi, len(reps)), dim) / count
         coef[np.abs(coef) < CANCELLED] = 0.0
         col = width * column[:, None] + np.arange(width)
@@ -271,17 +267,6 @@ def block_isometries(translation, reflection, blocks) -> list[sp.csr_matrix]:
         )
 
     return [columns(block) for block in blocks]
-
-
-def _permutation(matrix, name) -> np.ndarray:
-    """Row i's column index of a permutation matrix, i.e. the permutation."""
-    m = sp.csr_matrix(matrix, copy=True)
-    m.sum_duplicates()
-    dim = m.shape[0]
-    if (m.shape != (dim, dim) or m.nnz != dim or np.any(m.data != 1)
-            or not np.array_equal(np.sort(m.indices), np.arange(dim))):
-        raise ValueError(f"{name} matrix is not a permutation")
-    return m.indices
 
 
 def _restricted(block, isometry) -> sp.csr_matrix:
@@ -411,8 +396,7 @@ def block_sectors(table: BasisTable, blocks=None) -> list[HamiltonianTemplates]:
     every real block of the dihedral group (`dihedral_blocks`)."""
     if blocks is None:
         blocks = dihedral_blocks(table.shape.sites)
-    isometries = block_isometries(build_translation(table),
-                                  build_reflection(table), blocks)
+    isometries = block_isometries(table, blocks)
     parts = structural_parts(table)
     return [HamiltonianTemplates(table, p, block, parts)
             for block, p in zip(blocks, isometries) if p.shape[1]]

@@ -107,10 +107,11 @@ def initial_state(cfg: RunConfig, table) -> np.ndarray:
     if bad.size:
         raise ConfigError(f"init_file {cfg.init_file} has a non-finite "
                           f"amplitude at index {bad[0]}: {psi[bad[0]]}")
-    nrm = np.linalg.norm(psi)
-    if not nrm > 0:
+    largest = np.abs(psi).max()  # scales the norm clear of over- and underflow
+    if not largest > 0:
         raise ConfigError("init_file state has zero norm")
-    return psi / nrm
+    psi = psi / largest
+    return psi / np.linalg.norm(psi)
 
 
 class Journal(NamedTuple):

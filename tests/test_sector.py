@@ -32,9 +32,9 @@ from jclattice.operators import (
     build_correlator,
     build_coupling,
     build_hopping,
-    build_reflection,
     build_translation,
     dihedral_blocks,
+    dihedral_images,
     symmetric_isometry,
     symmetric_sector,
 )
@@ -198,7 +198,10 @@ def test_rank_built_operators_equal_loop_built(L, N):
     assert_same(build_coupling(table), as_csr(loop_coupling(table), dim))
     assert_same(build_hopping(table), as_csr(loop_hopping(table), dim))
     assert_same(build_translation(table), as_csr(loop_translation(table), dim))
-    assert_same(build_reflection(table), as_csr(loop_reflection(table), dim))
+    # row 1 undoes the one-site shift, row L is the mirror
+    images = dihedral_images(table)
+    assert np.array_equal(images[1][loop_translation(table)[0]], np.arange(dim))
+    assert np.array_equal(images[L], loop_reflection(table)[0])
     for i, j in [(1, L), (L, 1), (1, 1 + L // 2)]:
         if i != j:
             assert_same(build_correlator(table, i, j),
@@ -262,8 +265,8 @@ def test_isometry_refuses_a_non_permutation():
 @pytest.mark.parametrize("shape", SHAPES[:4], ids=str)
 def test_dihedral_isometry_spans_the_group_average(shape):
     table = enumerate_basis(shape)
-    t, r = build_translation(table), build_reflection(table)
-    p, = block_isometries(t, r, [Block()])
+    t, r = build_translation(table), as_csr(loop_reflection(table), table.dim)
+    p, = block_isometries(table, [Block()])
     assert np.allclose((p.T @ p).toarray(), np.eye(p.shape[1]), atol=1e-15)
     average = sp.csr_matrix((table.dim, table.dim))
     power = sp.identity(table.dim, format="csr")
@@ -274,18 +277,10 @@ def test_dihedral_isometry_spans_the_group_average(shape):
     assert np.allclose((p @ p.T).toarray(), average, atol=1e-15)
 
 
-def test_isometry_refuses_a_reflection_that_mixes_orbits():
-    table = enumerate_basis(LatticeShape(3, 3))
-    perm = np.random.default_rng(3).permutation(table.dim)
-    shuffle = sp.csr_matrix((np.ones(table.dim), (perm, np.arange(table.dim))))
-    with pytest.raises(ValueError, match="translation orbits"):
-        block_isometries(build_translation(table), shuffle, [Block()])
-
-
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_blocks_commute_with_the_mirror_exactly(shape):
     table, full, _ = pair(shape)
-    r = build_reflection(table)
+    r = as_csr(loop_reflection(table), table.dim)
     for block in (full.coupling, full.hopping, sp.diags(full.number_diag)):
         block = sp.csr_matrix(block)
         assert_same((r @ block).tocsr(), (block @ r).tocsr())
@@ -294,8 +289,7 @@ def test_blocks_commute_with_the_mirror_exactly(shape):
 def test_symmetric_sector_dimensions():
     assert pair(LatticeShape(6, 6))[2].dim == 500
     table = enumerate_basis(LatticeShape(7, 7))
-    p, = block_isometries(build_translation(table), build_reflection(table),
-                          [Block()])
+    p, = block_isometries(table, [Block()])
     assert p.shape == (28814, 2122)
 
 
@@ -363,7 +357,9 @@ def test_merged_block_spectra_equal_the_full_spectrum(shape):
     assert np.abs(merged - reference).max() <= 1e-10
 
 
-@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("shape", [LatticeShape(1, 0), LatticeShape(1, 2),
+                                   LatticeShape(2, 0), LatticeShape(3, 0)]
+                         + SHAPES, ids=str)
 def test_block_dimensions_follow_the_character_formula(shape):
     # a one-dimensional irrep's block has (1/2L) sum_g chi(g) fix(g) states,
     # over g = T^m and R T^m; a two-dimensional irrep's cosine row has
@@ -374,8 +370,7 @@ def test_block_dimensions_follow_the_character_formula(shape):
     fix_rt = [sum(tuple(reversed(translate_config(c, m))) == c for c in states)
               for m in range(L)]
     blocks = dihedral_blocks(L)
-    isometries = block_isometries(build_translation(table),
-                                  build_reflection(table), blocks)
+    isometries = block_isometries(table, blocks)
     for block, p in zip(blocks, isometries):
         cos = [math.cos(2 * math.pi * block.q * m / L) for m in range(L)]
         if block.multiplicity == 1:
@@ -466,7 +461,8 @@ def test_sector_ground_energies_and_gaps_match_full_space(shape):
         e0, e1, _ = symmetric_pair(h_sector)
         ref = deflation_oracle(h_full, full.translation, shape.sites,
                                dense=table.dim <= 1100,
-                               reflection=build_reflection(table))
+                               reflection=as_csr(loop_reflection(table),
+                                                 table.dim))
         assert e0 == pytest.approx(ref[0], abs=1e-10)
         assert e1 - e0 == pytest.approx(ref[1] - ref[0], abs=1e-10)
         # the full-space entry point projects onto k = 0, whose two lowest
@@ -638,8 +634,7 @@ def test_init_file_of_k0_amplitudes_is_refused(tmp_path, capsys):
     # an init_file holds amplitudes on the full basis only
     table = enumerate_basis(LatticeShape(3, 3))
     k0 = symmetric_isometry(build_translation(table))
-    sector, = block_isometries(build_translation(table), build_reflection(table),
-                               [Block()])
+    sector, = block_isometries(table, [Block()])
     assert (table.dim, k0.shape[1], sector.shape[1]) == (38, 14, 10)
     for name, p in (("k0", k0), ("sector", sector)):
         np.save(tmp_path / f"{name}.npy", p.T @ mi_ground_state(table, 0.0, 1.0))

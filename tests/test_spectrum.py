@@ -12,8 +12,6 @@ from jclattice.operators import (
     LatticeParams,
     block_isometries,
     block_sectors,
-    build_reflection,
-    build_translation,
     symmetric_isometry,
     symmetric_sector,
 )
@@ -175,7 +173,6 @@ def test_block_levels_are_the_full_spectrum_labelled_by_block(shape):
     table = enumerate_basis(shape)
     full = HamiltonianTemplates(table)
     blocks = block_sectors(table)
-    t, r = build_translation(table), build_reflection(table)
     for g, J, delta in [(1.0, 0.2, 0.0), (0.7, 0.35, 0.6), (0.8, -0.25, -0.4)]:
         levels = block_levels(blocks, LatticeParams(g, J, delta), 8,
                               [None] * len(blocks))
@@ -187,7 +184,7 @@ def test_block_levels_are_the_full_spectrum_labelled_by_block(shape):
             # in its block: the cosine row holds one vector of a doublet
             near = np.flatnonzero(np.abs(w - w[i]) < 1e-6)
             if len(near) == block.multiplicity and near[0] == i:
-                p, = block_isometries(t, r, [block])
+                p, = block_isometries(table, [block])
                 pv = p.T @ v[:, near]
                 assert np.sum(pv * pv) >= 1 - 1e-8
 

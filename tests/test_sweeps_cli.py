@@ -178,10 +178,14 @@ def test_run_ramp_stationary_target(tmp_path):
     sector = prepare_context(small_cfg()).templates  # for the state file
     gs = ground_state(sector.assemble_copy(1.0, 0.4, 0.0))
     state_path = tmp_path / "init.npy"
-    np.save(state_path, (sector.isometry @ gs.vector).astype(complex))
-    cfg.init_file = str(state_path)
-    summary = run_ramp(cfg)
-    assert summary.fidelity_raw > 1 - 1e-8
+    fidelities = []
+    # amplitudes whose plain norm would overflow or underflow
+    for scale in (1.0, 1e200, 1e-200):
+        np.save(state_path, scale * (sector.isometry @ gs.vector).astype(complex))
+        cfg.init_file = str(state_path)
+        fidelities.append(run_ramp(cfg).fidelity_raw)
+    assert fidelities[0] > 1 - 1e-8
+    assert np.abs(np.array(fidelities[1:]) - fidelities[0]).max() <= 1e-14
 
 
 def test_nan_sector_weight_is_refused(monkeypatch):
