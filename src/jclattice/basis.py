@@ -7,22 +7,30 @@ conserves this number, so the sector is closed under all operators built
 on top of it. For N = L = 6 the sector holds 5336 states instead of the
 (2N+1)^L = 4826809 states of the truncated product space.
 
-The table stores configurations as integer arrays (photons, qubits) and
-ranks them by a mixed-radix int64 key, so operator builders map whole
-arrays of configurations to ordinals with one binary search instead of
-a per-state dictionary lookup.
+The table stores configurations as sorted mixed-radix int64 keys, built
+site by site, and ranks them by binary search, so operator builders map
+whole arrays of configurations to ordinals without a per-state lookup.
+The (dim, L) photon and qubit arrays are derived from the keys only when
+first read (by the full-space builders or the text export); the symmetry
+blocks (`operators.DihedralOrbits`) and the runs work on the keys alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-# Default safety cap: admits L = N = 8 (157,184 states), refuses L = N = 9
-# (864,146). Why this bound and not another is unverified.
+# Largest operator a run builds, a symmetry block or the full basis: admits
+# the L = N = 9 symmetric sector (48,334 states), refuses the full L = N = 9
+# basis (864,146) and the L = N = 10 sector (about 240,000).
 DEFAULT_DIM_CAP = 200_000
+# Enumeration peaks at 58-65 bytes per key (L = N = 7-10): 512 MiB admits
+# L = N = 10 (4,780,008 keys) and refuses L = N = 11 (26,572,086).
+ENUMERATION_BYTE_CAP = 1 << 29
+ENUMERATION_BYTES_PER_KEY = 64
 
 
 class SectorError(ValueError):
@@ -31,6 +39,24 @@ class SectorError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """Requested enumeration exceeds the configured size cap."""
+
+
+def require_dim(dim: int, what: str) -> None:
+    """ResourceLimitError when an operator on `dim` states exceeds
+    DEFAULT_DIM_CAP (read at call time, so tests can lower it)."""
+    if dim > DEFAULT_DIM_CAP:
+        raise ResourceLimitError(f"{what} has {dim} states, above the cap "
+                                 f"{DEFAULT_DIM_CAP}")
+
+
+def rank_keys(sorted_keys: np.ndarray, keys) -> np.ndarray:
+    """Positions of `keys` in the ascending array `sorted_keys`; SectorError
+    if any is missing."""
+    idx = np.searchsorted(sorted_keys, keys)
+    found = sorted_keys[np.minimum(idx, len(sorted_keys) - 1)] == keys
+    if not np.all(found):
+        raise SectorError("configuration key outside the table")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -75,23 +101,32 @@ class BasisTable:
     This puts (1, down) before (0, up) in the one-excitation doublet and
     is byte-stable across runs.
 
-    Immutable after construction; safe for concurrent reads.
+    `photons` and `qubits`, the (dim, L) per-site arrays, are derived from
+    the keys when first read, then kept. Every array is read-only.
     """
 
-    def __init__(self, shape: LatticeShape, photons: np.ndarray, qubits: np.ndarray):
+    def __init__(self, shape: LatticeShape, keys: np.ndarray):
         L, N = shape.sites, shape.excitations
         self.shape = shape
-        self._weights = (2 * N + 2) ** np.arange(L - 1, -1, -1, dtype=np.int64)
-        # Read-only arrays used by the operator builders.
-        self.photons = photons
-        self.qubits = qubits
-        self.keys = self.key_of(photons, qubits)
-        for arr in (self._weights, self.keys, self.photons, self.qubits):
+        self.radix = 2 * N + 2
+        self._weights = self.radix ** np.arange(L - 1, -1, -1, dtype=np.int64)
+        self.keys = keys
+        for arr in (self._weights, self.keys):
             arr.flags.writeable = False
 
     @property
     def dim(self) -> int:
         return len(self.keys)
+
+    @cached_property
+    def _configurations(self):
+        qubits, photons = np.divmod(self.keys[:, None] // self._weights % self.radix,
+                                    self.shape.excitations + 1)
+        photons.flags.writeable = qubits.flags.writeable = False
+        return photons, qubits
+
+    photons = property(lambda self: self._configurations[0])
+    qubits = property(lambda self: self._configurations[1])
 
     def key_of(self, photons, qubits) -> np.ndarray:
         """Keys of configurations given as (..., L) photon and qubit arrays."""
@@ -101,13 +136,13 @@ class BasisTable:
         """Key change from adding `photons` and `qubits` on `sites`."""
         return (qubits * (self.shape.excitations + 1) + photons) * self._weights[sites]
 
+    def digit(self, keys, site: int) -> np.ndarray:
+        """Digit s (N+1) + n of `site` in each of `keys`."""
+        return keys // self._weights[site] % self.radix
+
     def rank(self, keys) -> np.ndarray:
         """Ordinals of the configurations with the given keys."""
-        idx = np.searchsorted(self.keys, keys)
-        found = self.keys[np.minimum(idx, self.dim - 1)] == keys
-        if not np.all(found):
-            raise SectorError("configuration key outside the table")
-        return idx
+        return rank_keys(self.keys, keys)
 
     def __repr__(self):
         return (
@@ -119,15 +154,15 @@ class BasisTable:
 def enumerate_basis(shape: LatticeShape) -> BasisTable:
     """Enumerate every configuration with exactly N total excitations.
 
-    Raises ResourceLimitError when the predicted dimension exceeds
-    DEFAULT_DIM_CAP (dense `eigh` only runs below spectrum.DENSE_CUTOFF) or
-    when the configuration keys would overflow int64.
+    Builds the sorted keys site by site, appending one digit to every
+    prefix that still fits. Raises ResourceLimitError when that would take
+    more than ENUMERATION_BYTE_CAP bytes or the keys would overflow int64.
     """
     predicted = sector_dimension(shape)
-    if predicted > DEFAULT_DIM_CAP:
-        raise ResourceLimitError(
-            f"sector dimension {predicted} exceeds cap {DEFAULT_DIM_CAP}"
-        )
+    if predicted * ENUMERATION_BYTES_PER_KEY > ENUMERATION_BYTE_CAP:
+        raise ResourceLimitError(f"enumerating {predicted} configurations needs about "
+                                 f"{predicted * ENUMERATION_BYTES_PER_KEY} bytes, above "
+                                 f"the cap {ENUMERATION_BYTE_CAP}")
     L, N = shape.sites, shape.excitations
     if (2 * N + 2) ** L > np.iinfo(np.int64).max:
         raise ResourceLimitError(
@@ -135,20 +170,20 @@ def enumerate_basis(shape: LatticeShape) -> BasisTable:
         )
     digit = np.arange(2 * N + 2)
     cost = digit // (N + 1) + digit % (N + 1)  # excitations of each digit
-    digits = np.zeros((1, 0), dtype=np.int64)
+    keys = np.zeros(1, dtype=np.int64)
     remaining = np.array([N])
     for site in range(L):
         # row-major nonzero keeps prefixes in order and digits ascending
         fits = cost <= remaining[:, None] if site < L - 1 \
             else cost == remaining[:, None]
         row, d = np.nonzero(fits)
-        digits = np.column_stack([digits[row], d])
+        keys = keys[row] * (2 * N + 2) + d
         remaining = remaining[row] - cost[d]
-    if len(digits) != predicted:
+    if len(keys) != predicted:
         raise AssertionError(
-            f"enumeration produced {len(digits)} states, expected {predicted}"
+            f"enumeration produced {len(keys)} states, expected {predicted}"
         )
-    return BasisTable(shape, digits % (N + 1), digits // (N + 1))
+    return BasisTable(shape, keys)
 
 
 def write_basis_text(table: BasisTable, path) -> None:

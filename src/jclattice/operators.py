@@ -11,36 +11,34 @@ with Delta = omega_c - omega_z. This reproduces the single-site doublet
 energies E(n, +/-) = (n - 1/2) * Delta +/- chi(n) / 2 measured from the
 empty-site level.
 
-All Hermitian builders insert mirrored (row, col) / (col, row) entries
-with identical values, so the assembled matrices equal their transpose
-exactly, not merely to rounding.
+The runs work in the real blocks (`Block`: momentum and mirror parity)
+of the dihedral group that the translation and the mirror j -> L-1-j
+generate. `DihedralOrbits` builds each block from one representative
+per orbit of the configuration keys, so no run builds a full-space
+operator. `block_sectors` builds `HamiltonianTemplates` on every block,
+and `symmetric_sector` on the (0, +) one, k = 0 and mirror-even: 500 of
+the 5336 states at six sites.
 
-The builders work on whole arrays of configurations: each one shifts the
-configuration keys of every state it acts on and ranks the results with
-`BasisTable.rank`. `dihedral_images` tabulates the image of every state
-under each element of the dihedral group that the translation and the
-mirror j -> L-1-j generate, and `block_isometries` sums each real
-block's characters over that table into the isometry P onto the block
-(`Block`: momentum and mirror parity; character-weighted orbit sums as
-in Sandvik, AIP Conf. Proc. 1297, 135 (2010), sec. 4). `block_sectors`
-builds `HamiltonianTemplates` on every block (operators P^T B P), and
-`symmetric_sector` on the (0, +) one, k = 0 and mirror-even: 500 of the
-5336 states at six sites.
+Every builder shifts the configuration keys of the states it acts on.
+The full-space ones rank the results with `BasisTable.rank`, and their
+matrices equal their transpose exactly; block matrices are symmetrised.
+Both refuse an operator above `basis.DEFAULT_DIM_CAP` states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
-from .basis import BasisTable
+from .basis import BasisTable, rank_keys, require_dim
 
 DISSIPATION_CONVENTIONS = ("literal-sigma-z", "number-conserving")
-CANCELLED = 1e-9  # an isometry entry below this is a cancelled orbit sum
+CANCELLED = 1e-9  # a column's Z^2 below this is a cancelled orbit sum
 
 
 @dataclass(frozen=True)
@@ -79,6 +77,7 @@ def qubit_up_diagonal(table: BasisTable) -> np.ndarray:
 
 def build_coupling(table: BasisTable) -> sp.csr_matrix:
     """sum_j (a_j^dag sig_j^- + sig_j^+ a_j) = dH/dg."""
+    require_dim(table.dim, "the full basis")
     states, sites = np.nonzero(table.qubits)
     n = table.photons[states, sites]
     flipped = table.rank(
@@ -95,6 +94,7 @@ def build_hopping(table: BasisTable) -> sp.csr_matrix:
     for L = 2 the sum over j = 1, 2 hits the single bond twice, giving
     matrix elements of 2 between one-photon-exchange configurations.
     """
+    require_dim(table.dim, "the full basis")
     L = table.shape.sites
     if L == 1:
         return sp.csr_matrix((table.dim, table.dim))
@@ -129,6 +129,7 @@ def _mirrored(rows, cols, vals, dim) -> sp.csr_matrix:
 def build_correlator(table: BasisTable, i: int, j: int) -> sp.csr_matrix:
     """a_i^dag a_j for 1-based sites i, j (sector-closed since i != j moves
     one photon and i == j is the site photon number)."""
+    require_dim(table.dim, "the full basis")
     L = table.shape.sites
     if not (1 <= i <= L and 1 <= j <= L):
         raise ValueError(f"sites must be in 1..{L}, got ({i}, {j})")
@@ -145,30 +146,13 @@ def build_correlator(table: BasisTable, i: int, j: int) -> sp.csr_matrix:
 
 def build_translation(table: BasisTable) -> sp.csr_matrix:
     """Permutation matrix T shifting every configuration by one site."""
+    require_dim(table.dim, "the full basis")
     rows = table.rank(table.key_of(np.roll(table.photons, 1, axis=1),
                                    np.roll(table.qubits, 1, axis=1)))
     return sp.csr_matrix(
         (np.ones(table.dim), (rows, np.arange(table.dim))),
         shape=(table.dim, table.dim),
     )
-
-
-def dihedral_images(table: BasisTable) -> np.ndarray:
-    """(2L, dim) int32 table of every state's images under the dihedral
-    group: row m holds T^m x and row L + m holds R T^m x for each state x,
-    where T moves every site's content one site down, j + 1 -> j (the
-    inverse of `build_translation`), and R mirrors j -> L-1-j."""
-    L = table.shape.sites
-    shift = table.rank(table.key_of(np.roll(table.photons, -1, axis=1),
-                                    np.roll(table.qubits, -1, axis=1)))
-    mirror = table.rank(table.key_of(table.photons[:, ::-1], table.qubits[:, ::-1]))
-    shift, mirror = shift.astype(np.int32), mirror.astype(np.int32)
-    images = np.empty((2 * L, table.dim), dtype=np.int32)
-    images[0] = np.arange(table.dim)
-    for m in range(1, L):
-        images[m] = shift[images[m - 1]]
-    images[L:] = mirror[images[:L]]
-    return images
 
 
 class Block(NamedTuple):
@@ -216,65 +200,174 @@ def symmetric_isometry(translation) -> sp.csr_matrix:
                          shape=(dim, len(size)))
 
 
-def block_isometries(table: BasisTable, blocks) -> list[sp.csr_matrix]:
-    """Isometry P (dim x d) onto each block's states, columns by orbit.
+class DihedralOrbits:
+    """The dihedral group on a table's keys, and blocks built from one
+    representative per orbit (Sandvik, AIP Conf. Proc. 1297, 135 (2010),
+    sec. 4; Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).
 
-    The images come from `dihedral_images`: row m is T^m x and row L + m
-    is R T^m x. An orbit is labelled by its smallest index, the minimum of
-    its states' columns. The orbit of label a gives the column
-    (1 + p R) sum_m cos(k m) T^m a, and for a two-dimensional irrep also
-    (1 + R) sum_m sin(k m) T^m a, unless R a lies in the translation orbit
-    of a, where the two are parallel. Each column counts the table's
-    entries in the labels' columns, weighted by one character per row and
-    divided by the number of rows that reach each state; it vanishes
-    unless k times the period of a is a multiple of 2 pi. Columns are
-    normalised; a one-dimensional block's entries are +-1 / sqrt(orbit
-    size). P^T B P restricts any B that commutes with the group.
+    Element e = m is T^m and e = L + m is R T^m: T moves each site's content
+    one site down (j + 1 -> j), rotating the key's digits, and R mirrors
+    j -> L-1-j, reversing them; (e o u) x = e (u x). A key's canonical key
+    is the smallest of its 2L images, a representative is its own, and its
+    stabiliser is the set of images equal to it. A block's column for
+    representative a and row t is sum_e chi_t(e) |e a> / Z_a,t, where
+    Z_a,t^2 = sum over Stab(a) of K_tt and K_t't(u) = sum_e chi_t'(e o u)
+    chi_t(e). For a B that commutes with the group, the element between the
+    columns (b, t') and (a, t) is sum_y B_ya sum_{u: u y = b} K_t't(u^-1)
+    / (Z_b,t' Z_a,t), over B's targets y from a, with b their canonical key.
     """
-    images = dihedral_images(table)
-    dim, sites = table.dim, table.shape.sites
-    rep = images[:sites].min(axis=0)  # translation orbits
-    label = images.min(axis=0)
-    reps = np.flatnonzero(label == images[0])
-    self_mirror = rep[images[sites, reps]] == reps
-    reached = images[:, reps].ravel()
-    count = np.bincount(reached, minlength=dim)  # rows reaching each state
-    column = np.empty(dim, dtype=np.intp)
-    column[reps] = np.arange(len(reps))
-    column = column[label]  # each state's orbit
 
-    def columns(block):
-        q, L, width = block.q, block.sites, block.multiplicity
-        angle = 2 * np.pi * ((q * np.arange(sites)) % L) / L
-        coef = np.empty((dim, width))
-        for k, (c, p) in enumerate([(np.cos(angle), block.parity),
-                                    (np.sin(angle), 1)][:width]):
-            chi = np.concatenate([c, p * c])
-            coef[:, k] = np.bincount(reached, np.repeat(chi, len(reps)), dim) / count
-        coef[np.abs(coef) < CANCELLED] = 0.0
-        col = width * column[:, None] + np.arange(width)
-        norm2 = np.bincount(col.ravel(), (coef * coef).ravel(), width * len(reps))
-        nonzero = norm2 > 0
-        if width == 2:  # where R a is a translate of a, one column
-            nonzero[1::2] &= ~(self_mirror & nonzero[0::2])
-        kept = (coef != 0) & nonzero[col]
-        col = col[kept]
-        return sp.csr_matrix(
-            (coef[kept] / np.sqrt(norm2[col]),
-             (np.cumsum(nonzero) - 1)[col],
-             np.concatenate(([0], np.cumsum(kept.sum(axis=1))))),
-            shape=(dim, int(nonzero.sum())),
-        )
+    def __init__(self, table: BasisTable):
+        self.table = table
+        L = self.sites = table.shape.sites
+        r, m = np.divmod(np.arange(2 * L), L)
+        # R^r T^m o R^s T^n = R^(r + s) T^((-1)^s m + n)
+        self.compose = (r[:, None] ^ r) * L + ((1 - 2 * r) * m[:, None] + m) % L
+        self.inverse = np.argmax(self.compose == 0, axis=1)
+        self.canonical = self._canonical(table.keys)[0]
+        self.reps = table.keys[self.canonical == table.keys]
+        self.stabiliser = np.empty((len(self.reps), 2 * L), dtype=bool)
+        for e, image in self.images(self.reps):
+            self.stabiliser[:, e] = image == self.reps
+        self.orbit_size = 2 * L // np.count_nonzero(self.stabiliser, axis=1)
 
-    return [columns(block) for block in blocks]
+    def images(self, keys):
+        """(e, e x) for each element e, over the keys x."""
+        L, radix = self.sites, self.table.radix
+        top = radix ** (L - 1)
+        mirrored = sum(self.table.digit(keys, j) * radix ** j for j in range(L))
+        for flip, image in ((0, keys), (1, mirrored)):
+            for m in range(L):  # T^m R = R T^-m
+                yield (L + (-m) % L if flip else m), image
+                high, image = np.divmod(image, top)
+                image *= radix
+                image += high
 
+    def _canonical(self, keys):
+        """Canonical keys of `keys`, and for each an element that reaches it."""
+        canon, first = keys.copy(), np.zeros(len(keys), dtype=np.intp)
+        less = np.empty(len(keys), dtype=bool)
+        for e, image in self.images(keys):
+            np.less(image, canon, out=less)
+            np.copyto(canon, image, where=less)
+            np.copyto(first, e, where=less)
+        return canon, first
 
-def _restricted(block, isometry) -> sp.csr_matrix:
-    """P^T B P of a symmetric block, symmetrised to the last bit."""
-    m = (isometry.T @ block @ isometry).tocsr()
-    m = ((m + m.T) * 0.5).tocsr()
-    m.sort_indices()
-    return m
+    def _located(self, moves):
+        """(source, target representative, an element to it, amplitude) of
+        each (source, target key, amplitude) move from a representative."""
+        source, targets, amplitude = map(np.concatenate, zip(*moves))
+        canon, first = self._canonical(targets)
+        return source, rank_keys(self.reps, canon), first, amplitude
+
+    def _photon_moves(self, pairs, scale=1.0):
+        """a_dst^dag a_src on the representatives, for each (dst, src) pair."""
+        table, keys, n1 = self.table, self.reps, self.table.shape.excitations + 1
+        moves = [(np.zeros(0, np.intp), keys[:0], np.zeros(0))]
+        for dst, src in pairs:
+            n_src = table.digit(keys, src) % n1
+            idx = np.flatnonzero(n_src)
+            if dst == src:
+                moves.append((idx, keys[idx], scale * n_src[idx]))
+                continue
+            n_dst = table.digit(keys[idx], dst) % n1
+            moves.append((idx, keys[idx] + table.key_shift(dst, 1) - table.key_shift(src, 1),
+                          scale * (np.sqrt(n_src[idx]) * np.sqrt(n_dst + 1))))
+        return self._located(moves)
+
+    @cached_property
+    def _coupling(self):
+        """sum_j (a_j^dag sig_j^- + sig_j^+ a_j) on the representatives."""
+        table, keys, n1, moves = self.table, self.reps, self.table.shape.excitations + 1, []
+        for j in range(self.sites):
+            digit = table.digit(keys, j)
+            up = np.flatnonzero(digit >= n1)  # a_j^dag sig_j^-
+            moves.append((up, keys[up] + table.key_shift(j, 1, -1), np.sqrt(digit[up] - n1 + 1)))
+            down = np.flatnonzero((digit > 0) & (digit < n1))  # sig_j^+ a_j
+            moves.append((down, keys[down] + table.key_shift(j, -1, 1), np.sqrt(digit[down])))
+        return self._located(moves)
+
+    @cached_property
+    def _hopping(self):
+        L = self.sites
+        bonds = [(j, (j + 1) % L) for j in range(L)] if L > 1 else []
+        return self._photon_moves(bonds + [(b, a) for a, b in bonds])
+
+    def columns(self, block):
+        """(K, index, Z) of `block`: index[a, t] is the column of (a, t), by
+        representative, then by row, or -1. The rows chi are cos(2 pi q m /
+        sites) on T^m, times the parity on R T^m, and a sine row for a
+        two-dimensional irrep. A column with Z^2 at rounding is dropped, as
+        is the sine one where R a is a translate of a and the cosine is kept."""
+        L = self.sites
+        if (block.q * L) % block.sites:
+            raise ValueError(f"{block} does not fit a ring of {L} sites: "
+                             f"q L / sites = {block.q * L}/{block.sites}")
+        angle = 2 * np.pi * ((block.q * np.arange(L)) % block.sites) / block.sites
+        cos, sin = np.cos(angle), np.sin(angle)
+        chi = np.array([np.concatenate([cos, block.parity * cos]),
+                        np.concatenate([sin, sin])][:block.multiplicity])
+        kernel = np.einsum("aeu,be->abu", chi[:, self.compose], chi)
+        z2 = self.stabiliser @ kernel[np.arange(len(chi)), np.arange(len(chi))].T
+        kept = z2 > CANCELLED
+        if len(chi) == 2:
+            kept[:, 1] &= ~(kept[:, 0] & self.stabiliser[:, L:].any(axis=1))
+        index = np.full(kept.shape, -1)
+        index[kept] = np.arange(np.count_nonzero(kept))
+        require_dim(np.count_nonzero(kept), f"block {tuple(block)}")
+        return kernel, index, np.sqrt(np.where(kept, z2, 1.0))
+
+    def restrict(self, columns, located) -> sp.csr_matrix:
+        """The block (`columns`) of an operator that commutes with the
+        group, from its `_located` moves on the representatives, symmetrised
+        to the last bit: (m + m^T) / 2."""
+        source, target, first, amplitude = located
+        kernel, index, norm = columns
+        weight = kernel[:, :, self.inverse[first]]  # s = 1
+        fixed = np.flatnonzero(self.orbit_size[target] < 2 * self.sites)
+        for s in range(1, 2 * self.sites):
+            hit = fixed[self.stabiliser[target[fixed], s]]
+            weight[:, :, hit] += kernel[:, :, self.inverse[self.compose[s, first[hit]]]]
+        weight[np.abs(weight) < CANCELLED] = 0.0  # a cancelled character sum
+        rows = np.broadcast_to(index[target].T[:, None], weight.shape)
+        cols = np.broadcast_to(index[source].T[None, :], weight.shape)
+        vals = amplitude * weight / (norm[target].T[:, None] * norm[source].T[None, :])
+        ok = (rows >= 0) & (cols >= 0)
+        dim = np.count_nonzero(index >= 0)
+        m = sp.csr_matrix((vals[ok], (rows[ok], cols[ok])), shape=(dim, dim))
+        m = ((m + m.T) * 0.5).tocsr()
+        m.sort_indices()
+        return m
+
+    def correlator(self, block, i: int, j: int) -> sp.csr_matrix:
+        """The block of the group average (1/2L) sum_e a_e(i)^dag a_e(j),
+        for 1-based sites i, j. Between group-invariant states, those of
+        the (0, +) block, its matrix elements are those of a_i^dag a_j."""
+        L = self.sites
+        if not (1 <= i <= L and 1 <= j <= L):
+            raise ValueError(f"sites must be in 1..{L}, got ({i}, {j})")
+        pairs = [((i - 1 + m) % L, (j - 1 + m) % L) for m in range(L)]
+        return self.restrict(self.columns(block), self._photon_moves(
+            pairs + [(L - 1 - a, L - 1 - b) for a, b in pairs], 1 / (2 * L)))
+
+    def templates(self, block, columns=None) -> HamiltonianTemplates:
+        """Templates on `block` (whose `columns` may be given). Diagonals
+        take each representative's value; the (0, +) block also carries
+        its isometry onto the full basis, one entry 1 / sqrt(orbit size)
+        per state."""
+        columns = self.columns(block) if columns is None else columns
+        rep = self.reps[np.nonzero(columns[1] >= 0)[0]]  # per column
+        qubits, photons = np.divmod([self.table.digit(rep, j) for j in range(self.sites)],
+                                    self.table.shape.excitations + 1)
+        isometry = None
+        if block.q == 0 and block.parity == 1:
+            column, dim = rank_keys(self.reps, self.canonical), self.table.dim
+            isometry = sp.csr_matrix((1.0 / np.sqrt(self.orbit_size[column]), column,
+                                      np.arange(dim + 1)), shape=(dim, len(self.reps)))
+        parts = (photons.sum(axis=0, dtype=float), qubits.sum(axis=0, dtype=float),
+                 self.restrict(columns, self._coupling),
+                 self.restrict(columns, self._hopping))
+        return HamiltonianTemplates(self.table, parts, block, isometry)
 
 
 class HamiltonianTemplates:
@@ -286,33 +379,24 @@ class HamiltonianTemplates:
     vectors, which makes per-step Hamiltonians and dH/dp expectations
     essentially free.
 
-    With an `isometry` P (see `block_isometries`) the templates act on its
-    column space, the symmetry `block` it names: every operator is P^T B P
-    and `translation` is None (on the full basis it is T). The diagonals
-    are constant on orbits, so they restrict by taking each column's
-    value. `parts`, the `structural_parts` of `table`, saves rebuilding
-    them for each block.
+    Without `parts` they act on the full basis of `table`, with its
+    translation T. Given `parts` (number and qubit-up diagonals, coupling
+    and hopping) they act on the symmetry `block` these are restricted to
+    (`DihedralOrbits.templates`), and `translation` is None; on the (0, +)
+    block `isometry` is P, the map from it onto the full basis.
 
     The shared matrix returned by `assemble` is reused between calls;
     callers that need to keep a Hamiltonian must copy it.
     """
 
-    def __init__(self, table: BasisTable, isometry=None, block=None, parts=None):
-        self.isometry, self.block = isometry, block
+    def __init__(self, table: BasisTable, parts=None, block=None, isometry=None):
+        self.block, self.isometry = block, isometry
         self.sites = table.shape.sites
-        (self.number_diag, self.qubit_up_diag, self.coupling,
-         self.hopping) = parts or structural_parts(table)
-        if isometry is None:
+        self.translation = None
+        if parts is None:
+            parts = structural_parts(table)
             self.translation = build_translation(table)
-        else:
-            row = np.repeat(np.arange(table.dim), np.diff(isometry.indptr))
-            for name in ("number_diag", "qubit_up_diag"):
-                restricted = np.empty(isometry.shape[1])
-                restricted[isometry.indices] = getattr(self, name)[row]
-                setattr(self, name, restricted)
-            self.coupling = _restricted(self.coupling, isometry)
-            self.hopping = _restricted(self.hopping, isometry)
-            self.translation = None
+        self.number_diag, self.qubit_up_diag, self.coupling, self.hopping = parts
         self.dim = len(self.number_diag)
 
         shared = (abs(self.coupling) + abs(self.hopping)
@@ -393,16 +477,17 @@ def structural_parts(table: BasisTable) -> tuple:
 
 def block_sectors(table: BasisTable, blocks=None) -> list[HamiltonianTemplates]:
     """Templates on each nonempty block of `blocks`, in order; by default
-    every real block of the dihedral group (`dihedral_blocks`)."""
+    every real block of the dihedral group (`dihedral_blocks`). All come
+    from one `DihedralOrbits` table."""
     if blocks is None:
         blocks = dihedral_blocks(table.shape.sites)
-    isometries = block_isometries(table, blocks)
-    parts = structural_parts(table)
-    return [HamiltonianTemplates(table, p, block, parts)
-            for block, p in zip(blocks, isometries) if p.shape[1]]
+    orbits = DihedralOrbits(table)
+    built = [(block, orbits.columns(block)) for block in blocks]
+    return [orbits.templates(block, columns) for block, columns in built
+            if columns[1].max() >= 0]
 
 
 def symmetric_sector(table: BasisTable) -> HamiltonianTemplates:
     """Templates on the fully symmetric sector of `table`: k = 0 and even
     under the mirror, the (0, +) block."""
-    return block_sectors(table, [Block(0, 1, table.shape.sites)])[0]
+    return DihedralOrbits(table).templates(Block(0, 1, table.shape.sites))

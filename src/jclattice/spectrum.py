@@ -13,15 +13,15 @@ to the ground state (it is, for the Mott product state), which stalls
 Krylov convergence in exact arithmetic. Repeated solves along a
 trajectory pass the previous ground vector as `v0` instead.
 
-Symmetric states are the range of P P^T, where the isometry P
-(`operators.symmetric_isometry`) holds one normalised orbit sum per
-column. The runs use templates on the fully symmetric sector
-(`operators.symmetric_sector`: k = 0 and mirror-even), whose matrices
-are used as they are. The minimal gap along a ramping trajectory
-(`gap_scan`) is the separation of the two lowest levels of that sector,
-the two a ramp can reach. `symmetric_pair` also takes a full-space H
-with its translation T and solves its k = 0 sector, P P^T = (1/L) sum_m T^m.
-Levels over all sectors merge those of every real block of the dihedral
+The runs use templates on the fully symmetric sector
+(`operators.symmetric_sector`: k = 0 and mirror-even, built from orbit
+representatives), whose matrices are used as they are. The minimal gap
+along a ramping trajectory (`gap_scan`) is the separation of the two
+lowest levels of that sector, the two a ramp can reach. `symmetric_pair`
+also takes a full-space H with its translation T and solves its k = 0
+sector, P^T H P, where the isometry P from `operators.symmetric_isometry`
+holds one normalised translation-orbit sum per column:
+P P^T = (1/L) sum_m T^m. Levels over all sectors merge those of every real block of the dihedral
 group (`operators.block_sectors`), each labelled by its block
 (`block_levels`); the gap over all sectors adds the lowest level of the
 other blocks to the symmetric pair, which holds the ground state for

@@ -3,7 +3,7 @@
 The deep-Mott state is a product of single-site lower polaritons
 |1,-> = sin(theta/2)|1,down> - cos(theta/2)|0,up>; the deep-superfluid
 state condenses all N excitations into the k = 0 photon mode. Both are
-expanded onto the fixed-N basis at unit filling.
+expanded onto the fixed-N basis at unit filling, site by site from the keys.
 
 Pulse simulations work in small dedicated spaces, not the fixed-N sector:
 the Mott pulse drives one JC site between its ground state and |1,->
@@ -68,9 +68,12 @@ def mi_ground_state(table: BasisTable, delta: float, g: float) -> np.ndarray:
             f"L={shape.sites}"
         )
     amp_photon, amp_qubit = polariton_doublet(1, delta, g).lower_amplitudes
-    one_each = (table.photons + table.qubits == 1).all(axis=1)
-    site_amp = np.where(table.photons == 1, amp_photon, amp_qubit)
-    return np.where(one_each, site_amp.prod(axis=1), 0.0)
+    psi = np.ones(table.dim)
+    for j in range(shape.sites):  # digit 1 is (1, down), digit N + 1 is (0, up)
+        digit = table.digit(table.keys, j)
+        psi *= np.where(digit == 1, amp_photon,
+                        np.where(digit == shape.excitations + 1, amp_qubit, 0.0))
+    return psi
 
 
 def sf_ground_state(table: BasisTable) -> np.ndarray:
@@ -87,8 +90,12 @@ def sf_ground_state(table: BasisTable) -> np.ndarray:
         )
     N = shape.excitations
     factorial = np.array([math.factorial(n) for n in range(N + 1)], dtype=float)
-    amp = np.sqrt(math.factorial(N) / factorial[table.photons].prod(axis=1))
-    all_down = ~table.qubits.any(axis=1)
+    denominator, all_down = np.ones(table.dim), np.ones(table.dim, dtype=bool)
+    for j in range(shape.sites):
+        qubit, photons = np.divmod(table.digit(table.keys, j), N + 1)
+        denominator *= factorial[photons]
+        all_down &= qubit == 0
+    amp = np.sqrt(math.factorial(N) / denominator)
     return np.where(all_down, amp * N ** (-N / 2.0), 0.0)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import states
 from .basis import LatticeShape, enumerate_basis, write_basis_text
 from .config import ConfigError, RunConfig, fmt, write_csv
-from .operators import (HamiltonianTemplates, block_sectors, build_correlator,
+from .operators import (Block, DihedralOrbits, HamiltonianTemplates, block_sectors,
                         symmetric_sector)
 from .propagate import evolve, fidelity
 from .ramp import RampPlan, RampSchedule, trajectory_point
@@ -421,12 +421,11 @@ def run_rho1_map(cfg: RunConfig, threads: int = 1, resume: bool = False):
         site = getattr(cfg, key)  # default rho_j = 4 is no site below L = 4
         if not 1 <= site <= cfg.sites:
             raise ConfigError(f"{key} = {site} is not a site in 1..{cfg.sites}")
-    table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
-    templates = symmetric_sector(table)
-    p = templates.isometry
-    # <phi|P^T C P|phi> is the full-space value for a symmetric ground state
-    corr, diag = (p.T @ build_correlator(table, cfg.rho_i, j) @ p
-                  for j in (cfg.rho_j, cfg.rho_i))
+    orbits = DihedralOrbits(enumerate_basis(LatticeShape(cfg.sites, cfg.excitations)))
+    block = Block(0, 1, cfg.sites)
+    templates = orbits.templates(block)
+    # a symmetric ground state reads a_i^dag a_j as its group average
+    corr, diag = (orbits.correlator(block, cfg.rho_i, j) for j in (cfg.rho_j, cfg.rho_i))
     params = [(jv, dv) for jv in cfg.j_grid.values() for dv in cfg.d_grid.values()]
 
     def point(k):

@@ -4,9 +4,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from jclattice.basis import LatticeShape, ResourceLimitError, SectorError, enumerate_basis
-from jclattice.operators import HamiltonianTemplates, symmetric_sector
+from jclattice.basis import (BasisTable, LatticeShape, ResourceLimitError, SectorError,
+                             enumerate_basis)
+from jclattice.operators import (CANCELLED, HamiltonianTemplates, build_coupling,
+                                 build_hopping, symmetric_sector)
 
 
 @pytest.fixture(scope="session")
@@ -206,3 +209,101 @@ def sweep_rate_at_gap(plan, gap_params, partials: dict) -> SweepRate:
             / (values["J"] - plan.J.start)
         )
     return SweepRate(total, velocities, ratio, ratio_traj)
+
+
+# --- the P^T B P oracle of the dihedral blocks --------------------------------
+# The blocks as built before they came from orbit representatives: every
+# state's images, the isometry P onto each block, and P^T B P of the
+# full-space operators.
+
+def dihedral_images(table: BasisTable) -> np.ndarray:
+    """(2L, dim) int32 table of every state's images under the dihedral
+    group: row m holds T^m x and row L + m holds R T^m x for each state x,
+    where T moves every site's content one site down, j + 1 -> j (the
+    inverse of `build_translation`), and R mirrors j -> L-1-j."""
+    L = table.shape.sites
+    shift = table.rank(table.key_of(np.roll(table.photons, -1, axis=1),
+                                    np.roll(table.qubits, -1, axis=1)))
+    mirror = table.rank(table.key_of(table.photons[:, ::-1], table.qubits[:, ::-1]))
+    shift, mirror = shift.astype(np.int32), mirror.astype(np.int32)
+    images = np.empty((2 * L, table.dim), dtype=np.int32)
+    images[0] = np.arange(table.dim)
+    for m in range(1, L):
+        images[m] = shift[images[m - 1]]
+    images[L:] = mirror[images[:L]]
+    return images
+
+
+def block_isometries(table: BasisTable, blocks) -> list[sp.csr_matrix]:
+    """Isometry P (dim x d) onto each block's states, columns by orbit.
+
+    The images come from `dihedral_images`: row m is T^m x and row L + m
+    is R T^m x. An orbit is labelled by its smallest index, the minimum of
+    its states' columns. The orbit of label a gives the column
+    (1 + p R) sum_m cos(k m) T^m a, and for a two-dimensional irrep also
+    (1 + R) sum_m sin(k m) T^m a, unless R a lies in the translation orbit
+    of a, where the two are parallel. Each column counts the table's
+    entries in the labels' columns, weighted by one character per row and
+    divided by the number of rows that reach each state; it vanishes
+    unless k times the period of a is a multiple of 2 pi. Columns are
+    normalised; a one-dimensional block's entries are +-1 / sqrt(orbit
+    size). P^T B P restricts any B that commutes with the group.
+    """
+    images = dihedral_images(table)
+    dim, sites = table.dim, table.shape.sites
+    rep = images[:sites].min(axis=0)  # translation orbits
+    label = images.min(axis=0)
+    reps = np.flatnonzero(label == images[0])
+    self_mirror = rep[images[sites, reps]] == reps
+    reached = images[:, reps].ravel()
+    count = np.bincount(reached, minlength=dim)  # rows reaching each state
+    column = np.empty(dim, dtype=np.intp)
+    column[reps] = np.arange(len(reps))
+    column = column[label]  # each state's orbit
+
+    def columns(block):
+        q, L, width = block.q, block.sites, block.multiplicity
+        angle = 2 * np.pi * ((q * np.arange(sites)) % L) / L
+        coef = np.empty((dim, width))
+        for k, (c, p) in enumerate([(np.cos(angle), block.parity),
+                                    (np.sin(angle), 1)][:width]):
+            chi = np.concatenate([c, p * c])
+            coef[:, k] = np.bincount(reached, np.repeat(chi, len(reps)), dim) / count
+        coef[np.abs(coef) < CANCELLED] = 0.0
+        col = width * column[:, None] + np.arange(width)
+        norm2 = np.bincount(col.ravel(), (coef * coef).ravel(), width * len(reps))
+        nonzero = norm2 > 0
+        if width == 2:  # where R a is a translate of a, one column
+            nonzero[1::2] &= ~(self_mirror & nonzero[0::2])
+        kept = (coef != 0) & nonzero[col]
+        col = col[kept]
+        return sp.csr_matrix(
+            (coef[kept] / np.sqrt(norm2[col]),
+             (np.cumsum(nonzero) - 1)[col],
+             np.concatenate(([0], np.cumsum(kept.sum(axis=1))))),
+            shape=(dim, int(nonzero.sum())),
+        )
+
+    return [columns(block) for block in blocks]
+
+
+def restricted(block, isometry) -> sp.csr_matrix:
+    """P^T B P of a symmetric block, symmetrised to the last bit."""
+    m = (isometry.T @ block @ isometry).tocsr()
+    m = ((m + m.T) * 0.5).tocsr()
+    m.sort_indices()
+    return m
+
+
+def oracle_blocks(table: BasisTable, blocks) -> list[tuple]:
+    """(P, number diagonal, qubit-up diagonal, coupling, hopping) of each
+    block, restricted as P^T B P from the full-space operators."""
+    full = (build_coupling(table), build_hopping(table))
+    out = []
+    for p in block_isometries(table, blocks):
+        csc = p.tocsc()
+        first = csc.indices[csc.indptr[:-1]]  # a state of each column
+        out.append((p, table.photons.sum(axis=1)[first].astype(float),
+                    table.qubits.sum(axis=1)[first].astype(float),
+                    *(restricted(b, p) for b in full)))
+    return out

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from jclattice.basis import (
     sector_dimension,
     write_basis_text,
 )
+from jclattice.operators import HamiltonianTemplates, build_correlator, symmetric_sector
 
 from conftest import basis_states, dimension_oracle, index_of, translate_config
 
@@ -100,11 +103,52 @@ def test_translate_preserves_excitations():
 
 
 def test_dimension_cap(monkeypatch):
+    # the cap is on what a run builds: a symmetry block, or the full basis
+    # for the full-space builders; enumerating the keys has its own bound
     monkeypatch.setattr(basis, "DEFAULT_DIM_CAP", 1000)
+    table = enumerate_basis(LatticeShape(6, 6))  # 5336 keys
+    with pytest.raises(ResourceLimitError):
+        HamiltonianTemplates(table)
+    with pytest.raises(ResourceLimitError):
+        build_correlator(table, 1, 4)
+    assert symmetric_sector(table).dim == 500
+    monkeypatch.setattr(basis, "DEFAULT_DIM_CAP", 400)
+    with pytest.raises(ResourceLimitError):
+        symmetric_sector(table)
+    monkeypatch.setattr(basis, "ENUMERATION_BYTE_CAP",
+                        5336 * basis.ENUMERATION_BYTES_PER_KEY - 1)
     with pytest.raises(ResourceLimitError):
         enumerate_basis(LatticeShape(6, 6))
     with pytest.raises(ResourceLimitError):
         dimension_oracle(LatticeShape(12, 12), product_cap=10_000)
+
+
+def test_enumeration_bound_admits_nine_sites_and_refuses_eleven():
+    # refused from the predicted count, before anything is allocated
+    for L, admitted in ((9, True), (10, True), (11, False)):
+        bytes_needed = (basis.sector_dimension(LatticeShape(L, L))
+                        * basis.ENUMERATION_BYTES_PER_KEY)
+        assert (bytes_needed <= basis.ENUMERATION_BYTE_CAP) == admitted
+    with pytest.raises(ResourceLimitError):
+        enumerate_basis(LatticeShape(11, 11))
+
+
+@pytest.mark.parametrize("L,N", [(1, 0), (1, 3), (2, 2), (3, 3), (4, 2), (3, 5)])
+def test_keys_equal_a_digit_built_reference(L, N):
+    # every digit string s (N+1) + n in lexicographic order, kept when it
+    # holds N excitations, read left to right in radix 2N+2
+    table = enumerate_basis(LatticeShape(L, N))
+    digits = np.array([d for d in itertools.product(range(2 * N + 2), repeat=L)
+                       if sum(x // (N + 1) + x % (N + 1) for x in d) == N])
+    keys = [sum(int(x) * (2 * N + 2) ** (L - 1 - j) for j, x in enumerate(d))
+            for d in digits]
+    assert table.keys.tolist() == keys
+    assert np.array_equal(table.photons, digits % (N + 1))
+    assert np.array_equal(table.qubits, digits // (N + 1))
+    for name in ("keys", "photons", "qubits"):
+        arr = getattr(table, name)
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert table.photons is table.photons  # derived once, then kept
 
 
 def test_serialization_is_stable(tmp_path):

@@ -16,6 +16,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from jclattice import basis
 from jclattice.basis import (
     LatticeShape,
     ResourceLimitError,
@@ -26,15 +27,14 @@ from jclattice.cli import main
 from jclattice.config import GridSpec, RunConfig, load_config
 from jclattice.operators import (
     Block,
+    DihedralOrbits,
     HamiltonianTemplates,
-    block_isometries,
     block_sectors,
     build_correlator,
     build_coupling,
     build_hopping,
     build_translation,
     dihedral_blocks,
-    dihedral_images,
     symmetric_isometry,
     symmetric_sector,
 )
@@ -50,7 +50,8 @@ from jclattice.spectrum import (
 from jclattice.states import mi_ground_state, sf_ground_state
 from jclattice.sweeps import _journal, _load_progress, run_phase_diagram, run_rho1_map
 
-from conftest import basis_states, index_of, translate_config
+from conftest import (basis_states, block_isometries, index_of, oracle_blocks,
+                      restricted, translate_config)
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SHAPES = [LatticeShape(L, L) for L in range(2, 7)]
@@ -198,10 +199,6 @@ def test_rank_built_operators_equal_loop_built(L, N):
     assert_same(build_coupling(table), as_csr(loop_coupling(table), dim))
     assert_same(build_hopping(table), as_csr(loop_hopping(table), dim))
     assert_same(build_translation(table), as_csr(loop_translation(table), dim))
-    # row 1 undoes the one-site shift, row L is the mirror
-    images = dihedral_images(table)
-    assert np.array_equal(images[1][loop_translation(table)[0]], np.arange(dim))
-    assert np.array_equal(images[L], loop_reflection(table)[0])
     for i, j in [(1, L), (L, 1), (1, 1 + L // 2)]:
         if i != j:
             assert_same(build_correlator(table, i, j),
@@ -211,6 +208,33 @@ def test_rank_built_operators_equal_loop_built(L, N):
                               loop_mi(table, 0.3, 1.0))
         assert np.allclose(sf_ground_state(table), loop_sf(table),
                            rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("L,N", [(1, 2), (2, 1), (2, 3), (3, 3), (4, 2),
+                                 (4, 4), (5, 3)])
+def test_orbit_images_equal_loop_built(L, N):
+    table = enumerate_basis(LatticeShape(L, N))
+    orbits = DihedralOrbits(table)
+    images = {e: table.rank(image) for e, image in orbits.images(table.keys)}
+    assert sorted(images) == list(range(2 * L))
+    # element 1 undoes the one-site shift, element L is the mirror
+    assert np.array_equal(images[1][loop_translation(table)[0]], np.arange(table.dim))
+    assert np.array_equal(images[L], loop_reflection(table)[0])
+    # the elements compose as (e o u) x = e (u x)
+    for e in range(2 * L):
+        assert np.array_equal(images[e][images[orbits.inverse[e]]], np.arange(table.dim))
+        for u in range(2 * L):
+            assert np.array_equal(images[orbits.compose[e, u]], images[e][images[u]])
+    # canonical keys, representatives and orbit sizes from the loop-built orbits
+    states = basis_states(table)
+    orbit = [{translate_config(c, m) for m in range(L)}
+             | {tuple(reversed(translate_config(c, m))) for m in range(L)} for c in states]
+    smallest = [min(_loop_index(table)[c] for c in o) for o in orbit]
+    assert np.array_equal(orbits.canonical, table.keys[smallest])
+    reps = np.unique(smallest)
+    assert np.array_equal(orbits.reps, table.keys[reps])
+    sizes = [len(orbit[a]) for a in reps]
+    assert np.array_equal(2 * L // orbits.stabiliser.sum(axis=1), sizes)
 
 
 def test_rank_rejects_configurations_outside_the_table():
@@ -266,7 +290,7 @@ def test_isometry_refuses_a_non_permutation():
 def test_dihedral_isometry_spans_the_group_average(shape):
     table = enumerate_basis(shape)
     t, r = build_translation(table), as_csr(loop_reflection(table), table.dim)
-    p, = block_isometries(table, [Block()])
+    p = symmetric_sector(table).isometry
     assert np.allclose((p.T @ p).toarray(), np.eye(p.shape[1]), atol=1e-15)
     average = sp.csr_matrix((table.dim, table.dim))
     power = sp.identity(table.dim, format="csr")
@@ -289,8 +313,7 @@ def test_blocks_commute_with_the_mirror_exactly(shape):
 def test_symmetric_sector_dimensions():
     assert pair(LatticeShape(6, 6))[2].dim == 500
     table = enumerate_basis(LatticeShape(7, 7))
-    p, = block_isometries(table, [Block()])
-    assert p.shape == (28814, 2122)
+    assert symmetric_sector(table).isometry.shape == (28814, 2122)
 
 
 # --- dihedral blocks ---------------------------------------------------------
@@ -335,8 +358,7 @@ def test_blocks_are_isometries_onto_invariant_subspaces(shape):
     blocks = block_sectors(table)
     assert sum(b.block.multiplicity * b.dim for b in blocks) == table.dim
     assert blocks[0].block == Block(0, 1, shape.sites)
-    for b in blocks:
-        p = b.isometry
+    for b, p in zip(blocks, block_isometries(table, [b.block for b in blocks])):
         assert abs(p.T @ p - sp.identity(b.dim)).max() <= 1e-12
         hp = h @ p
         assert abs(hp - p @ (p.T @ hp)).max() <= 1e-12
@@ -369,9 +391,9 @@ def test_block_dimensions_follow_the_character_formula(shape):
     fix_t = [sum(translate_config(c, m) == c for c in states) for m in range(L)]
     fix_rt = [sum(tuple(reversed(translate_config(c, m))) == c for c in states)
               for m in range(L)]
-    blocks = dihedral_blocks(L)
-    isometries = block_isometries(table, blocks)
-    for block, p in zip(blocks, isometries):
+    orbits = DihedralOrbits(table)
+    for block in dihedral_blocks(L):
+        columns = np.count_nonzero(orbits.columns(block)[1] >= 0)
         cos = [math.cos(2 * math.pi * block.q * m / L) for m in range(L)]
         if block.multiplicity == 1:
             dim = sum(c * (t + block.parity * r)
@@ -379,7 +401,7 @@ def test_block_dimensions_follow_the_character_formula(shape):
         else:
             dim = sum(c * t for c, t in zip(cos, fix_t)) / L
         assert abs(dim - round(dim)) < 1e-9
-        assert p.shape[1] == round(dim), block
+        assert columns == round(dim), block
 
 
 def loop_symmetric_isometry(table):
@@ -398,10 +420,96 @@ def loop_symmetric_isometry(table):
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_symmetric_block_is_the_symmetric_sector_bit_for_bit(shape):
     table, _, sector = pair(shape)
-    for p in (block_sectors(table)[0].isometry, loop_symmetric_isometry(table)):
+    for p in (block_sectors(table)[0].isometry, loop_symmetric_isometry(table),
+              block_isometries(table, [Block()])[0]):
         for name in ("shape", "indptr", "indices", "data"):
             a, b = getattr(p, name), getattr(sector.isometry, name)
             assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+
+
+ORACLE_SHAPES = [(1, 0), (2, 0), (3, 0), (1, 1), (1, 2), (2, 1), (2, 3), (3, 1),
+                 (3, 3), (4, 2), (4, 4), (4, 6), (5, 3), (5, 5), (6, 2), (6, 4),
+                 (6, 6)]
+
+
+@pytest.mark.parametrize("L,N", ORACLE_SHAPES)
+def test_representative_blocks_equal_the_restricted_full_space_operators(L, N):
+    table = enumerate_basis(LatticeShape(L, N))
+    blocks = dihedral_blocks(L)
+    oracle = [(block, parts) for block, parts in
+              zip(blocks, oracle_blocks(table, blocks)) if parts[0].shape[1]]
+    built = block_sectors(table)
+    assert [tpl.block for tpl in built] == [block for block, _ in oracle]
+    for tpl, (block, (p, number, qubits, coupling, hopping)) in zip(built, oracle):
+        assert tpl.dim == p.shape[1]
+        assert np.array_equal(tpl.number_diag, number)
+        assert np.array_equal(tpl.qubit_up_diag, qubits)
+        for m, ref in ((tpl.coupling, coupling), (tpl.hopping, hopping)):
+            assert (m != m.T).nnz == 0
+            assert abs(m - ref).max() <= 1e-13
+        if block[:2] == (0, 1):
+            for name in ("shape", "indptr", "indices", "data"):
+                assert np.array_equal(getattr(tpl.isometry, name), getattr(p, name))
+        else:
+            assert tpl.isometry is None
+
+
+@pytest.mark.parametrize("L", [4, 5, 6, 7])
+def test_group_averaged_correlator_is_the_symmetric_part_of_the_restricted_one(L):
+    table = enumerate_basis(LatticeShape(L, L))
+    orbits = DihedralOrbits(table)
+    p = orbits.templates(Block()).isometry
+    for i, j in [(1, 4), (1, 1), (2, 3)]:
+        ref = restricted(build_correlator(table, i, j), p)
+        assert abs(orbits.correlator(Block(), i, j) - ref).max() <= 1e-14
+
+
+def test_a_block_that_does_not_fit_the_ring_is_refused():
+    # q L / sites = 6/4 names no momentum of a six-site ring
+    table = pair(LatticeShape(6, 6))[0]
+    with pytest.raises(ValueError, match="does not fit"):
+        block_sectors(table, [Block(1, 1, 4)])
+    half, = block_sectors(table, [Block(2, 1, 12)])
+    same, = block_sectors(table, [Block(1, 1, 6)])
+    assert (half.dim, same.dim) == (882, 882)
+    assert_same(half.coupling, same.coupling)
+    assert_same(half.hopping, same.hopping)
+
+
+def test_no_run_builds_a_full_space_operator(tmp_path, monkeypatch):
+    import sys
+
+    import jclattice.operators as operators
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run built a full-space operator")
+
+    package = [module for name, module in sys.modules.items()
+               if name == "jclattice" or name.startswith("jclattice.")]
+    for name in ("build_coupling", "build_hopping", "build_correlator",
+                 "build_translation"):
+        original = getattr(operators, name)
+        for module in package:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, refuse)
+    base = "L = 4\nN = 4\nT = 2pi\nJT = 0.3\nsteps = 64\ntol = 1e-4\n"
+    runs = {
+        "ramp": "",
+        "rj-sweep": "rJ_values = 1, 2\n",
+        "phase-diagram": "JT_min = 0.1\nJT_max = 0.3\nJT_points = 2\n"
+                         "dT_min = 0\ndT_max = 0\ndT_points = 1\n",
+        "rho1-map": "J_min = 0.1\nJ_max = 0.3\nJ_points = 2\n"
+                    "d_min = 0\nd_max = 0\nd_points = 1\n",
+        "gap-scan": "resolution = 16\n",
+        "spectrum": "resolution = 16\ncount = 4\n",
+    }
+    for command, text in runs.items():
+        path = tmp_path / f"{command}.cfg"
+        path.write_text(base + text)
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert out.exists()
 
 
 def test_gap_scan_refuses_a_plan_below_zero_hopping():
@@ -634,7 +742,7 @@ def test_init_file_of_k0_amplitudes_is_refused(tmp_path, capsys):
     # an init_file holds amplitudes on the full basis only
     table = enumerate_basis(LatticeShape(3, 3))
     k0 = symmetric_isometry(build_translation(table))
-    sector, = block_isometries(table, [Block()])
+    sector = symmetric_sector(table).isometry
     assert (table.dim, k0.shape[1], sector.shape[1]) == (38, 14, 10)
     for name, p in (("k0", k0), ("sector", sector)):
         np.save(tmp_path / f"{name}.npy", p.T @ mi_ground_state(table, 0.0, 1.0))

@@ -10,7 +10,6 @@ from jclattice.operators import (
     Block,
     HamiltonianTemplates,
     LatticeParams,
-    block_isometries,
     block_sectors,
     symmetric_isometry,
     symmetric_sector,
@@ -28,7 +27,7 @@ from jclattice.spectrum import (
 )
 from jclattice.states import mi_ground_state, sf_ground_state
 
-from conftest import index_of
+from conftest import block_isometries, index_of
 
 
 def k0_weight(v, translation):
