@@ -10,16 +10,15 @@ on top of it. For N = L = 6 the sector holds 5336 states instead of the
 The table stores configurations as sorted mixed-radix int64 keys, built
 site by site, and ranks them by binary search, so operator builders map
 whole arrays of configurations to ordinals without a per-state lookup.
-The (dim, L) photon and qubit arrays are derived from the keys only when
-first read (by the full-space builders or the text export); the symmetry
-blocks (`operators.DihedralOrbits`) and the runs work on the keys alone.
+This module is the one place that encodes and decodes keys: `occupation`
+reads a site, `key_shift` changes one, and `rolled` and `mirrored` move
+every site's content; the operators and states work on keys alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +52,7 @@ def rank_keys(sorted_keys: np.ndarray, keys) -> np.ndarray:
     """Positions of `keys` in the ascending array `sorted_keys`; SectorError
     if any is missing."""
     idx = np.searchsorted(sorted_keys, keys)
-    found = sorted_keys[np.minimum(idx, len(sorted_keys) - 1)] == keys
+    found = sorted_keys.take(idx, mode="clip") == keys
     if not np.all(found):
         raise SectorError("configuration key outside the table")
     return idx
@@ -99,10 +98,7 @@ class BasisTable:
     down sorts before up, photon number ascending. That is ascending key
     order, so `rank` maps any array of keys to ordinals by binary search.
     This puts (1, down) before (0, up) in the one-excitation doublet and
-    is byte-stable across runs.
-
-    `photons` and `qubits`, the (dim, L) per-site arrays, are derived from
-    the keys when first read, then kept. Every array is read-only.
+    is byte-stable across runs. Every array is read-only.
     """
 
     def __init__(self, shape: LatticeShape, keys: np.ndarray):
@@ -118,20 +114,6 @@ class BasisTable:
     def dim(self) -> int:
         return len(self.keys)
 
-    @cached_property
-    def _configurations(self):
-        qubits, photons = np.divmod(self.keys[:, None] // self._weights % self.radix,
-                                    self.shape.excitations + 1)
-        photons.flags.writeable = qubits.flags.writeable = False
-        return photons, qubits
-
-    photons = property(lambda self: self._configurations[0])
-    qubits = property(lambda self: self._configurations[1])
-
-    def key_of(self, photons, qubits) -> np.ndarray:
-        """Keys of configurations given as (..., L) photon and qubit arrays."""
-        return (qubits * (self.shape.excitations + 1) + photons) @ self._weights
-
     def key_shift(self, sites, photons=0, qubits=0) -> np.ndarray:
         """Key change from adding `photons` and `qubits` on `sites`."""
         return (qubits * (self.shape.excitations + 1) + photons) * self._weights[sites]
@@ -139,6 +121,22 @@ class BasisTable:
     def digit(self, keys, site: int) -> np.ndarray:
         """Digit s (N+1) + n of `site` in each of `keys`."""
         return keys // self._weights[site] % self.radix
+
+    def occupation(self, keys, site: int) -> tuple[np.ndarray, np.ndarray]:
+        """Photon numbers and qubit flags (True = up) of `site` in each of `keys`."""
+        digit = self.digit(keys, site)
+        up = digit > self.shape.excitations
+        return digit - (self.shape.excitations + 1) * up, up
+
+    def rolled(self, keys, shift: int) -> np.ndarray:
+        """Keys with the content of every site j moved to j + shift mod L."""
+        L, shift = self.shape.sites, shift % self.shape.sites
+        high, low = np.divmod(keys, self.radix ** shift)
+        return low * self.radix ** (L - shift) + high
+
+    def mirrored(self, keys) -> np.ndarray:
+        """Keys with the content of every site j moved to L-1-j."""
+        return sum(self.digit(keys, j) * self.radix ** j for j in range(self.shape.sites))
 
     def rank(self, keys) -> np.ndarray:
         """Ordinals of the configurations with the given keys."""
@@ -189,7 +187,8 @@ def enumerate_basis(shape: LatticeShape) -> BasisTable:
 def write_basis_text(table: BasisTable, path) -> None:
     """Export the basis, one configuration per line: `n_1 s_1 n_2 s_2 ...`."""
     shape = table.shape
-    pairs = np.stack([table.photons, table.qubits], axis=2).reshape(table.dim, -1)
+    pairs = np.stack([column for j in range(shape.sites)
+                      for column in table.occupation(table.keys, j)], axis=1)
     line = " ".join(["%d"] * pairs.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# L={shape.sites} N={shape.excitations} dim={table.dim}\n")

@@ -19,10 +19,12 @@ operator. `block_sectors` builds `HamiltonianTemplates` on every block,
 and `symmetric_sector` on the (0, +) one, k = 0 and mirror-even: 500 of
 the 5336 states at six sites.
 
-Every builder shifts the configuration keys of the states it acts on.
-The full-space ones rank the results with `BasisTable.rank`, and their
-matrices equal their transpose exactly; block matrices are symmetrised.
-Both refuse an operator above `basis.DEFAULT_DIM_CAP` states.
+Each term of H is written once, on any int64 array of configuration keys:
+`site_totals` gives the diagonals, and `coupling_moves` and `photon_moves`
+(source index, target key, amplitude) moves. The full-space builders rank
+the targets in the table, and their matrices equal their transpose exactly;
+the blocks rank their canonical keys, and are symmetrised. Both refuse an
+operator above `basis.DEFAULT_DIM_CAP` states.
 """
 
 from __future__ import annotations
@@ -65,90 +67,99 @@ def matvec(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def number_diagonal(table: BasisTable) -> np.ndarray:
-    """Diagonal of sum_j a_j^dag a_j as a dense vector."""
-    return table.photons.sum(axis=1).astype(float)
+def _sites(table: BasisTable, keys) -> list[tuple]:
+    """(photons, qubits) of every site of `keys`, each site decoded once."""
+    return [table.occupation(keys, j) for j in range(table.shape.sites)]
 
 
-def qubit_up_diagonal(table: BasisTable) -> np.ndarray:
-    """Diagonal of sum_j (sigma_jz + 1)/2 (number of excited qubits)."""
-    return table.qubits.sum(axis=1).astype(float)
+def _joined(moves) -> tuple:
+    """One (source, target key, amplitude) triple from a list of them."""
+    empty = (np.zeros(0, np.intp), np.zeros(0, np.int64), np.zeros(0))
+    return tuple(map(np.concatenate, zip(empty, *moves)))
 
 
-def build_coupling(table: BasisTable) -> sp.csr_matrix:
-    """sum_j (a_j^dag sig_j^- + sig_j^+ a_j) = dH/dg."""
+def site_totals(table: BasisTable, keys) -> tuple[np.ndarray, np.ndarray]:
+    """Photon number and qubit-up count of each of `keys`: the diagonals of
+    sum_j a_j^dag a_j and sum_j (sigma_jz + 1)/2."""
+    photons, qubits = np.zeros(len(keys)), np.zeros(len(keys))
+    for n, up in _sites(table, keys):
+        photons += n
+        qubits += up
+    return photons, qubits
+
+
+def coupling_moves(table: BasisTable, keys) -> tuple:
+    """sum_j (a_j^dag sig_j^- + sig_j^+ a_j) = dH/dg on `keys`."""
+    moves = []
+    for j, (n, up) in enumerate(_sites(table, keys)):
+        idx = np.flatnonzero(up)  # a_j^dag sig_j^-
+        moves.append((idx, keys[idx] + table.key_shift(j, 1, -1), np.sqrt(n[idx] + 1)))
+        idx = np.flatnonzero((n > 0) & ~up)  # sig_j^+ a_j
+        moves.append((idx, keys[idx] + table.key_shift(j, -1, 1), np.sqrt(n[idx])))
+    return _joined(moves)
+
+
+def photon_moves(table: BasisTable, keys, pairs, scale: float = 1.0) -> tuple:
+    """scale * sum of a_dst^dag a_src over the (dst, src) `pairs`, on `keys`."""
+    photons = [n for n, _ in _sites(table, keys)]
+    moves = []
+    for dst, src in pairs:
+        idx = np.flatnonzero(photons[src])
+        n_src = photons[src][idx]
+        if dst == src:
+            moves.append((idx, keys[idx], scale * n_src))
+            continue
+        moves.append((idx, keys[idx] + table.key_shift(dst, 1) - table.key_shift(src, 1),
+                      scale * (np.sqrt(n_src) * np.sqrt(photons[dst][idx] + 1))))
+    return _joined(moves)
+
+
+def hopping_pairs(sites: int) -> list[tuple]:
+    """The (dst, src) pairs of sum_j (a_j^dag a_{j+1} + a_{j+1}^dag a_j) with
+    periodic boundary: both directions of every bond. For L = 1 there are
+    none (a periodic wrap onto the same site is unphysical); for L = 2 the
+    sum over j = 1, 2 hits the single bond twice, giving matrix elements of
+    2 between one-photon-exchange configurations."""
+    bonds = [(j, (j + 1) % sites) for j in range(sites)] if sites > 1 else []
+    return bonds + [(b, a) for a, b in bonds]
+
+
+def _on_full_basis(table: BasisTable, moves, *args) -> sp.csr_matrix:
+    """The full-basis matrix of the term that `moves(table, keys, *args)`
+    gives; a basis above the cap is refused before any move is built."""
     require_dim(table.dim, "the full basis")
-    states, sites = np.nonzero(table.qubits)
-    n = table.photons[states, sites]
-    flipped = table.rank(
-        table.keys[states] + table.key_shift(sites, photons=1, qubits=-1)
-    )
-    return _mirrored(flipped, states, np.sqrt(n + 1), table.dim)
-
-
-def build_hopping(table: BasisTable) -> sp.csr_matrix:
-    """sum_j (a_j^dag a_{j+1} + a_{j+1}^dag a_j) with periodic boundary.
-
-    The -J factor is applied at composition time. For L = 1 this is the
-    zero operator (a periodic wrap onto the same site is unphysical);
-    for L = 2 the sum over j = 1, 2 hits the single bond twice, giving
-    matrix elements of 2 between one-photon-exchange configurations.
-    """
-    require_dim(table.dim, "the full basis")
-    L = table.shape.sites
-    if L == 1:
-        return sp.csr_matrix((table.dim, table.dim))
-    dst = np.arange(L)
-    src = (dst + 1) % L
-    states, bonds = np.nonzero(table.photons[:, src])
-    moved = _photon_moved(table, states, src[bonds], dst[bonds])
-    return _mirrored(*moved, table.dim)
-
-
-def _photon_moved(table, states, src, dst):
-    """Targets, sources and amplitudes of a_dst^dag a_src on `states`."""
-    n_from = table.photons[states, src]
-    n_to = table.photons[states, dst]
-    targets = table.rank(table.keys[states] + table.key_shift(src, photons=-1)
-                         + table.key_shift(dst, photons=1))
-    return targets, states, np.sqrt(n_from) * np.sqrt(n_to + 1)
-
-
-def _mirrored(rows, cols, vals, dim) -> sp.csr_matrix:
-    """Symmetric matrix from one triangle's (row, col, value) entries."""
-    m = sp.csr_matrix(
-        (np.concatenate([vals, vals]),
-         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(dim, dim),
-    )
+    source, target, amplitude = moves(table, table.keys, *args)
+    m = sp.csr_matrix((amplitude, (table.rank(target), source)),
+                      shape=(table.dim, table.dim))
     m.sum_duplicates()
     m.sort_indices()
     return m
 
 
+def build_coupling(table: BasisTable) -> sp.csr_matrix:
+    """sum_j (a_j^dag sig_j^- + sig_j^+ a_j) = dH/dg."""
+    return _on_full_basis(table, coupling_moves)
+
+
+def build_hopping(table: BasisTable) -> sp.csr_matrix:
+    """sum_j (a_j^dag a_{j+1} + a_{j+1}^dag a_j) with periodic boundary
+    (`hopping_pairs`). The -J factor is applied at composition time."""
+    return _on_full_basis(table, photon_moves, hopping_pairs(table.shape.sites))
+
+
 def build_correlator(table: BasisTable, i: int, j: int) -> sp.csr_matrix:
     """a_i^dag a_j for 1-based sites i, j (sector-closed since i != j moves
     one photon and i == j is the site photon number)."""
-    require_dim(table.dim, "the full basis")
     L = table.shape.sites
     if not (1 <= i <= L and 1 <= j <= L):
         raise ValueError(f"sites must be in 1..{L}, got ({i}, {j})")
-    si, sj = i - 1, j - 1
-    dim = table.dim
-    if si == sj:
-        return sp.diags(table.photons[:, si].astype(float), format="csr")
-    states = np.flatnonzero(table.photons[:, sj])
-    rows, cols, vals = _photon_moved(table, states, sj, si)
-    m = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    m.sort_indices()
-    return m
+    return _on_full_basis(table, photon_moves, [(i - 1, j - 1)])
 
 
 def build_translation(table: BasisTable) -> sp.csr_matrix:
     """Permutation matrix T shifting every configuration by one site."""
     require_dim(table.dim, "the full basis")
-    rows = table.rank(table.key_of(np.roll(table.photons, 1, axis=1),
-                                   np.roll(table.qubits, 1, axis=1)))
+    rows = table.rank(table.rolled(table.keys, 1))
     return sp.csr_matrix(
         (np.ones(table.dim), (rows, np.arange(table.dim))),
         shape=(table.dim, table.dim),
@@ -233,15 +244,11 @@ class DihedralOrbits:
 
     def images(self, keys):
         """(e, e x) for each element e, over the keys x."""
-        L, radix = self.sites, self.table.radix
-        top = radix ** (L - 1)
-        mirrored = sum(self.table.digit(keys, j) * radix ** j for j in range(L))
-        for flip, image in ((0, keys), (1, mirrored)):
+        L = self.sites
+        for flip, image in ((0, keys), (1, self.table.mirrored(keys))):
             for m in range(L):  # T^m R = R T^-m
                 yield (L + (-m) % L if flip else m), image
-                high, image = np.divmod(image, top)
-                image *= radix
-                image += high
+                image = self.table.rolled(image, -1)
 
     def _canonical(self, keys):
         """Canonical keys of `keys`, and for each an element that reaches it."""
@@ -255,43 +262,18 @@ class DihedralOrbits:
 
     def _located(self, moves):
         """(source, target representative, an element to it, amplitude) of
-        each (source, target key, amplitude) move from a representative."""
-        source, targets, amplitude = map(np.concatenate, zip(*moves))
+        the (source, target key, amplitude) moves from the representatives."""
+        source, targets, amplitude = moves
         canon, first = self._canonical(targets)
         return source, rank_keys(self.reps, canon), first, amplitude
 
-    def _photon_moves(self, pairs, scale=1.0):
-        """a_dst^dag a_src on the representatives, for each (dst, src) pair."""
-        table, keys, n1 = self.table, self.reps, self.table.shape.excitations + 1
-        moves = [(np.zeros(0, np.intp), keys[:0], np.zeros(0))]
-        for dst, src in pairs:
-            n_src = table.digit(keys, src) % n1
-            idx = np.flatnonzero(n_src)
-            if dst == src:
-                moves.append((idx, keys[idx], scale * n_src[idx]))
-                continue
-            n_dst = table.digit(keys[idx], dst) % n1
-            moves.append((idx, keys[idx] + table.key_shift(dst, 1) - table.key_shift(src, 1),
-                          scale * (np.sqrt(n_src[idx]) * np.sqrt(n_dst + 1))))
-        return self._located(moves)
-
     @cached_property
     def _coupling(self):
-        """sum_j (a_j^dag sig_j^- + sig_j^+ a_j) on the representatives."""
-        table, keys, n1, moves = self.table, self.reps, self.table.shape.excitations + 1, []
-        for j in range(self.sites):
-            digit = table.digit(keys, j)
-            up = np.flatnonzero(digit >= n1)  # a_j^dag sig_j^-
-            moves.append((up, keys[up] + table.key_shift(j, 1, -1), np.sqrt(digit[up] - n1 + 1)))
-            down = np.flatnonzero((digit > 0) & (digit < n1))  # sig_j^+ a_j
-            moves.append((down, keys[down] + table.key_shift(j, -1, 1), np.sqrt(digit[down])))
-        return self._located(moves)
+        return self._located(coupling_moves(self.table, self.reps))
 
     @cached_property
     def _hopping(self):
-        L = self.sites
-        bonds = [(j, (j + 1) % L) for j in range(L)] if L > 1 else []
-        return self._photon_moves(bonds + [(b, a) for a, b in bonds])
+        return self._located(photon_moves(self.table, self.reps, hopping_pairs(self.sites)))
 
     def columns(self, block):
         """(K, index, Z) of `block`: index[a, t] is the column of (a, t), by
@@ -347,8 +329,9 @@ class DihedralOrbits:
         if not (1 <= i <= L and 1 <= j <= L):
             raise ValueError(f"sites must be in 1..{L}, got ({i}, {j})")
         pairs = [((i - 1 + m) % L, (j - 1 + m) % L) for m in range(L)]
-        return self.restrict(self.columns(block), self._photon_moves(
-            pairs + [(L - 1 - a, L - 1 - b) for a, b in pairs], 1 / (2 * L)))
+        return self.restrict(self.columns(block), self._located(photon_moves(
+            self.table, self.reps, pairs + [(L - 1 - a, L - 1 - b) for a, b in pairs],
+            1 / (2 * L))))
 
     def templates(self, block, columns=None) -> HamiltonianTemplates:
         """Templates on `block` (whose `columns` may be given). Diagonals
@@ -357,15 +340,12 @@ class DihedralOrbits:
         per state."""
         columns = self.columns(block) if columns is None else columns
         rep = self.reps[np.nonzero(columns[1] >= 0)[0]]  # per column
-        qubits, photons = np.divmod([self.table.digit(rep, j) for j in range(self.sites)],
-                                    self.table.shape.excitations + 1)
         isometry = None
         if block.q == 0 and block.parity == 1:
             column, dim = rank_keys(self.reps, self.canonical), self.table.dim
             isometry = sp.csr_matrix((1.0 / np.sqrt(self.orbit_size[column]), column,
                                       np.arange(dim + 1)), shape=(dim, len(self.reps)))
-        parts = (photons.sum(axis=0, dtype=float), qubits.sum(axis=0, dtype=float),
-                 self.restrict(columns, self._coupling),
+        parts = (*site_totals(self.table, rep), self.restrict(columns, self._coupling),
                  self.restrict(columns, self._hopping))
         return HamiltonianTemplates(self.table, parts, block, isometry)
 
@@ -394,7 +374,9 @@ class HamiltonianTemplates:
         self.sites = table.shape.sites
         self.translation = None
         if parts is None:
-            parts = structural_parts(table)
+            require_dim(table.dim, "the full basis")
+            parts = (*site_totals(table, table.keys), build_coupling(table),
+                     build_hopping(table))
             self.translation = build_translation(table)
         self.number_diag, self.qubit_up_diag, self.coupling, self.hopping = parts
         self.dim = len(self.number_diag)
@@ -431,10 +413,13 @@ class HamiltonianTemplates:
         literal-sigma-z:    D = (kappa/2) sum_j n_j + (gamma/2) sum_j sigma_jz
         number-conserving:  D = (kappa/2) sum_j n_j + (gamma/2) sum_j (sigma_jz+1)/2
 
-        The literal form is the printed one; inside a fixed-N sector it
-        differs from a pure decay by the constant +gamma*L/2, which uniformly
-        inflates the norm. The number-conserving form is the no-jump
-        effective decay.
+        The number-conserving form is the no-jump effective decay. The
+        literal form is the printed one: with n_up = sum_j (sigma_jz+1)/2
+        it is D = (kappa/2) sum_j n_j + gamma n_up - gamma L/2. That is the
+        no-jump decay with the qubits at rate 2 gamma (the number-conserving
+        form with 2 gamma), less the constant gamma L/2, which uniformly
+        inflates the norm. Against the number-conserving form at the same
+        gamma, the difference (gamma/2) n_up - gamma L/2 is not a constant.
         """
         if kappa < 0 or gamma < 0:
             raise ValueError("decay rates must be non-negative")
@@ -467,12 +452,6 @@ class HamiltonianTemplates:
 
     def assemble_copy(self, g: float, J: float, delta: float) -> sp.csr_matrix:
         return self.assemble(g, J, delta).copy()
-
-
-def structural_parts(table: BasisTable) -> tuple:
-    """Number and qubit-up diagonals, coupling and hopping on the full basis."""
-    return (number_diagonal(table), qubit_up_diagonal(table),
-            build_coupling(table), build_hopping(table))
 
 
 def block_sectors(table: BasisTable, blocks=None) -> list[HamiltonianTemplates]:

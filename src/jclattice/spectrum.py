@@ -21,9 +21,11 @@ lowest levels of that sector, the two a ramp can reach. `symmetric_pair`
 also takes a full-space H with its translation T and solves its k = 0
 sector, P^T H P, where the isometry P from `operators.symmetric_isometry`
 holds one normalised translation-orbit sum per column:
-P P^T = (1/L) sum_m T^m. Levels over all sectors merge those of every real block of the dihedral
+P P^T = (1/L) sum_m T^m.
+
+Levels over all sectors merge those of every real block of the dihedral
 group (`operators.block_sectors`), each labelled by its block
-(`block_levels`); the gap over all sectors adds the lowest level of the
+(`block_levels`). The gap over all sectors adds the lowest level of the
 other blocks to the symmetric pair, which holds the ground state for
 J >= 0.
 """
@@ -137,8 +139,10 @@ def block_levels(blocks, p, count: int, warm: list) -> list[tuple]:
     (energy, block that holds it).
 
     A block of multiplicity m gives its lowest ceil(count / m) levels, each
-    listed m times, as in the full spectrum. Equal levels keep the order
-    of `blocks`. `warm` holds one start vector (or None) per block; each
+    listed m times, as in the full spectrum. Levels within DEGENERACY_TOL
+    of the lowest of them are one level: their energies stay ascending,
+    and their blocks keep the order of `blocks`, not that of the solvers'
+    rounding. `warm` holds one start vector (or None) per block; each
     solve starts from its block's and leaves its lowest vector there.
     """
     levels = []
@@ -149,7 +153,13 @@ def block_levels(blocks, p, count: int, warm: list) -> list[tuple]:
         warm[k] = v[:, 0]
         levels += [(float(e), k) for e in w for _ in range(width)]
     levels.sort()
-    return [(e, blocks[k].block) for e, k in levels[:count]]
+    lowest, grouped = -np.inf, []
+    for e, k in levels:
+        if e - lowest >= DEGENERACY_TOL:
+            lowest = e
+        grouped.append((lowest, k))
+    grouped.sort()
+    return [(e, blocks[k].block) for (e, _), (_, k) in zip(levels[:count], grouped)]
 
 
 def symmetric_pair(h, translation=None, v0=None):

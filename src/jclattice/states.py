@@ -69,10 +69,10 @@ def mi_ground_state(table: BasisTable, delta: float, g: float) -> np.ndarray:
         )
     amp_photon, amp_qubit = polariton_doublet(1, delta, g).lower_amplitudes
     psi = np.ones(table.dim)
-    for j in range(shape.sites):  # digit 1 is (1, down), digit N + 1 is (0, up)
-        digit = table.digit(table.keys, j)
-        psi *= np.where(digit == 1, amp_photon,
-                        np.where(digit == shape.excitations + 1, amp_qubit, 0.0))
+    for j in range(shape.sites):  # each site (1, down) or (0, up)
+        photons, qubit = table.occupation(table.keys, j)
+        psi *= np.where(photons + qubit != 1, 0.0,
+                        np.where(qubit, amp_qubit, amp_photon))
     return psi
 
 
@@ -92,9 +92,9 @@ def sf_ground_state(table: BasisTable) -> np.ndarray:
     factorial = np.array([math.factorial(n) for n in range(N + 1)], dtype=float)
     denominator, all_down = np.ones(table.dim), np.ones(table.dim, dtype=bool)
     for j in range(shape.sites):
-        qubit, photons = np.divmod(table.digit(table.keys, j), N + 1)
+        photons, qubit = table.occupation(table.keys, j)
         denominator *= factorial[photons]
-        all_down &= qubit == 0
+        all_down &= ~qubit
     amp = np.sqrt(math.factorial(N) / denominator)
     return np.where(all_down, amp * N ** (-N / 2.0), 0.0)
 

@@ -31,8 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import states
-from .basis import LatticeShape, enumerate_basis, write_basis_text
+from . import basis, states
+from .basis import (LatticeShape, ResourceLimitError, enumerate_basis, sector_dimension,
+                    write_basis_text)
 from .config import ConfigError, RunConfig, fmt, write_csv
 from .operators import (Block, DihedralOrbits, HamiltonianTemplates, block_sectors,
                         symmetric_sector)
@@ -55,8 +56,19 @@ class SimContext:
     decay: np.ndarray | None
 
 
+def _run_table(cfg: RunConfig):
+    """The configured basis, refused before its enumeration when the (0, +)
+    block would exceed the cap: each orbit, of at most 2L keys, gives it a state."""
+    shape = LatticeShape(cfg.sites, cfg.excitations)
+    least = -(-sector_dimension(shape) // (2 * cfg.sites))
+    if least > basis.DEFAULT_DIM_CAP:
+        raise ResourceLimitError(f"the (0, +) block has at least {least} states, "
+                                 f"above the cap {basis.DEFAULT_DIM_CAP}")
+    return enumerate_basis(shape)
+
+
 def prepare_context(cfg: RunConfig) -> SimContext:
-    table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
+    table = _run_table(cfg)
     templates = symmetric_sector(table)
     psi0 = templates.isometry.T @ initial_state(cfg, table)
     weight = float(np.vdot(psi0, psi0).real)
@@ -421,7 +433,7 @@ def run_rho1_map(cfg: RunConfig, threads: int = 1, resume: bool = False):
         site = getattr(cfg, key)  # default rho_j = 4 is no site below L = 4
         if not 1 <= site <= cfg.sites:
             raise ConfigError(f"{key} = {site} is not a site in 1..{cfg.sites}")
-    orbits = DihedralOrbits(enumerate_basis(LatticeShape(cfg.sites, cfg.excitations)))
+    orbits = DihedralOrbits(_run_table(cfg))
     block = Block(0, 1, cfg.sites)
     templates = orbits.templates(block)
     # a symmetric ground state reads a_i^dag a_j as its group average
@@ -456,8 +468,7 @@ def run_gap_scan(cfg: RunConfig) -> GapReport:
     comes from the lowest levels of every real dihedral block, the
     symmetric one first (`gap_scan`)."""
     _require_nonnegative_j((cfg.plan.J.start, cfg.plan.J.stop), "the gap scan")
-    table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
-    sector, *blocks = block_sectors(table)
+    sector, *blocks = block_sectors(_run_table(cfg))
     report = gap_scan(sector, cfg.plan, resolution=cfg.resolution,
                       refine_tol=cfg.refine_tol, blocks=blocks)
     rows = [
@@ -483,8 +494,7 @@ def run_spectrum(cfg: RunConfig):
     dihedral block and labelled by it: momentum index q and mirror parity,
     +-1 at q = 0 and q = L/2 and 0 for a two-dimensional irrep, whose
     levels are listed twice."""
-    table = enumerate_basis(LatticeShape(cfg.sites, cfg.excitations))
-    blocks = block_sectors(table)
+    blocks = block_sectors(_run_table(cfg))
     rows = []
     for s in np.linspace(0.0, 1.0, cfg.resolution):
         p = trajectory_point(cfg.plan, float(s))

@@ -42,12 +42,32 @@ def sector66(table66):
     return symmetric_sector(table66)
 
 
+def _weights(table) -> np.ndarray:
+    """Place value of each site's digit: site 0 is the most significant."""
+    L = table.shape.sites
+    return table.radix ** np.arange(L - 1, -1, -1, dtype=np.int64)
+
+
+def site_arrays(table) -> tuple:
+    """(dim, L) photon and qubit arrays of `table`, decoded from its keys:
+    site j's digit s (N+1) + n, read left to right in radix 2N+2."""
+    digits = table.keys[:, None] // _weights(table) % table.radix
+    qubits, photons = np.divmod(digits, table.shape.excitations + 1)
+    return photons, qubits
+
+
+def keys_of(table, photons, qubits) -> np.ndarray:
+    """Keys of configurations given as (..., L) photon and qubit arrays."""
+    return (qubits * (table.shape.excitations + 1) + photons) @ _weights(table)
+
+
 @functools.cache
 def basis_states(table) -> tuple:
     """Configurations of `table` as tuples of per-site (photons, qubit) pairs."""
+    photons, qubits = site_arrays(table)
     return tuple(
         tuple(zip(n, s))
-        for n, s in zip(table.photons.tolist(), table.qubits.tolist())
+        for n, s in zip(photons.tolist(), qubits.tolist())
     )
 
 
@@ -67,7 +87,7 @@ def index_of(table, config) -> int:
     if any(not (0 <= n <= N and s in (0, 1)) for n, s in config):
         raise SectorError(f"malformed configuration {config}")
     photons, qubits = np.array(config, dtype=np.int64).T
-    return int(table.rank(table.key_of(photons, qubits)))
+    return int(table.rank(keys_of(table, photons, qubits)))
 
 
 def translate_config(config, shift: int):
@@ -222,9 +242,10 @@ def dihedral_images(table: BasisTable) -> np.ndarray:
     where T moves every site's content one site down, j + 1 -> j (the
     inverse of `build_translation`), and R mirrors j -> L-1-j."""
     L = table.shape.sites
-    shift = table.rank(table.key_of(np.roll(table.photons, -1, axis=1),
-                                    np.roll(table.qubits, -1, axis=1)))
-    mirror = table.rank(table.key_of(table.photons[:, ::-1], table.qubits[:, ::-1]))
+    photons, qubits = site_arrays(table)
+    shift = table.rank(keys_of(table, np.roll(photons, -1, axis=1),
+                               np.roll(qubits, -1, axis=1)))
+    mirror = table.rank(keys_of(table, photons[:, ::-1], qubits[:, ::-1]))
     shift, mirror = shift.astype(np.int32), mirror.astype(np.int32)
     images = np.empty((2 * L, table.dim), dtype=np.int32)
     images[0] = np.arange(table.dim)
@@ -299,11 +320,12 @@ def oracle_blocks(table: BasisTable, blocks) -> list[tuple]:
     """(P, number diagonal, qubit-up diagonal, coupling, hopping) of each
     block, restricted as P^T B P from the full-space operators."""
     full = (build_coupling(table), build_hopping(table))
+    photons, qubits = site_arrays(table)
     out = []
     for p in block_isometries(table, blocks):
         csc = p.tocsc()
         first = csc.indices[csc.indptr[:-1]]  # a state of each column
-        out.append((p, table.photons.sum(axis=1)[first].astype(float),
-                    table.qubits.sum(axis=1)[first].astype(float),
+        out.append((p, photons.sum(axis=1)[first].astype(float),
+                    qubits.sum(axis=1)[first].astype(float),
                     *(restricted(b, p) for b in full)))
     return out

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from jclattice import basis
+from jclattice import basis, operators
 from jclattice.basis import (
     LatticeShape,
     ResourceLimitError,
@@ -12,9 +12,11 @@ from jclattice.basis import (
     sector_dimension,
     write_basis_text,
 )
-from jclattice.operators import HamiltonianTemplates, build_correlator, symmetric_sector
+from jclattice.operators import (HamiltonianTemplates, build_correlator, build_coupling,
+                                 build_hopping, build_translation, symmetric_sector)
 
-from conftest import basis_states, dimension_oracle, index_of, translate_config
+from conftest import (basis_states, dimension_oracle, index_of, keys_of, site_arrays,
+                      translate_config)
 
 
 def test_unit_filling_six_sites_dimension():
@@ -63,7 +65,8 @@ def test_index_of_rejects_wrong_sector():
 def test_every_row_has_exact_excitation_count():
     for L, N in ((2, 3), (3, 3), (4, 2)):
         table = enumerate_basis(LatticeShape(L, N))
-        totals = table.photons.sum(axis=1) + table.qubits.sum(axis=1)
+        photons, qubits = site_arrays(table)
+        totals = photons.sum(axis=1) + qubits.sum(axis=1)
         assert (totals == N).all()
 
 
@@ -107,10 +110,17 @@ def test_dimension_cap(monkeypatch):
     # for the full-space builders; enumerating the keys has its own bound
     monkeypatch.setattr(basis, "DEFAULT_DIM_CAP", 1000)
     table = enumerate_basis(LatticeShape(6, 6))  # 5336 keys
-    with pytest.raises(ResourceLimitError):
-        HamiltonianTemplates(table)
-    with pytest.raises(ResourceLimitError):
-        build_correlator(table, 1, 4)
+
+    def decoded(*args):
+        raise AssertionError("keys decoded before the cap check")
+
+    with monkeypatch.context() as late:  # refused before any move is built
+        for name in ("site_totals", "coupling_moves", "photon_moves"):
+            late.setattr(operators, name, decoded)
+        for build in (HamiltonianTemplates, build_coupling, build_hopping,
+                      build_translation, lambda t: build_correlator(t, 1, 4)):
+            with pytest.raises(ResourceLimitError):
+                build(table)
     assert symmetric_sector(table).dim == 500
     monkeypatch.setattr(basis, "DEFAULT_DIM_CAP", 400)
     with pytest.raises(ResourceLimitError):
@@ -143,12 +153,18 @@ def test_keys_equal_a_digit_built_reference(L, N):
     keys = [sum(int(x) * (2 * N + 2) ** (L - 1 - j) for j, x in enumerate(d))
             for d in digits]
     assert table.keys.tolist() == keys
-    assert np.array_equal(table.photons, digits % (N + 1))
-    assert np.array_equal(table.qubits, digits // (N + 1))
-    for name in ("keys", "photons", "qubits"):
-        arr = getattr(table, name)
-        assert arr.dtype == np.int64 and not arr.flags.writeable
-    assert table.photons is table.photons  # derived once, then kept
+    assert table.keys.dtype == np.int64 and not table.keys.flags.writeable
+    for j in range(L):
+        photons, qubits = table.occupation(table.keys, j)
+        assert np.array_equal(photons, digits[:, j] % (N + 1))
+        assert np.array_equal(qubits, digits[:, j] // (N + 1))
+    # moving every site's content: np.roll and reversal of the digit strings
+    photons, qubits = digits % (N + 1), digits // (N + 1)
+    for shift in (1, -1):
+        assert np.array_equal(table.rolled(table.keys, shift), keys_of(
+            table, np.roll(photons, shift, axis=1), np.roll(qubits, shift, axis=1)))
+    assert np.array_equal(table.mirrored(table.keys),
+                          keys_of(table, photons[:, ::-1], qubits[:, ::-1]))
 
 
 def test_serialization_is_stable(tmp_path):

@@ -10,11 +10,11 @@ from jclattice.operators import (
     build_hopping,
     build_translation,
     matvec,
-    number_diagonal,
+    site_totals,
 )
 from jclattice.states import mi_ground_state, sf_ground_state
 
-from conftest import index_of, kron_sector_hamiltonian
+from conftest import index_of, kron_sector_hamiltonian, site_arrays
 
 
 def max_abs(m):
@@ -83,7 +83,7 @@ def test_bosonic_matrix_elements_sqrt_n():
 
 def test_hamiltonian_reduces_to_h0_without_hopping():
     table = enumerate_basis(LatticeShape(3, 2))
-    h0 = sp.diags(-0.3 * number_diagonal(table)) + 0.8 * build_coupling(table)
+    h0 = sp.diags(-0.3 * site_totals(table, table.keys)[0]) + 0.8 * build_coupling(table)
     diff = hamiltonian(table, g=0.8, J=0.0, delta=-0.3) - h0
     assert max_abs(diff.tocsr()) == 0.0
 
@@ -133,7 +133,7 @@ def test_deep_mott_ground_energy_at_unit_filling(table66, templates66):
 def test_correlator_diagonal_is_photon_number():
     table = enumerate_basis(LatticeShape(3, 2))
     c11 = build_correlator(table, 1, 1)
-    assert np.allclose(c11.diagonal(), table.photons[:, 0])
+    assert np.allclose(c11.diagonal(), site_arrays(table)[0][:, 0])
 
 
 def test_correlator_vanishes_in_mott_state(table66):
@@ -207,7 +207,7 @@ def test_against_kron_product_oracle():
 
 
 def test_templates_match_direct_assembly(table33, templates33):
-    direct = (sp.diags(-0.2 * number_diagonal(table33))
+    direct = (sp.diags(-0.2 * site_totals(table33, table33.keys)[0])
               + 0.9 * build_coupling(table33) - 0.31 * build_hopping(table33))
     templated = templates33.assemble_copy(0.9, 0.31, -0.2)
     assert max_abs((direct - templated).tocsr()) < 1e-15

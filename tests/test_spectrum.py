@@ -17,6 +17,7 @@ from jclattice.operators import (
 from jclattice.propagate import fidelity
 from jclattice.ramp import RampPlan, RampSchedule
 from jclattice.spectrum import (
+    DEGENERACY_TOL,
     DegeneracyError,
     _lowest_eigh,
     block_levels,
@@ -186,6 +187,21 @@ def test_block_levels_are_the_full_spectrum_labelled_by_block(shape):
                 p, = block_isometries(table, [block])
                 pv = p.T @ v[:, near]
                 assert np.sum(pv * pv) >= 1 - 1e-8
+
+
+def test_degenerate_levels_follow_the_block_order(table66):
+    # at s = 0 of configs/spectrum_mi_sf.cfg (J = 0) levels 1-5 are one
+    # level, E - E0 = 2 - sqrt(2), held by several blocks whose solvers
+    # round it differently: the labels follow `blocks`, not that rounding
+    blocks = block_sectors(table66)
+    levels = block_levels(blocks, LatticeParams(1.0, 0.0, 0.0), 6,
+                          [None] * len(blocks))
+    energies = [e for e, _ in levels]
+    assert energies == sorted(energies)
+    assert np.ptp(energies[1:]) < DEGENERACY_TOL
+    order = [tpl.block for tpl in blocks]
+    positions = [order.index(block) for _, block in levels[1:]]
+    assert positions == sorted(positions)
 
 
 def mi_sf_plan(T=15 * math.pi, rj=1.0):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jclattice import config, sweeps
+from jclattice.basis import LatticeShape
 from jclattice.cli import main
 from jclattice.config import (
     ConfigError, GridSpec, RunConfig, build_config, load_config,
@@ -506,6 +507,25 @@ def test_cli_ramp_and_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("L = 2\nwhat = ever\n")
     assert main(["ramp", "--config", str(bad)]) == 2
+
+
+def test_oversized_run_is_refused_before_enumerating(tmp_path, monkeypatch, capsys):
+    # each orbit, of at most 2L keys, gives the (0, +) block one column: at
+    # L = N = 10 that block has at least 239,001 states, above the cap
+    def enumerated(shape):
+        raise AssertionError(f"enumerated {shape}")
+
+    monkeypatch.setattr(sweeps, "enumerate_basis", enumerated)
+    monkeypatch.chdir(tmp_path)
+    text = (CONFIGS / "ramp_mi_sf.cfg").read_text()
+    (tmp_path / "l10.cfg").write_text(
+        text.replace("L = 6\n", "L = 10\n").replace("N = 6\n", "N = 10\n"))
+    assert main(["ramp", "--config", "l10.cfg"]) == 2
+    assert "the (0, +) block has at least 239001 states" in capsys.readouterr().err
+    # at L = N = 9 the bound, 48,009 states, is under it
+    monkeypatch.setattr(sweeps, "enumerate_basis", lambda shape: shape)
+    cfg = small_cfg(sites=9, excitations=9)
+    assert sweeps._run_table(cfg) == LatticeShape(9, 9)
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
