@@ -364,9 +364,6 @@ class HamiltonianTemplates:
     and hopping) they act on the symmetry `block` these are restricted to
     (`DihedralOrbits.templates`), and `translation` is None; on the (0, +)
     block `isometry` is P, the map from it onto the full basis.
-
-    The shared matrix returned by `assemble` is reused between calls;
-    callers that need to keep a Hamiltonian must copy it.
     """
 
     def __init__(self, table: BasisTable, parts=None, block=None, isometry=None):
@@ -381,17 +378,15 @@ class HamiltonianTemplates:
         self.number_diag, self.qubit_up_diag, self.coupling, self.hopping = parts
         self.dim = len(self.number_diag)
 
-        shared = (abs(self.coupling) + abs(self.hopping)
-                  + sp.identity(self.dim, format="csr")).tocsr()
-        shared.sort_indices()
-        shared.data[:] = 0.0
-        self._shared = shared
+        self._pattern = (abs(self.coupling) + abs(self.hopping)
+                        + sp.identity(self.dim, format="csr")).tocsr()
+        self._pattern.sort_indices()
 
         def keys(m):  # row * dim + col of each stored entry, in storage order
             coo = m.tocoo()
             return coo.row.astype(np.int64) * self.dim + coo.col
 
-        union = keys(shared)
+        union = keys(self._pattern)
 
         def aligned(part):
             vec = np.zeros(union.size)
@@ -446,12 +441,13 @@ class HamiltonianTemplates:
         return out
 
     def assemble(self, g: float, J: float, delta: float) -> sp.csr_matrix:
-        """Hamiltonian at the given couplings, backed by the shared pattern."""
-        self.data_for(g, J, delta, out=self._shared.data)
-        return self._shared
+        """Hamiltonian at the given couplings on the shared pattern, in a
+        matrix of the caller's own."""
+        h = self._pattern.copy()
+        self.data_for(g, J, delta, out=h.data)
+        return h
 
-    def assemble_copy(self, g: float, J: float, delta: float) -> sp.csr_matrix:
-        return self.assemble(g, J, delta).copy()
+    assemble_copy = assemble
 
 
 def block_sectors(table: BasisTable, blocks=None) -> list[HamiltonianTemplates]:

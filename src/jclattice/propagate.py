@@ -180,9 +180,9 @@ def evolve_dissipative(
 
 def _cf4_stepper(templates, plan, decay, q):
     """CF4:2 step psi(v0) -> psi(v0 + h) in v, where t/T = v^q, on the
-    integrator's own complex copy of the templates' shared pattern. Without
+    integrator's own complex matrix on the templates' shared pattern. Without
     decay every step matrix is Hermitian, which `_expmv` is told once."""
-    matrix = templates._shared.astype(complex)
+    matrix = templates.assemble(0.0, 0.0, 0.0).astype(complex)
     data = np.empty(matrix.nnz)  # real: writing it into matrix.data is one cast
     minus_i_decay = -1j * decay
     hermitian = not decay.any()
@@ -241,7 +241,7 @@ def _checkpoint(templates, plan, u, psi, previous):
     """Checkpoint row at fraction u and its ground vector; the solve starts
     from the previous checkpoint's ground vector."""
     p = plan.params_at_fraction(u)
-    h = templates.assemble_copy(p.g, p.J, p.delta)
+    h = templates.assemble(p.g, p.J, p.delta)
     ground = ground_state(h, v0=previous).vector
     nrm = float(np.linalg.norm(psi))
     row = Checkpoint(u * plan.total_time, p.g, p.J, p.delta, nrm,

@@ -192,7 +192,7 @@ def gap_scan(
 ) -> GapReport:
     """Locate the minimal symmetric gap along the plan's trajectory.
 
-    `templates` act on a symmetric sector (`operators.symmetric_sector`);
+    `templates` act on the (0, +) block (`operators.symmetric_sector`);
     the gap is that of its two lowest levels. Coarse scan over
     `resolution` equispaced s points, then golden-section refinement of s
     to `refine_tol` > 0. Flat scans report the leftmost minimum. Raises
@@ -208,8 +208,8 @@ def gap_scan(
         raise ValueError("resolution must be at least 16")
     if not refine_tol > 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
-    if templates.translation is not None:
-        raise ValueError("gap_scan needs templates on a symmetric sector")
+    if templates.block is None or (templates.block.q, templates.block.parity) != (0, 1):
+        raise ValueError("gap_scan needs templates on the (0, +) block")
     if min(plan.J.start, plan.J.stop) < 0:
         raise ValueError("gap_scan needs J >= 0: below it the ground state "
                          "can leave the symmetric sector")

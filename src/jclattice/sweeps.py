@@ -13,10 +13,10 @@ gap scans needs every sector: it merges the lowest levels of each real
 block of the dihedral group (`operators.block_sectors`), and so does
 `spectrum`, which labels each level by its block.
 
-Phase diagrams, rJ sweeps and rho1 maps evaluate their grid points with
-`map_points`, serially or on a fork pool, journaled for `--resume`. Rows
-are always emitted in grid-index order, so output files are deterministic
-for a given config regardless of thread count or interruption/resume history.
+Phase diagrams, rJ sweeps and rho1 maps run one grid step (`_grid`):
+`map_points` evaluates their points, serially or on a fork pool, journaled
+for `--resume`, and each becomes one CSV row in grid-index order, so output
+files are deterministic whatever the thread count or interruption history.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def _run_plan(ctx: SimContext, plan: RampPlan, checkpoints: int = 0):
     result = evolve(ctx.templates, plan, ctx.psi0, ctx.decay, ctx.cfg.tol,
                     ctx.cfg.steps, checkpoints)
     end = plan.params_at_fraction(1.0)
-    h = ctx.templates.assemble_copy(end.g, end.J, end.delta)
+    h = ctx.templates.assemble(end.g, end.J, end.delta)
     raw = fidelity(result.final_state, ground_state(h).vector)
     nrm = float(np.linalg.norm(result.final_state))
     return result, RampResult(
@@ -257,16 +257,24 @@ def _run_plan(ctx: SimContext, plan: RampPlan, checkpoints: int = 0):
     )
 
 
-def _fidelities(ctx: SimContext, plans, threads: int, journal: Journal | None,
-                resume: bool) -> list:
-    """Each plan's fidelity, renormalized when the run is dissipative,
-    evaluated by `map_points`."""
-    def point(k):
-        _, summary = _run_plan(ctx, plans[k])
-        return (summary.fidelity_raw if ctx.decay is None
-                else summary.fidelity_normalized)
+def _grid_fidelity(ctx: SimContext, plan: RampPlan) -> float:
+    """A grid point's fidelity, renormalized when the run is dissipative."""
+    _, summary = _run_plan(ctx, plan)
+    return summary.fidelity_raw if ctx.decay is None else summary.fidelity_normalized
 
-    return map_points(point, len(plans), threads, journal, resume)
+
+def _grid(cfg: RunConfig, command: str, columns, points, value, threads: int,
+          resume: bool, footer=lambda values: ()) -> list:
+    """[value(*point) for point in points] by `map_points`, journaled under
+    `command`. With `cfg.out` they are written there, one row per point (its
+    columns, then its value) and `footer(values)`; only then is the journal removed."""
+    journal = _journal(cfg, command)
+    values = map_points(lambda k: value(*points[k]), len(points), threads, journal, resume)
+    if cfg.out:
+        write_csv(cfg.out, columns, [(*point, v) for point, v in zip(points, values)],
+                  footer(values))
+        os.unlink(journal.path)
+    return values
 
 
 def run_ramp(cfg: RunConfig) -> RampResult:
@@ -326,22 +334,20 @@ def run_phase_diagram(cfg: RunConfig, threads: int = 1,
     jts = cfg.jt_grid.values()
     dts = cfg.dt_grid.values()
     plan = cfg.plan
-    plans = [RampPlan(plan.g, RampSchedule(plan.J.start, jt, plan.J.index),
-                      RampSchedule(plan.delta.start, dt, plan.delta.index),
-                      plan.total_time)
-             for jt in jts for dt in dts]
-    journal = _journal(cfg, "phase-diagram")
-    values = _fidelities(ctx, plans, threads, journal, resume)
-    grid = FidelityGrid(
+
+    def point(jt, dt):
+        return _grid_fidelity(ctx, RampPlan(
+            plan.g, RampSchedule(plan.J.start, jt, plan.J.index),
+            RampSchedule(plan.delta.start, dt, plan.delta.index), plan.total_time))
+
+    values = _grid(cfg, "phase-diagram", ("JT", "dT", "F"),
+                   [(jt, dt) for jt in jts for dt in dts], point, threads, resume)
+    return FidelityGrid(
         axis_names=("JT", "dT"),
         axis1=tuple(jts),
         axis2=tuple(dts),
         fidelity=np.array(values).reshape(len(jts), len(dts)),
     )
-    if cfg.out:
-        write_grid_csv(cfg.out, grid)
-        os.unlink(journal.path)
-    return grid
 
 
 def write_grid_csv(path, grid: FidelityGrid):
@@ -352,7 +358,8 @@ def write_grid_csv(path, grid: FidelityGrid):
 
 
 def read_grid_csv(path) -> FidelityGrid:
-    rows = []
+    """The fidelity grid of a CSV that holds each (x, y) point once."""
+    points = {}
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         for lineno, line in enumerate(fh, start=2):
@@ -361,14 +368,16 @@ def read_grid_csv(path) -> FidelityGrid:
                     x, y, fidelity = map(float, line.split(",")[:3])
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from None
-                rows.append((x, y, fidelity))
+                if (x, y) in points:
+                    raise ConfigError(f"{path}:{lineno}: repeated point ({x}, {y})")
+                points[x, y] = fidelity
     if len(header) < 3:
         raise ConfigError(f"{path}: not a fidelity grid CSV")
-    a1 = sorted({r[0] for r in rows})
-    a2 = sorted({r[1] for r in rows})
+    a1 = sorted({x for x, _ in points})
+    a2 = sorted({y for _, y in points})
     f = np.full((len(a1), len(a2)), np.nan)
-    for r in rows:
-        f[a1.index(r[0]), a2.index(r[1])] = r[2]
+    for (x, y), fidelity in points.items():
+        f[a1.index(x), a2.index(y)] = fidelity
     if np.isnan(f).any():
         raise ConfigError(f"{path}: grid is not complete/rectangular")
     return FidelityGrid((header[0], header[1]), tuple(a1), tuple(a2), f)
@@ -403,25 +412,23 @@ def run_rj_sweep(cfg: RunConfig, threads: int = 1,
         raise ConfigError("rj-sweep needs rJ_values")
     _require_nonnegative_j((cfg.plan.J.start, cfg.plan.J.stop), "the ramp")
     ctx = prepare_context(cfg)
-    base, plans = cfg.plan, []
-    for rj in cfg.rj_values:
+    base = cfg.plan
+
+    def point(rj):
         scale = rj / base.J.index
-        plans.append(RampPlan(
+        return _grid_fidelity(ctx, RampPlan(
             RampSchedule(base.g.start, base.g.stop, base.g.index * scale),
             RampSchedule(base.J.start, base.J.stop, rj),
             RampSchedule(base.delta.start, base.delta.stop, base.delta.index * scale),
             base.total_time,
         ))
-    journal = _journal(cfg, "rj-sweep")
-    fids = tuple(_fidelities(ctx, plans, threads, journal, resume))
-    best = cfg.rj_values[int(np.argmax(fids))]
-    if cfg.out:
-        write_csv(
-            cfg.out, ("rJ", "F"), list(zip(cfg.rj_values, fids)),
-            footer_comments=[f"argmax rJ={fmt(best)}"],
-        )
-        os.unlink(journal.path)
-    return RjSweepResult(tuple(cfg.rj_values), fids, best)
+
+    def best(fids):
+        return cfg.rj_values[int(np.argmax(fids))]
+
+    fids = tuple(_grid(cfg, "rj-sweep", ("rJ", "F"), [(rj,) for rj in cfg.rj_values], point,
+                       threads, resume, lambda values: [f"argmax rJ={fmt(best(values))}"]))
+    return RjSweepResult(tuple(cfg.rj_values), fids, best(fids))
 
 
 def run_rho1_map(cfg: RunConfig, threads: int = 1, resume: bool = False):
@@ -440,28 +447,23 @@ def run_rho1_map(cfg: RunConfig, threads: int = 1, resume: bool = False):
     corr, diag = (orbits.correlator(block, cfg.rho_i, j) for j in (cfg.rho_j, cfg.rho_i))
     params = [(jv, dv) for jv in cfg.j_grid.values() for dv in cfg.d_grid.values()]
 
-    def point(k):
-        vec = ground_state(templates.assemble_copy(cfg.plan.g.start, *params[k])).vector
+    def point(jv, dv):
+        vec = ground_state(templates.assemble(cfg.plan.g.start, jv, dv)).vector
         num = float(np.real(vec @ (corr @ vec)))
         den = float(np.real(vec @ (diag @ vec)))
         if den < 1e-12:
             raise ConfigError("rho1 divides by <n> = %s at rho_i = %d, too few "
                               "photons in the ground state at J = %s, Delta = %s"
-                              % (fmt(den), cfg.rho_i, *map(fmt, params[k])))
+                              % (fmt(den), cfg.rho_i, fmt(jv), fmt(dv)))
         return num / den
 
-    journal = _journal(cfg, "rho1-map")
-    values = map_points(point, len(params), threads, journal, resume)
-    rows = [(jv, dv, value) for (jv, dv), value in zip(params, values)]
-    if cfg.out:
-        write_csv(cfg.out, ("J", "Delta", "rho1"), rows)
-        os.unlink(journal.path)
-    return rows
+    values = _grid(cfg, "rho1-map", ("J", "Delta", "rho1"), params, point, threads, resume)
+    return [(jv, dv, value) for (jv, dv), value in zip(params, values)]
 
 
 def run_gap_scan(cfg: RunConfig) -> GapReport:
     """Coarse symmetric/any gap curve plus refined minimum (CSV footer row),
-    written to `cfg.out`.
+    written to `cfg.out` when it is set.
 
     The symmetric gap is that of the two lowest states of the sector ramps
     evolve in (k = 0, mirror-even). E_gap_any, the gap over all sectors,
@@ -477,15 +479,16 @@ def run_gap_scan(cfg: RunConfig) -> GapReport:
     ]
     rows.append((report.s, report.params.g, report.params.J,
                  report.params.delta, report.gap, ""))
-    write_csv(
-        cfg.out,
-        ("s", "g", "J", "Delta", "E_gap_symmetric", "E_gap_any"),
-        rows,
-        footer_comments=[
-            "refined minimum s=%s J=%s E_gap=%s"
-            % (fmt(report.s), fmt(report.params.J), fmt(report.gap)),
-        ],
-    )
+    if cfg.out:
+        write_csv(
+            cfg.out,
+            ("s", "g", "J", "Delta", "E_gap_symmetric", "E_gap_any"),
+            rows,
+            footer_comments=[
+                "refined minimum s=%s J=%s E_gap=%s"
+                % (fmt(report.s), fmt(report.params.J), fmt(report.gap)),
+            ],
+        )
     return report
 
 

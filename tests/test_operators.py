@@ -224,6 +224,17 @@ def test_data_for_into_a_buffer_is_bitwise_the_expression(templates66):
         assert np.array_equal(t.assemble(g, J, delta).data, expected)
 
 
+def test_assemble_returns_a_matrix_its_caller_owns(templates33):
+    tpl = templates33
+    h1 = tpl.assemble(0.9, 0.31, -0.2)
+    kept = h1.copy()
+    h2 = tpl.assemble(1.0, 0.5, 0.0)
+    tpl.assemble(0.2, 0.0, 1.5)
+    assert h2 is not h1 and not np.shares_memory(h1.data, h2.data)
+    assert np.array_equal(h1.data, kept.data)
+    assert max_abs(h1 - kept) == 0.0
+
+
 def test_matvec_is_bitwise_the_scipy_product(sector66):
     # the one use of scipy's private CSR kernel: a scipy release that
     # changes it fails here instead of drifting

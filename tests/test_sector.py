@@ -534,6 +534,18 @@ def test_gap_scan_refuses_a_plan_below_zero_hopping():
                 gap_scan(sector, plan, resolution=16, **kwargs)
 
 
+def test_gap_scan_refuses_every_block_but_the_symmetric_one():
+    # the (0, -) block has a gap of its own (0.538 at J = 0.5, L = N = 4),
+    # which is no symmetric gap
+    table = enumerate_basis(LatticeShape(4, 4))
+    plan = RampPlan(RampSchedule(1.0, 1.0), RampSchedule(0.0, 0.5),
+                    RampSchedule(0.0, 0.0), 1.0)
+    for tpl in block_sectors(table)[1:]:
+        with pytest.raises(ValueError, match=r"\(0, \+\) block"):
+            gap_scan(tpl, plan, resolution=16)
+    gap_scan(DihedralOrbits(table).templates(Block()), plan, resolution=16)
+
+
 # --- spectra ----------------------------------------------------------------
 
 def deflation_oracle(h, translation, sites, dense: bool, reflection=None):

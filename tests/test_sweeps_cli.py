@@ -20,6 +20,7 @@ from jclattice.sweeps import (
     combine_max_fidelity,
     prepare_context,
     read_grid_csv,
+    run_gap_scan,
     run_phase_diagram,
     run_ramp,
     run_rho1_map,
@@ -592,11 +593,14 @@ NO_PHOTONS = "at rho_i = 2, too few photons in the ground state at J = 0, Delta 
      ["combine-max", "a.csv", "b.csv", "--out", "c.csv"], "axes do not match"),
     ({"a.csv": "JT,dT,F\n0,0,1\n0,0.5,zero\n"},
      ["combine-max", "a.csv", "--out", "c.csv"], "a.csv:3: could not convert"),
+    ({"a.csv": "JT,dT,F\n0,0,0.5\n0,1,0.6\n1,0,0.7\n1,1,0.8\n1,1,0.99\n"},
+     ["combine-max", "a.csv", "--out", "c.csv"], "a.csv:6: repeated point (1.0, 1.0)"),
 ], ids=["mi-needs-N-equal-L", "mi-needs-g", "init-file-not-npy",
         "init-file-npz-archive", "init-file-object-array", "init-file-string-array",
         "init-file-empty", "init-file-inf", "init-file-nan", "init-file-zero",
         "rho1-vacuum", "rho1-photon-free-dense",
-        "rho1-photon-free-arpack", "combine-axes-differ", "combine-cell-not-a-number"])
+        "rho1-photon-free-arpack", "combine-axes-differ", "combine-cell-not-a-number",
+        "combine-repeated-point"])
 def test_cli_input_errors_exit_2(tmp_path, monkeypatch, capsys, files, argv,
                                  message):
     # a ValueError from outside input is not a solver failure (exit 3)
@@ -628,6 +632,11 @@ def test_cli_basis_and_spectrum_and_gap(tmp_path, capsys):
     lines = (tmp_path / "gap.csv").read_text().splitlines()
     assert lines[0] == "s,g,J,Delta,E_gap_symmetric,E_gap_any"
     assert lines[-1].startswith("# refined minimum")
+
+
+def test_gap_scan_without_an_output_returns_its_report():
+    report = run_gap_scan(small_cfg(resolution=16))
+    assert report.gap > 0 and len(report.curve) == 16
 
 
 def test_cli_phase_diagram_and_combine(tmp_path):
