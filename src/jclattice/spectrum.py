@@ -28,6 +28,25 @@ group (`operators.block_sectors`), each labelled by its block
 (`block_levels`). The gap over all sectors adds the lowest level of the
 other blocks to the symmetric pair, which holds the ground state for
 J >= 0.
+
+ARPACK stops once each Ritz pair (theta, x) has a residual
+||r|| = ||H x - theta x|| <= tol |theta|. The error of theta is then at
+most ||r||^2 / delta (Kato-Temple; Parlett, The Symmetric Eigenvalue
+Problem, ch. 10), and that of x about ||r|| / delta, where delta is the
+distance to the next level. So the tolerance follows from what a solve
+reports:
+
+- `VECTOR_TOL` (1e-12), the default, for solves whose vector is used:
+  `ground_state` (ramp targets, checkpoints, rho1, the final fidelity).
+  `block_levels` keeps it when it asks a block for several levels
+  (`spectrum`): how many copies of a level degenerate within one block
+  ARPACK returns depends on its rounding;
+- `LEVEL_TOL` (1e-8), for solves that report only levels: `symmetric_pair`,
+  whose vector only warm-starts the next point, and `block_levels` asking
+  each block for its lowest level (the gap scan's `E_gap_any`). On both
+  L = 6 gap trajectories this bounds each level's error by
+  ||r||^2 / delta < 1e-13, and the levels agree with dense `eigh` to
+  1e-13.
 """
 
 from __future__ import annotations
@@ -44,6 +63,8 @@ from .ramp import RampPlan, trajectory_point
 
 DENSE_CUTOFF = 200
 DEGENERACY_TOL = 1e-9  # units of g; far below physical gaps, above solver noise
+VECTOR_TOL = 1e-12  # ARPACK tol of a solve whose vector is used
+LEVEL_TOL = 1e-8  # ARPACK tol of a solve that reports only levels
 _LANCZOS_SEED = 20260811
 
 
@@ -83,7 +104,7 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v if v[lead] > 0 else -v
 
 
-def _lowest_eigh(h, k: int, v0=None):
+def _lowest_eigh(h, k: int, v0=None, tol: float = VECTOR_TOL):
     dim = h.shape[0]
     k = min(k, dim)
     if dim <= DENSE_CUTOFF or k >= dim - 1:
@@ -96,18 +117,18 @@ def _lowest_eigh(h, k: int, v0=None):
         op = spla.LinearOperator(h.shape, dtype=h.dtype, matvec=lambda x: matvec(
             h, x, np.empty(dim, np.result_type(h.dtype, x.dtype))))
     try:
-        w, v = spla.eigsh(op, k=k, which="SA", v0=v0, tol=1e-12)
+        w, v = spla.eigsh(op, k=k, which="SA", v0=v0, tol=tol)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"ARPACK converged {len(exc.eigenvalues)}/{k} eigenvalues "
-            f"(dim={dim})"
+            f"to tol={tol:g} (dim={dim})"
         ) from exc
     if w.max() > 0:
         # a zero row (a photon-free state at g = 0) is a level 0 that only v0
         # puts in the Krylov space: solve the rest, add each zero row once
         live = np.asarray(abs(h).sum(axis=1)).ravel() > 0
         if not live.all():
-            w, v_live = _lowest_eigh(h[live][:, live], k)
+            w, v_live = _lowest_eigh(h[live][:, live], k, tol=tol)
             zero = np.flatnonzero(~live)[:k]
             v = np.zeros((dim, len(w) + len(zero)), v_live.dtype)
             v[live, :len(w)] = v_live
@@ -143,13 +164,16 @@ def block_levels(blocks, p, count: int, warm: list) -> list[tuple]:
     of the lowest of them are one level: their energies stay ascending,
     and their blocks keep the order of `blocks`, not that of the solvers'
     rounding. `warm` holds one start vector (or None) per block; each
-    solve starts from its block's and leaves its lowest vector there.
+    solve starts from its block's and leaves its lowest vector there. A
+    block asked for one level is solved to `LEVEL_TOL`, one asked for
+    several to `VECTOR_TOL`.
     """
     levels = []
     for k, tpl in enumerate(blocks):
         width = tpl.block.multiplicity
-        w, v = _lowest_eigh(tpl.assemble(p.g, p.J, p.delta), -(-count // width),
-                            warm[k])
+        wanted = -(-count // width)
+        w, v = _lowest_eigh(tpl.assemble(p.g, p.J, p.delta), wanted, warm[k],
+                            LEVEL_TOL if wanted == 1 else VECTOR_TOL)
         warm[k] = v[:, 0]
         levels += [(float(e), k) for e in w for _ in range(width)]
     levels.sort()
@@ -169,7 +193,8 @@ def symmetric_pair(h, translation=None, v0=None):
     these are its two lowest eigenpairs. Given the translation T of a
     full-space `h`, they are those of P^T h P, its k = 0 sector; the
     vector is mapped back to the space of `h`. `v0` (a previous result)
-    warm-starts the solve.
+    warm-starts the solve. The solve stops at `LEVEL_TOL`: the vector is
+    meant for warm starts, not as a state.
     """
     p = None
     if translation is not None:
@@ -178,7 +203,7 @@ def symmetric_pair(h, translation=None, v0=None):
         v0 = None if v0 is None else p.T @ v0
     if h.shape[0] < 2:
         raise ValueError("the symmetric sector holds one state: no symmetric gap")
-    w, v = _lowest_eigh(h, 2, v0)
+    w, v = _lowest_eigh(h, 2, v0, LEVEL_TOL)
     vec = v[:, 0] if p is None else p @ v[:, 0]
     return float(w[0]), float(w[1]), vec
 
@@ -240,7 +265,8 @@ def gap_scan(
             row.append(levels[1] - levels[0])
         curve.append(tuple(row))
 
-    # flat within solver noise (eigsh tol 1e-12): leftmost-minimum tie-break
+    # flat within solver noise (LEVEL_TOL bounds each level's error by
+    # ||r||^2 / delta, under 1e-13 at L = 6): leftmost-minimum tie-break
     flat = np.ptp(gaps) <= 1e-9 * max(1.0, float(np.abs(gaps).max()))
     i_min = 0 if flat else int(np.argmin(gaps))  # argmin is leftmost on ties
     if i_min in (0, resolution - 1):

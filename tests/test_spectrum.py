@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from jclattice import propagate, sweeps
 from jclattice.basis import LatticeShape, enumerate_basis
+from jclattice.config import GridSpec, load_config
 from jclattice.operators import (
     Block,
     HamiltonianTemplates,
@@ -15,9 +19,11 @@ from jclattice.operators import (
     symmetric_sector,
 )
 from jclattice.propagate import fidelity
-from jclattice.ramp import RampPlan, RampSchedule
+from jclattice.ramp import RampPlan, RampSchedule, trajectory_point
 from jclattice.spectrum import (
     DEGENERACY_TOL,
+    LEVEL_TOL,
+    ConvergenceError,
     DegeneracyError,
     _lowest_eigh,
     block_levels,
@@ -29,6 +35,8 @@ from jclattice.spectrum import (
 from jclattice.states import mi_ground_state, sf_ground_state
 
 from conftest import block_isometries, index_of
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def k0_weight(v, translation):
@@ -278,3 +286,77 @@ def test_symmetric_gap_invariant_under_basis_reordering(table33, templates33):
     f0, f1, _ = symmetric_pair(h2, t2)
     gap, gap2 = e1 - e0, f1 - f0
     assert abs(gap2 - gap) <= 0.01 * gap
+
+
+# --- solver tolerances ---------------------------------------------------------
+
+@pytest.mark.parametrize("config", ["gap_mi_sf.cfg", "gap_sf_mi.cfg"])
+def test_level_tol_solves_meet_the_kato_temple_bound(table66, config):
+    # a Ritz value is within ||r||^2 / delta of its level, delta the distance
+    # to the next distinct level; the LEVEL_TOL solves of the gap scan must
+    # keep both that bound and the level itself within 1e-12 of dense eigh
+    plan = load_config(CONFIGS / config).plan
+    blocks = block_sectors(table66)
+    warm, previous = [[None] for _ in blocks], None
+    for s in np.linspace(0.0, 1.0, 33)[::4]:
+        p = trajectory_point(plan, float(s))
+        for k, tpl in enumerate(blocks):
+            h = tpl.assemble(p.g, p.J, p.delta)
+            dense = np.linalg.eigvalsh(h.toarray())
+            if k == 0:
+                e0, e1, previous = symmetric_pair(h, v0=previous)
+                assert [e0, e1] == pytest.approx(dense[:2], abs=1e-12)
+                theta, x = e0, previous
+            else:
+                (theta, block), = block_levels([tpl], p, 1, warm[k])
+                assert block == tpl.block
+                assert theta == pytest.approx(dense[0], abs=1e-12)
+                x = warm[k][0]
+            r = h @ x - theta * x
+            delta = dense[dense > dense[0] + DEGENERACY_TOL][0] - dense[0]
+            assert np.dot(r, r) / delta <= 1e-12
+
+
+def test_only_level_reporting_solves_stop_at_level_tol(table66, sector66, monkeypatch):
+    # a solve whose vector becomes a state (a ramp target, a checkpoint's
+    # ground vector, rho1) stays at VECTOR_TOL
+    seen = []
+    eigsh = spla.eigsh
+
+    def recording(*args, tol, **kwargs):
+        seen.append(tol)
+        return eigsh(*args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", recording)
+
+    def tols(call):
+        seen.clear()
+        call()
+        assert seen
+        return set(seen)
+
+    h = sector66.assemble(1.0, 0.2, 0.0)
+    plan = mi_sf_plan()
+    psi = sector66.isometry.T @ mi_ground_state(table66, 0.0, 1.0)
+    rho1 = dataclasses.replace(load_config(CONFIGS / "rho1_map.cfg"), out=None,
+                               j_grid=GridSpec(0.2, 0.2, 1), d_grid=GridSpec(0.0, 0.0, 1))
+    blocks = block_sectors(table66)
+    p = LatticeParams(1.0, 0.2, 0.0)
+    assert tols(lambda: ground_state(h)) == {1e-12}
+    assert tols(lambda: propagate._checkpoint(sector66, plan, 0.5, psi, None)) == {1e-12}
+    assert tols(lambda: sweeps.run_rho1_map(rho1)) == {1e-12}
+    # three levels: more than the multiplicity of every block
+    assert tols(lambda: block_levels(blocks, p, 3, [None] * len(blocks))) == {1e-12}
+    assert tols(lambda: symmetric_pair(h)) == {LEVEL_TOL}
+    assert tols(lambda: block_levels(blocks, p, 1, [None] * len(blocks))) == {LEVEL_TOL}
+
+
+def test_convergence_error_names_the_tolerance_and_dimension(sector66, monkeypatch):
+    def unconverged(a, k, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(1),
+                                       np.zeros((a.shape[0], 1)))
+
+    monkeypatch.setattr(spla, "eigsh", unconverged)
+    with pytest.raises(ConvergenceError,
+                       match=r"1/2 eigenvalues to tol=1e-08 \(dim=500\)"):
+        symmetric_pair(sector66.assemble(1.0, 0.2, 0.0))
