@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from jclattice import propagate, sweeps
+from jclattice import propagate, spectrum, sweeps
 from jclattice.basis import LatticeShape, enumerate_basis
 from jclattice.config import GridSpec, load_config
 from jclattice.operators import (
@@ -37,6 +37,7 @@ from jclattice.states import mi_ground_state, sf_ground_state
 from conftest import block_isometries, index_of
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+EPS23 = np.finfo(float).eps ** (2 / 3)
 
 
 def k0_weight(v, translation):
@@ -139,6 +140,16 @@ def test_zero_row_level_at_g_zero(shape, sector, J, lowest):
     w, v = _lowest_eigh(h, len(lowest), v0)
     assert w == pytest.approx(lowest, abs=1e-10)
     assert np.allclose(h @ v, v * w, atol=1e-9)
+
+
+def test_level_solver_continues_past_an_invariant_start(sector66):
+    # at g = 0 the photon-free state is an eigenvector on its own: a start
+    # there spans one level, so the pair needs a fresh orthogonal direction
+    h = sector66.assemble(0.0, 0.1, 1.0)
+    start = (np.asarray(abs(h).sum(axis=1)).ravel() == 0).astype(float)
+    assert start.sum() == 1
+    e0, e1, _ = symmetric_pair(h, v0=start)
+    assert [e0, e1] == pytest.approx([0.0, 0.8], abs=1e-10)
 
 
 def test_symmetric_weight_limits(table33, templates33):
@@ -315,21 +326,29 @@ def test_level_tol_solves_meet_the_kato_temple_bound(table66, config):
             r = h @ x - theta * x
             delta = dense[dense > dense[0] + DEGENERACY_TOL][0] - dense[0]
             assert np.dot(r, r) / delta <= 1e-12
+            # the true residual meets the stopping rule, not only its estimate
+            assert np.linalg.norm(r) <= LEVEL_TOL * max(abs(theta), EPS23)
 
 
 def test_only_level_reporting_solves_stop_at_level_tol(table66, sector66, monkeypatch):
     # a solve whose vector becomes a state (a ramp target, a checkpoint's
-    # ground vector, rho1) stays at VECTOR_TOL
+    # ground vector, rho1) stays on ARPACK at VECTOR_TOL; a solve that
+    # reports only levels runs the Lanczos level solver at LEVEL_TOL
     seen = []
-    eigsh = spla.eigsh
+    eigsh, lanczos = spla.eigsh, spectrum._lanczos_levels
 
-    def recording(*args, tol, **kwargs):
-        seen.append(tol)
+    def recording_eigsh(*args, tol, **kwargs):
+        seen.append(("eigsh", tol))
         return eigsh(*args, tol=tol, **kwargs)
 
-    monkeypatch.setattr(spla, "eigsh", recording)
+    def recording_lanczos(h, k, v0, tol):
+        seen.append(("lanczos", tol))
+        return lanczos(h, k, v0, tol)
 
-    def tols(call):
+    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
+    monkeypatch.setattr(spectrum, "_lanczos_levels", recording_lanczos)
+
+    def solves(call):
         seen.clear()
         call()
         assert seen
@@ -342,13 +361,15 @@ def test_only_level_reporting_solves_stop_at_level_tol(table66, sector66, monkey
                                j_grid=GridSpec(0.2, 0.2, 1), d_grid=GridSpec(0.0, 0.0, 1))
     blocks = block_sectors(table66)
     p = LatticeParams(1.0, 0.2, 0.0)
-    assert tols(lambda: ground_state(h)) == {1e-12}
-    assert tols(lambda: propagate._checkpoint(sector66, plan, 0.5, psi, None)) == {1e-12}
-    assert tols(lambda: sweeps.run_rho1_map(rho1)) == {1e-12}
+    vector = {("eigsh", 1e-12)}
+    assert solves(lambda: ground_state(h)) == vector
+    assert solves(lambda: propagate._checkpoint(sector66, plan, 0.5, psi, None)) == vector
+    assert solves(lambda: sweeps.run_rho1_map(rho1)) == vector
     # three levels: more than the multiplicity of every block
-    assert tols(lambda: block_levels(blocks, p, 3, [None] * len(blocks))) == {1e-12}
-    assert tols(lambda: symmetric_pair(h)) == {LEVEL_TOL}
-    assert tols(lambda: block_levels(blocks, p, 1, [None] * len(blocks))) == {LEVEL_TOL}
+    assert solves(lambda: block_levels(blocks, p, 3, [None] * len(blocks))) == vector
+    levels = {("lanczos", LEVEL_TOL)}
+    assert solves(lambda: symmetric_pair(h)) == levels
+    assert solves(lambda: block_levels(blocks, p, 1, [None] * len(blocks))) == levels
 
 
 def test_convergence_error_names_the_tolerance_and_dimension(sector66, monkeypatch):
@@ -358,5 +379,14 @@ def test_convergence_error_names_the_tolerance_and_dimension(sector66, monkeypat
 
     monkeypatch.setattr(spla, "eigsh", unconverged)
     with pytest.raises(ConvergenceError,
-                       match=r"1/2 eigenvalues to tol=1e-08 \(dim=500\)"):
+                       match=r"1/2 eigenvalues to tol=1e-12 \(dim=500\)"):
+        ground_state(sector66.assemble(1.0, 0.2, 0.0))
+
+
+def test_level_solver_step_cap_names_the_tolerance_dimension_and_steps(
+        sector66, monkeypatch):
+    # a cold start needs more than 8 steps for the symmetric pair
+    monkeypatch.setattr(spectrum, "LANCZOS_MAX_STEPS", 8)
+    with pytest.raises(ConvergenceError,
+                       match=r"tol=1e-08 .* in 8 steps \(dim=500\)"):
         symmetric_pair(sector66.assemble(1.0, 0.2, 0.0))
