@@ -8,9 +8,11 @@ of H at weighted sums of the parameters at the two Gauss points (H is
 linear in g, J and Delta), each by a Krylov iteration that stops on its
 a-posteriori residual estimate. Without decay the step matrix is
 Hermitian and the iteration is the Lanczos three-term recurrence (Park &
-Light, J. Chem. Phys. 85, 5870 (1986)); with decay it is Arnoldi with
-full modified Gram-Schmidt. Both use the bare CSR kernel
-`operators.matvec` into preallocated vectors.
+Light, J. Chem. Phys. 85, 5870 (1986)), whose real tridiagonal is
+exponentiated through its eigendecomposition; with decay it is Arnoldi
+with full modified Gram-Schmidt and a dense `expm` of its Hessenberg
+matrix. Both use the bare CSR kernel `operators.matvec` into preallocated
+vectors and in-place BLAS-1 updates.
 
 `tol` bounds the error in the final state through its Richardson estimate:
 for a fourth-order scheme the error of psi_2n is about ||psi_2n - psi_n|| / 15
@@ -29,6 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zdscal
+from scipy.linalg.lapack import dstev
 
 from .operators import HamiltonianTemplates, matvec
 from .ramp import RampPlan
@@ -212,28 +216,53 @@ def _expmv(a, psi, tol, basis, hermitian):
     StepSizeUnderflow when MAX_KRYLOV vectors do not reach it.
 
     a v_j goes by `operators.matvec` into basis[j + 1], which modified
-    Gram-Schmidt turns into v_{j+1}: against v_{j-1} and v_j only for a
-    `hermitian` a (<v_k, a v_j> = 0 for k < j - 1: the Lanczos three-term
-    recurrence), against every earlier vector otherwise (Arnoldi). Vector
-    dots and einsum stand in for dense matrix-vector products: threaded
-    BLAS gemv between sparse matvecs cost milliseconds a call in wake-ups."""
-    beta = math.sqrt(np.vdot(psi, psi).real)
+    Gram-Schmidt turns into v_{j+1} in place by BLAS-1 calls: against
+    v_{j-1} and v_j only for a `hermitian` a (<v_k, a v_j> = 0 for
+    k < j - 1: the Lanczos three-term recurrence), against every earlier
+    vector otherwise (Arnoldi). For a hermitian a, H_m is the real
+    symmetric tridiagonal of Re <v_j, a v_j> and the norms h_{j+1,j} (the
+    recomputed <v_{j-1}, a v_j> only orthogonalises: near an invariant
+    start it carries alpha_{j-1} times the rounding left along v_{j-1}),
+    and exp(-i H_m) e_1 = S exp(-i Theta) S^T e_1 from its
+    eigendecomposition by LAPACK dstev; otherwise `expm` takes the complex
+    Hessenberg H_m. The result is summed by axpy, not gemv, whose rounding
+    changes with the BLAS thread count."""
+    beta = dznrm2(psi)
     bound = tol * max(1.0, beta)
-    hess = np.zeros((MAX_KRYLOV + 1, MAX_KRYLOV), dtype=complex)
+    if hermitian:
+        band = np.empty((2, MAX_KRYLOV))  # diagonal, off-diagonal of H_m
+    else:
+        hess = np.zeros((MAX_KRYLOV + 1, MAX_KRYLOV), dtype=complex)
     np.multiply(psi, 1.0 / beta, out=basis[0])
     lead = beta
     for j in range(MAX_KRYLOV):
         w = matvec(a, basis[j], basis[j + 1])
         for k in range(max(j - 1, 0) if hermitian else 0, j + 1):
-            hess[k, j] = c = np.vdot(basis[k], w)
-            w -= c * basis[k]
-        hess[j + 1, j] = h_next = math.sqrt(np.vdot(w, w).real)
+            c = zdotc(basis[k], w)
+            zaxpy(basis[k], w, a=-c)
+            if not hermitian:
+                hess[k, j] = c
+        h_next = dznrm2(w)
+        if hermitian:
+            band[0, j], band[1, j] = c.real, h_next
+        else:
+            hess[j + 1, j] = h_next
         lead *= h_next / max(j, 1)
         if lead <= bound:
-            f = expm(-1j * hess[: j + 1, : j + 1])[:, 0]
+            if not hermitian:
+                f = expm(-1j * hess[: j + 1, : j + 1])[:, 0]
+            elif j:
+                theta, s, _ = dstev(band[0, : j + 1], band[1, :j])
+                f = s @ (np.exp(-1j * theta) * s[0])
+            else:
+                f = np.exp(-1j * band[0, :1])
             if beta * h_next * abs(f[j]) <= bound:
-                return np.einsum("k,ki->i", beta * f, basis[: j + 1])
-        w *= 1.0 / h_next
+                f *= beta
+                out = np.multiply(basis[0], f[0])
+                for k in range(1, j + 1):
+                    zaxpy(basis[k], out, a=f[k])
+                return out
+        zdscal(1.0 / h_next, w, overwrite_x=True)
     raise StepSizeUnderflow(f"{MAX_KRYLOV} Krylov vectors missed {tol:.3g}")
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from jclattice.basis import LatticeShape, enumerate_basis
 from jclattice.operators import HamiltonianTemplates, symmetric_isometry
@@ -370,3 +371,51 @@ def test_truncated_recurrence_is_not_orthogonal_on_h_minus_i_d(table66,
         _, _, hermitian = krylov_run(step_matrix(sector66, dt), psi, True)
         assert loss(truncated) > 0.1
         assert loss(full) <= 1e-12 and loss(hermitian) <= 1e-12
+
+
+def test_hermitian_krylov_exponential_matches_dense_expm(table66, sector66):
+    # one exponential of the T = 15pi ramp at 512 steps and a long step, from
+    # the Mott state at J = 0.25 and at J = 1e-7. The latter start is nearly
+    # invariant: its first residual is about 1e-8, and the recomputed dot
+    # <v_0, a v_1> carries alpha_0 times the rounding left along v_0, far
+    # above tol, so the tridiagonal must take the residual norms
+    psi = (sector66.isometry.T @ mi_ground_state(table66, 0.0, 1.0)).astype(complex)
+    tol = 1e-11
+    for J in (0.25, 1e-7):
+        for dt in (15 * math.pi / 512, 0.6):
+            a = step_matrix(sector66, dt, J=J)
+            exact = expm(-1j * a.toarray()) @ psi
+            out, m, _ = krylov_run(a, psi, True, tol)
+            assert m >= 2
+            assert np.linalg.norm(out - exact) <= tol * max(1.0, np.linalg.norm(psi))
+
+
+def test_hermitian_krylov_exponential_of_an_eigenvector(sector66):
+    # an invariant start: the first residual vanishes, so one Krylov vector
+    a = step_matrix(sector66, 0.6)
+    levels, vectors = np.linalg.eigh(a.toarray())
+    psi = 2.0 * vectors[:, 3]
+    tol = 1e-11
+    out, m, _ = krylov_run(a, psi, True, tol)
+    assert m == 1
+    assert np.linalg.norm(out - np.exp(-1j * levels[3]) * psi) <= 2.0 * tol
+
+
+def test_dense_expm_only_on_the_dissipative_path(table33, templates33,
+                                                 monkeypatch):
+    # a Hermitian step exponentiates its real tridiagonal by eigendecomposition
+    import jclattice.propagate as propagate
+
+    class DenseExpm(Exception):
+        pass
+
+    def refuse(m):
+        raise DenseExpm
+
+    monkeypatch.setattr(propagate, "expm", refuse)
+    plan, psi0 = plan_mi_sf(2 * math.pi), mi_ground_state(table33, 0.0, 1.0)
+    res = evolve(templates33, plan, psi0, tol=1e-4, initial_steps=8)
+    assert res.norm_drift <= 1e-8
+    with pytest.raises(DenseExpm):
+        evolve_dissipative(templates33, plan, psi0, kappa=0.05, gamma=0.01,
+                           tol=1e-4, initial_steps=8)
