@@ -1,14 +1,12 @@
 """Eigenpairs, block-labelled spectra and gap scans.
 
-The eigensolvers are iterative Lanczos above a dense-fallback cutoff and
-full `eigh` below it; the dense path doubles as the oracle in tests. A
-solve whose vector is used runs scipy's ARPACK; a solve that reports only
-levels runs the bare recurrence (`_lanczos_levels`). Both apply a CSR
-matrix through the bare kernel `operators.matvec`. The cutoff sits near
-the measured single-thread crossover: `eigsh(k=2)` overtakes `eigh`
-between 155 and 190 states (at 192-208 states it is 1.4-2.1 times
-faster, 3-4.5 ms against 5-6.5 ms), and at the 500 states of the
-six-site symmetric sector about ten times.
+Every eigensolve runs the Lanczos recurrence (`_lanczos`) above a
+dense-fallback cutoff and full `eigh` below it; the dense path doubles as
+the oracle in tests. The recurrence applies a CSR matrix through the bare
+kernel `operators.matvec`. The cutoff is conservative: on one BLAS
+thread a cold two-level solve to `VECTOR_TOL` already beats `eigh` at
+114-155 states (0.9-1.3 ms against 1.5-1.8 ms), and at the 500 states of
+the six-site symmetric sector takes 2.0 ms against 29.7 ms.
 The Lanczos start vector comes from a fixed seed: a naively chosen
 deterministic vector such as all-ones can be *exactly* orthogonal
 to the ground state (it is, for the Mott product state), which stalls
@@ -31,41 +29,36 @@ group (`operators.block_sectors`), each labelled by its block
 other blocks to the symmetric pair, which holds the ground state for
 J >= 0.
 
-Both solvers stop on ARPACK's rule: each wanted Ritz pair (theta, x) has
-a residual ||r|| = ||H x - theta x|| <= tol max(|theta|, eps^(2/3)), read
-as beta_m |s_mi| off the tridiagonal matrix T_m. The error of theta is
-then at most ||r||^2 / delta (Kato-Temple; Parlett, The Symmetric
-Eigenvalue Problem, ch. 10), and that of x about ||r|| / delta, where
-delta is the distance to the next level. So the tolerance, and with it
-the solver, follows from what a solve reports:
+Each solve stops once every wanted Ritz pair (theta, x) has a residual
+||r|| = ||H x - theta x|| <= max(tol |theta|, m eps ||T_m||), read as
+beta_m |s_mi| off the m x m tridiagonal matrix T_m; the second term is
+the rounding floor, which a level at 0 needs. The error of theta is then
+at most ||r||^2 / delta (Kato-Temple; Parlett, The Symmetric Eigenvalue
+Problem, ch. 10), and that of x about ||r|| / delta, where delta is the
+distance to the next level. So the tolerance follows from what a solve
+reports:
 
-- `VECTOR_TOL` (1e-12) on ARPACK, the default, for solves whose vector is
-  used: `ground_state` (ramp targets, checkpoints, rho1, the final
-  fidelity). `block_levels` keeps it when it asks a block for several
-  levels (`spectrum`): how many copies of a level degenerate within one
-  block ARPACK returns depends on its rounding;
-- `LEVEL_TOL` (1e-8) on `_lanczos_levels`, for solves that report only
-  levels: `symmetric_pair`, whose vector only warm-starts the next point,
-  and `block_levels` asking each block for its lowest level (the gap
-  scan's `E_gap_any`). On both L = 6 gap trajectories this bounds each
-  level's error by ||r||^2 / delta < 1e-13, and the levels agree with
-  dense `eigh` to 1e-13. Without reorthogonalisation the recurrence still
-  gives the extreme Ritz values to full accuracy; lost orthogonality only
-  adds ghost copies of converged ones (Paige, Linear Algebra Appl. 34,
-  235 (1980)). So one level needs only the three-term recurrence, while
-  the symmetric pair reorthogonalises, lest a ghost of E0 pose as E1.
+- `VECTOR_TOL` (1e-12), the default, for solves whose vector is used:
+  `ground_state` (ramp targets, checkpoints, rho1, the final fidelity).
+  `block_levels` keeps it when it asks a block for several levels
+  (`spectrum`): how many copies of a level degenerate within one block
+  the recurrence returns depends on its rounding;
+- `LEVEL_TOL` (1e-8), for solves that report only levels:
+  `symmetric_pair`, whose vector only warm-starts the next point, and
+  `block_levels` asking each block for its lowest level (the gap scan's
+  `E_gap_any`). On both L = 6 gap trajectories this bounds each level's
+  error by ||r||^2 / delta < 1e-13, and the levels agree with dense
+  `eigh` to 1e-13.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.blas import daxpy, ddot, dnrm2, dscal
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import dstebz, dstein
 
 from .operators import (HamiltonianTemplates, LatticeParams, matvec,
                         symmetric_isometry)
@@ -73,12 +66,11 @@ from .ramp import RampPlan, trajectory_point
 
 DENSE_CUTOFF = 200
 DEGENERACY_TOL = 1e-9  # units of g; far below physical gaps, above solver noise
-VECTOR_TOL = 1e-12  # ARPACK tol of a solve whose vector is used
+VECTOR_TOL = 1e-12  # Lanczos tol of a solve whose vector is used
 LEVEL_TOL = 1e-8  # Lanczos tol of a solve that reports only levels
-LANCZOS_MAX_STEPS = 300  # steps of one level-only solve
+LANCZOS_MAX_STEPS = 300  # steps of one solve
 _LANCZOS_SEED = 20260811
 _EPS = np.finfo(float).eps
-_EPS23 = _EPS ** (2 / 3)
 
 
 class DegeneracyError(RuntimeError):
@@ -123,12 +115,9 @@ def _lowest_eigh(h, k: int, v0=None, tol: float = VECTOR_TOL):
     if dim <= DENSE_CUTOFF or k >= dim - 1:
         w, v = np.linalg.eigh(h.toarray() if sp.issparse(h) else np.asarray(h))
         return w[:k], v[:, :k]
-    if v0 is None:
-        v0 = start_vector(dim)
-    if tol > VECTOR_TOL:  # only the levels are used
-        w, v = _lanczos_levels(h, k, v0, tol)
-    else:
-        w, v = _arpack(h, k, v0, tol)
+    if not (sp.issparse(h) and h.format == "csr"):  # the format `matvec` reads
+        h = sp.csr_matrix(h)
+    w, v = _lanczos(h, k, start_vector(dim) if v0 is None else v0, tol)
     if w.max() > 0:
         # a zero row (a photon-free state at g = 0) is a level 0 that only v0
         # puts in the Krylov space: solve the rest, add each zero row once
@@ -144,43 +133,39 @@ def _lowest_eigh(h, k: int, v0=None, tol: float = VECTOR_TOL):
     return w[order], v[:, order]
 
 
-def _arpack(h, k, v0, tol):
-    dim = h.shape[0]
-    op = h
-    if sp.issparse(h) and h.format == "csr":  # the bare kernel, not `@`
-        op = spla.LinearOperator(h.shape, dtype=h.dtype, matvec=lambda x: matvec(
-            h, x, np.empty(dim, np.result_type(h.dtype, x.dtype))))
-    try:
-        return spla.eigsh(op, k=k, which="SA", v0=v0, tol=tol)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"ARPACK converged {len(exc.eigenvalues)}/{k} eigenvalues "
-            f"to tol={tol:g} (dim={dim})"
-        ) from exc
-
-
-def _lanczos_levels(h, k: int, v0, tol: float):
+def _lanczos(h, k: int, v0, tol: float):
     """Lowest k eigenpairs of a real symmetric CSR `h` by the Lanczos
-    recurrence, for solves that use only the levels.
+    recurrence.
 
     Each step writes h q_j by `operators.matvec` into row j + 1, which the
     three-term recurrence turns into q_{j+1}. For k = 1 nothing more is
     done: lost orthogonality only adds ghost copies of converged levels,
-    never moves the lowest. For k > 1 each new row is also orthogonalised
-    against all earlier ones, since a ghost of the lowest level would pose
-    as the second. From step 8, every 4th step, the lowest k eigenvalues of
-    the tridiagonal T_m and their eigenvectors s_i (`_lowest_ritz`) give
-    ARPACK's residual estimates; the solve stops once every Ritz pair has
-    beta_m |s_mi| <= tol max(|theta_i|, eps^(2/3)). A row that vanishes (an
-    invariant Krylov space) is checked at once; if that does not stop the
-    solve, a fresh row orthogonal to all others continues it, with
-    beta_m = 0. Raises ConvergenceError after LANCZOS_MAX_STEPS steps.
+    never moves the lowest (Paige, Linear Algebra Appl. 34, 235 (1980)).
+    For k > 1 each new row is also orthogonalised against all earlier
+    ones, since a ghost of the lowest level would pose as the second.
+    From step 8, every 4th step, the lowest k eigenpairs
+    (theta_i, s_i) of the tridiagonal T_m (`_lowest_ritz`) give the
+    residuals ||h x_i - theta_i x_i|| = beta_m |s_mi|, and the solve stops
+    once each is at most max(tol |theta_i|, m eps ||T_m||), the second term
+    being the rounding floor that a level at 0 meets.
+
+    A row that vanishes marks an invariant Krylov space, whose Ritz pairs
+    are exact (beta_m = 0). For k = 1 it holds the lowest level that v0
+    reaches, and the solve stops there. For k > 1 it holds only one copy of
+    each level, so a fresh row orthogonal to all others starts a new block
+    of T_m, and from then on the solve stops only once that block's own
+    lowest Ritz value has also converged (at a check step, or exactly when
+    the block closes in turn): the space orthogonal to the earlier blocks
+    then holds nothing lower that the fresh row reaches. A space that
+    fills all `dim` dimensions is final. Raises ConvergenceError after
+    LANCZOS_MAX_STEPS steps.
     """
     dim = h.shape[0]
     rows = np.empty((LANCZOS_MAX_STEPS + 1, dim))
     alpha, beta = np.empty(LANCZOS_MAX_STEPS), np.empty(LANCZOS_MAX_STEPS)
     np.multiply(v0, 1.0 / dnrm2(v0), out=rows[0])
     scale = 0.0  # running estimate of ||T||
+    fresh = 0  # first row of the block of T_m that is still growing
     for j in range(LANCZOS_MAX_STEPS):
         q, w = rows[j], matvec(h, rows[j], rows[j + 1])
         alpha[j] = a = ddot(q, w)
@@ -192,17 +177,24 @@ def _lanczos_levels(h, k: int, v0, tol: float):
         beta[j] = b = dnrm2(w)
         m = j + 1
         scale = max(scale, abs(a) + b + (beta[j - 1] if j else 0.0))
-        invariant = b <= _EPS * m * scale
+        floor = _EPS * m * scale
+        invariant = b <= floor
         if invariant:
             beta[j] = b = 0.0
-        if invariant or (m >= 8 and m % 4 == 0):
+        # the first invariant space of a solve for several levels is never final
+        if (k == 1 or fresh or m == dim) if invariant else (m >= 8 and m % 4 == 0):
             theta, s = _lowest_ritz(alpha[:m], beta[:m], k)
-            if len(theta) == k and all(b * abs(si[-1]) <= tol * max(abs(t), _EPS23)
-                                       for t, si in zip(theta, s)):
+            tails = list(zip(theta, s[:, -1]))
+            if fresh:  # and the lowest Ritz pair of the growing block
+                t, sf = _lowest_ritz(alpha[fresh:m], beta[fresh:m], 1)
+                tails += zip(t, sf[:, -1])
+            if len(theta) == k and all(b * abs(e) <= max(tol * abs(t), floor)
+                                       for t, e in tails):
                 x = s @ rows[:m]
                 x /= np.linalg.norm(x, axis=1)[:, None]
                 return theta, x.T
         if invariant:
+            fresh = m
             w[:] = np.random.default_rng(_LANCZOS_SEED + m).standard_normal(dim)
             for _ in range(2):
                 w -= (rows[:m] @ w) @ rows[:m]
@@ -215,28 +207,21 @@ def _lanczos_levels(h, k: int, v0, tol: float):
 
 def _lowest_ritz(alpha, beta, k):
     """The lowest min(k, m) eigenvalues of the m x m tridiagonal T with
-    diagonal `alpha` and off-diagonal `beta[:m - 1]` (bisection, LAPACK
-    dstebz), and their unit eigenvectors as rows. Each vector lives on the
-    unreduced block of T that holds its eigenvalue, and is solved from the
-    block's last row upwards: a converged Ritz vector's components grow in
-    that direction, so the recurrence is stable and resolves the tiny last
-    component that the residual estimate reads."""
+    diagonal `alpha` and off-diagonal `beta[:m - 1]`, grouped by the
+    unreduced blocks of T (bisection, LAPACK dstebz), and their unit
+    eigenvectors as rows (inverse iteration, LAPACK dstein), each on the
+    block that holds its eigenvalue. Raises ConvergenceError when dstein
+    does not converge."""
     m = len(alpha)
-    # the wrapper wants an off-diagonal entry even at m = 1, where none is read
-    found, theta, block, split, _ = dstebz(alpha, beta[:max(m - 1, 1)], 2, 0.0, 0.0,
-                                           1, min(k, m), 0.0, b"E")
-    s = np.zeros((found, m))
-    for i, (t, blk) in enumerate(zip(theta[:found].tolist(), block[:found].tolist())):
-        hi = int(split[blk - 1])
-        lo = int(split[blk - 2]) if blk > 1 else 0
-        a, b = alpha[lo:hi].tolist(), beta[lo:hi].tolist()
-        col, below, here = [1.0], 0.0, 1.0
-        for r in range(hi - lo - 1, 0, -1):
-            below, here = here, ((t - a[r]) * here - b[r] * below) / b[r - 1]
-            col.append(here)
-        s[i, lo:hi] = col[::-1]
-        s[i] /= math.hypot(*col)
-    return theta[:found], s
+    # the wrappers want an off-diagonal entry even at m = 1, where none is read
+    off = beta[:max(m - 1, 1)]
+    found, theta, block, split, _ = dstebz(alpha, off, 2, 0.0, 0.0, 1, min(k, m),
+                                           0.0, b"B")
+    s, info = dstein(alpha, off, theta[:found], block, split)
+    if info:
+        raise ConvergenceError(f"dstein: {info} of {found} Ritz vectors did not "
+                               f"converge (m={m})")
+    return theta[:found], s.T
 
 
 def ground_state(h, v0=None) -> EigenPair:

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dstein
 
 from jclattice import propagate, spectrum, sweeps
 from jclattice.basis import LatticeShape, enumerate_basis
@@ -23,6 +23,7 @@ from jclattice.ramp import RampPlan, RampSchedule, trajectory_point
 from jclattice.spectrum import (
     DEGENERACY_TOL,
     LEVEL_TOL,
+    VECTOR_TOL,
     ConvergenceError,
     DegeneracyError,
     _lowest_eigh,
@@ -37,7 +38,6 @@ from jclattice.states import mi_ground_state, sf_ground_state
 from conftest import block_isometries, index_of
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
-EPS23 = np.finfo(float).eps ** (2 / 3)
 
 
 def k0_weight(v, translation):
@@ -93,13 +93,61 @@ def test_dense_vs_iterative_agreement(templates33):
     assert np.allclose(w, dense, atol=1e-9)
 
 
-def test_lowest_eigh_is_bitwise_eigsh_on_the_csr_matrix(sector66):
+def test_lowest_eigh_matches_dense_eigh_on_the_csr_matrix(sector66):
     h = sector66.assemble_copy(1.0, 0.3, 0.0)
     w, v = _lowest_eigh(h, 3)
-    w_ref, v_ref = spla.eigsh(h, k=3, which="SA", v0=start_vector(h.shape[0]),
-                              tol=1e-12)
-    order = np.argsort(w_ref, kind="stable")
-    assert np.array_equal(w, w_ref[order]) and np.array_equal(v, v_ref[:, order])
+    w_ref, v_ref = np.linalg.eigh(h.toarray())
+    assert w == pytest.approx(w_ref[:3], abs=1e-12)
+    assert np.abs(np.sum(v * v_ref[:, :3], axis=0)) == pytest.approx(1.0, abs=1e-12)
+    for theta, x in zip(w, v.T):
+        assert np.linalg.norm(h @ x - theta * x) <= VECTOR_TOL * abs(theta)
+
+
+def one_block(table, q, parity):
+    tpl, = [tpl for tpl in block_sectors(table)
+            if (tpl.block.q, tpl.block.parity) == (q, parity)]
+    return tpl
+
+
+def test_unconverged_ritz_values_are_not_accepted(table66):
+    # at J = 0 the (1, +) block's lowest level is five-fold; a Ritz value of
+    # T_m that has not converged must show its true residual, not pass the
+    # stopping rule with a vector whose last component looks tiny
+    h = one_block(table66, 1, 1).assemble_copy(1.0, 0.0, 0.0)
+    assert h.shape[0] == 882
+    w, v = spectrum._lanczos(h, 3, start_vector(882), VECTOR_TOL)
+    assert np.sort(w) == pytest.approx(np.linalg.eigvalsh(h.toarray())[:3], abs=1e-9)
+    for theta, x in zip(w, v.T):
+        assert np.linalg.norm(h @ x - theta * x) <= VECTOR_TOL * abs(theta)
+
+
+def test_a_level_at_zero_converges_on_the_rounding_floor(table66):
+    # at g = 0, J = Delta / 2 the ground level is 0, where tol |theta| is
+    # below rounding: the solve must stop on the floor, not the step cap
+    h = one_block(table66, 0, 1).assemble_copy(0.0, 0.5, 1.0)
+    w, _ = _lowest_eigh(h, 1, None, LEVEL_TOL)
+    assert w[0] == pytest.approx(np.linalg.eigvalsh(h.toarray())[0], abs=1e-10)
+
+
+def test_an_invariant_krylov_space_does_not_hide_a_degenerate_copy(table66):
+    # at g = J = 0 the (0, +) block's lowest level is 50-fold; an invariant
+    # Krylov space holds one copy of it, so the pair's solve must restart
+    # and find a second copy before it stops
+    h = one_block(table66, 0, 1).assemble_copy(0.0, 0.0, -1.0)
+    dense = np.linalg.eigvalsh(h.toarray())
+    assert dense[1] - dense[0] < DEGENERACY_TOL
+    with pytest.raises(DegeneracyError):
+        ground_state(h)
+
+
+def test_unconverged_inverse_iteration_raises(sector66, monkeypatch):
+    def unconverged(*args):
+        z, _ = dstein(*args)
+        return z, 1
+
+    monkeypatch.setattr(spectrum, "dstein", unconverged)
+    with pytest.raises(ConvergenceError, match=r"dstein: 1 of 2 Ritz vectors"):
+        ground_state(sector66.assemble(1.0, 0.2, 0.0))
 
 
 def test_mott_ground_state_fidelity(table66, templates66):
@@ -327,26 +375,27 @@ def test_level_tol_solves_meet_the_kato_temple_bound(table66, config):
             delta = dense[dense > dense[0] + DEGENERACY_TOL][0] - dense[0]
             assert np.dot(r, r) / delta <= 1e-12
             # the true residual meets the stopping rule, not only its estimate
-            assert np.linalg.norm(r) <= LEVEL_TOL * max(abs(theta), EPS23)
+            assert np.linalg.norm(r) <= LEVEL_TOL * abs(theta)
+            # a solve whose vector is used keeps the precision it had on ARPACK
+            if dense[1] - dense[0] >= DEGENERACY_TOL:
+                gs = ground_state(h)
+                assert gs.energy == pytest.approx(dense[0], abs=1e-12)
+                r = h @ gs.vector - gs.energy * gs.vector
+                assert np.linalg.norm(r) <= VECTOR_TOL * abs(gs.energy)
 
 
 def test_only_level_reporting_solves_stop_at_level_tol(table66, sector66, monkeypatch):
     # a solve whose vector becomes a state (a ramp target, a checkpoint's
-    # ground vector, rho1) stays on ARPACK at VECTOR_TOL; a solve that
-    # reports only levels runs the Lanczos level solver at LEVEL_TOL
+    # ground vector, rho1) stops at VECTOR_TOL; a solve that reports only
+    # levels stops at LEVEL_TOL
     seen = []
-    eigsh, lanczos = spla.eigsh, spectrum._lanczos_levels
-
-    def recording_eigsh(*args, tol, **kwargs):
-        seen.append(("eigsh", tol))
-        return eigsh(*args, tol=tol, **kwargs)
+    lanczos = spectrum._lanczos
 
     def recording_lanczos(h, k, v0, tol):
-        seen.append(("lanczos", tol))
+        seen.append(tol)
         return lanczos(h, k, v0, tol)
 
-    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
-    monkeypatch.setattr(spectrum, "_lanczos_levels", recording_lanczos)
+    monkeypatch.setattr(spectrum, "_lanczos", recording_lanczos)
 
     def solves(call):
         seen.clear()
@@ -361,25 +410,20 @@ def test_only_level_reporting_solves_stop_at_level_tol(table66, sector66, monkey
                                j_grid=GridSpec(0.2, 0.2, 1), d_grid=GridSpec(0.0, 0.0, 1))
     blocks = block_sectors(table66)
     p = LatticeParams(1.0, 0.2, 0.0)
-    vector = {("eigsh", 1e-12)}
+    vector = {1e-12}
     assert solves(lambda: ground_state(h)) == vector
     assert solves(lambda: propagate._checkpoint(sector66, plan, 0.5, psi, None)) == vector
     assert solves(lambda: sweeps.run_rho1_map(rho1)) == vector
     # three levels: more than the multiplicity of every block
     assert solves(lambda: block_levels(blocks, p, 3, [None] * len(blocks))) == vector
-    levels = {("lanczos", LEVEL_TOL)}
-    assert solves(lambda: symmetric_pair(h)) == levels
-    assert solves(lambda: block_levels(blocks, p, 1, [None] * len(blocks))) == levels
+    assert solves(lambda: symmetric_pair(h)) == {LEVEL_TOL}
+    assert solves(lambda: block_levels(blocks, p, 1, [None] * len(blocks))) == {LEVEL_TOL}
 
 
 def test_convergence_error_names_the_tolerance_and_dimension(sector66, monkeypatch):
-    def unconverged(a, k, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.zeros(1),
-                                       np.zeros((a.shape[0], 1)))
-
-    monkeypatch.setattr(spla, "eigsh", unconverged)
-    with pytest.raises(ConvergenceError,
-                       match=r"1/2 eigenvalues to tol=1e-12 \(dim=500\)"):
+    # a cold start needs more than 8 steps for the ground pair
+    monkeypatch.setattr(spectrum, "LANCZOS_MAX_STEPS", 8)
+    with pytest.raises(ConvergenceError, match=r"tol=1e-12 .* \(dim=500\)"):
         ground_state(sector66.assemble(1.0, 0.2, 0.0))
 
 
