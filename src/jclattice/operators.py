@@ -450,14 +450,12 @@ class HamiltonianTemplates:
     assemble_copy = assemble
 
 
-def block_sectors(table: BasisTable, blocks=None) -> list[HamiltonianTemplates]:
-    """Templates on each nonempty block of `blocks`, in order; by default
-    every real block of the dihedral group (`dihedral_blocks`). All come
-    from one `DihedralOrbits` table."""
-    if blocks is None:
-        blocks = dihedral_blocks(table.shape.sites)
+def block_sectors(table: BasisTable) -> list[HamiltonianTemplates]:
+    """Templates on every nonempty real block of the dihedral group
+    (`dihedral_blocks`), in order, all from one `DihedralOrbits` table."""
     orbits = DihedralOrbits(table)
-    built = [(block, orbits.columns(block)) for block in blocks]
+    built = [(block, orbits.columns(block))
+             for block in dihedral_blocks(table.shape.sites)]
     return [orbits.templates(block, columns) for block, columns in built
             if columns[1].max() >= 0]
 

@@ -25,9 +25,10 @@ P P^T = (1/L) sum_m T^m.
 
 Levels over all sectors merge those of every real block of the dihedral
 group (`operators.block_sectors`), each labelled by its block
-(`block_levels`). The gap over all sectors adds the lowest level of the
-other blocks to the symmetric pair, which holds the ground state for
-J >= 0.
+(`block_levels`), each block walking the trajectory alone, warm-started
+from its own previous lowest vector. The gap over all sectors adds the
+lowest level of the other blocks to the symmetric pair, which holds the
+ground state for J >= 0.
 
 Each solve stops once every wanted Ritz pair (theta, x) has a residual
 ||r|| = ||H x - theta x|| <= max(tol |theta|, m eps ||T_m||), read as
@@ -240,36 +241,39 @@ def ground_state(h, v0=None) -> EigenPair:
     return EigenPair(float(w[0]), _fix_sign(v[:, 0]))
 
 
-def block_levels(blocks, p, count: int, warm: list) -> list[tuple]:
-    """The lowest `count` levels at parameters `p` over all `blocks`
-    (templates from `operators.block_sectors`), ascending, each as
-    (energy, block that holds it).
+def block_levels(blocks, points, count: int) -> list[list[tuple]]:
+    """The lowest `count` levels over all `blocks` (templates from
+    `operators.block_sectors`) at each of the parameters `points`: one
+    ascending list per point, each level as (energy, block that holds it).
 
-    A block of multiplicity m gives its lowest ceil(count / m) levels, each
-    listed m times, as in the full spectrum. Levels within DEGENERACY_TOL
-    of the lowest of them are one level: their energies stay ascending,
-    and their blocks keep the order of `blocks`, not that of the solvers'
-    rounding. `warm` holds one start vector (or None) per block; each
-    solve starts from its block's and leaves its lowest vector there. A
-    block asked for one level is solved to `LEVEL_TOL`, one asked for
-    several to `VECTOR_TOL`.
+    Each block walks the points in order, every solve starting from its
+    previous lowest vector. A block of multiplicity m gives its lowest
+    ceil(count / m) levels, each listed m times, as in the full spectrum;
+    one asked for one level is solved to `LEVEL_TOL`, one asked for several
+    to `VECTOR_TOL`. Levels within DEGENERACY_TOL of the lowest of them are
+    one level: their energies stay ascending, and their blocks keep the
+    order of `blocks`, not that of the solvers' rounding.
     """
-    levels = []
+    levels = [[] for _ in points]
     for k, tpl in enumerate(blocks):
-        width = tpl.block.multiplicity
+        width, v0 = tpl.block.multiplicity, None
         wanted = -(-count // width)
-        w, v = _lowest_eigh(tpl.assemble(p.g, p.J, p.delta), wanted, warm[k],
-                            LEVEL_TOL if wanted == 1 else VECTOR_TOL)
-        warm[k] = v[:, 0]
-        levels += [(float(e), k) for e in w for _ in range(width)]
-    levels.sort()
-    lowest, grouped = -np.inf, []
-    for e, k in levels:
-        if e - lowest >= DEGENERACY_TOL:
-            lowest = e
-        grouped.append((lowest, k))
-    grouped.sort()
-    return [(e, blocks[k].block) for (e, _), (_, k) in zip(levels[:count], grouped)]
+        for at, p in zip(levels, points):
+            w, v = _lowest_eigh(tpl.assemble(p.g, p.J, p.delta), wanted, v0,
+                                LEVEL_TOL if wanted == 1 else VECTOR_TOL)
+            v0 = v[:, 0]
+            at += [(float(e), k) for e in w for _ in range(width)]
+    merged = []
+    for at in levels:
+        at.sort()
+        lowest, grouped = -np.inf, []
+        for e, k in at:
+            if e - lowest >= DEGENERACY_TOL:
+                lowest = e
+            grouped.append((lowest, k))
+        grouped.sort()
+        merged.append([(e, blocks[k].block) for (e, _), (_, k) in zip(at[:count], grouped)])
+    return merged
 
 
 def symmetric_pair(h, translation=None, v0=None):
@@ -324,7 +328,7 @@ def gap_scan(
     if min(plan.J.start, plan.J.stop) < 0:
         raise ValueError("gap_scan needs J >= 0: below it the ground state "
                          "can leave the symmetric sector")
-    previous, warm = None, [None] * len(blocks or ())
+    previous = None
 
     def gap_at(s: float):
         nonlocal previous
@@ -339,17 +343,14 @@ def gap_scan(
         return gap, p, (e0, e1)
 
     svals = np.linspace(0.0, 1.0, resolution)
-    curve = []
-    gaps = np.empty(resolution)
-    for i, s in enumerate(svals):
-        gap, p, pair = gap_at(s)
-        gaps[i] = gap
-        row = [float(s), p, gap]
-        if blocks is not None:
-            levels = sorted([*pair] + [e for e, b in block_levels(blocks, p, 1, warm)
-                                       for _ in range(b.multiplicity)])
-            row.append(levels[1] - levels[0])
-        curve.append(tuple(row))
+    coarse = [gap_at(s) for s in svals]
+    gaps = np.array([gap for gap, _, _ in coarse])
+    curve = [(float(s), p, gap) for s, (gap, p, _) in zip(svals, coarse)]
+    if blocks is not None:
+        others = block_levels(blocks, [p for _, p, _ in coarse], 1)
+        for i, ((_, _, pair), lowest) in enumerate(zip(coarse, others)):
+            levels = sorted([*pair] + [e for e, b in lowest for _ in range(b.multiplicity)])
+            curve[i] += (levels[1] - levels[0],)
 
     # flat within solver noise (LEVEL_TOL bounds each level's error by
     # ||r||^2 / delta, under 1e-13 at L = 6): leftmost-minimum tie-break

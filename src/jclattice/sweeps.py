@@ -498,10 +498,10 @@ def run_spectrum(cfg: RunConfig):
     +-1 at q = 0 and q = L/2 and 0 for a two-dimensional irrep, whose
     levels are listed twice."""
     blocks = block_sectors(_run_table(cfg))
+    svals = np.linspace(0.0, 1.0, cfg.resolution)
+    points = [trajectory_point(cfg.plan, float(s)) for s in svals]
     rows = []
-    for s in np.linspace(0.0, 1.0, cfg.resolution):
-        p = trajectory_point(cfg.plan, float(s))
-        levels = block_levels(blocks, p, cfg.count, [None] * len(blocks))
+    for s, p, levels in zip(svals, points, block_levels(blocks, points, cfg.count)):
         for level, (energy, block) in enumerate(levels):
             parity = block.parity if block.multiplicity == 1 else 0
             rows.append((float(s), p.g, p.J, p.delta, level,

@@ -466,11 +466,11 @@ def test_group_averaged_correlator_is_the_symmetric_part_of_the_restricted_one(L
 
 def test_a_block_that_does_not_fit_the_ring_is_refused():
     # q L / sites = 6/4 names no momentum of a six-site ring
-    table = pair(LatticeShape(6, 6))[0]
+    orbits = DihedralOrbits(pair(LatticeShape(6, 6))[0])
     with pytest.raises(ValueError, match="does not fit"):
-        block_sectors(table, [Block(1, 1, 4)])
-    half, = block_sectors(table, [Block(2, 1, 12)])
-    same, = block_sectors(table, [Block(1, 1, 6)])
+        orbits.templates(Block(1, 1, 4))
+    half = orbits.templates(Block(2, 1, 12))
+    same = orbits.templates(Block(1, 1, 6))
     assert (half.dim, same.dim) == (882, 882)
     assert_same(half.coupling, same.coupling)
     assert_same(half.hopping, same.hopping)

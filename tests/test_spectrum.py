@@ -225,8 +225,7 @@ def test_symmetric_pair_matches_classified_spectrum(table33, templates33):
     h = templates33.assemble_copy(1.0, 0.15, 0.0)
     e0, e1, _ = symmetric_pair(h, templates33.translation)
     blocks = block_sectors(table33)
-    levels = block_levels(blocks, LatticeParams(1.0, 0.15, 0.0), 10,
-                          [None] * len(blocks))
+    levels, = block_levels(blocks, [LatticeParams(1.0, 0.15, 0.0)], 10)
     assert e0 == pytest.approx(levels[0][0], abs=1e-9)
     sym_excited = [e for e, block in levels[1:] if block == Block(0, 1, 3)]
     assert sym_excited, "need a symmetric excited state within 10 levels"
@@ -240,10 +239,10 @@ def test_block_levels_are_the_full_spectrum_labelled_by_block(shape):
     table = enumerate_basis(shape)
     full = HamiltonianTemplates(table)
     blocks = block_sectors(table)
-    for g, J, delta in [(1.0, 0.2, 0.0), (0.7, 0.35, 0.6), (0.8, -0.25, -0.4)]:
-        levels = block_levels(blocks, LatticeParams(g, J, delta), 8,
-                              [None] * len(blocks))
-        w, v = np.linalg.eigh(full.assemble_copy(g, J, delta).toarray())
+    points = [LatticeParams(g, J, delta)
+              for g, J, delta in [(1.0, 0.2, 0.0), (0.7, 0.35, 0.6), (0.8, -0.25, -0.4)]]
+    for p, levels in zip(points, block_levels(blocks, points, 8)):
+        w, v = np.linalg.eigh(full.assemble_copy(p.g, p.J, p.delta).toarray())
         assert len(levels) == 8
         assert np.abs([e for e, _ in levels] - w[:8]).max() <= 1e-10
         for i, (_, block) in enumerate(levels):
@@ -261,14 +260,29 @@ def test_degenerate_levels_follow_the_block_order(table66):
     # level, E - E0 = 2 - sqrt(2), held by several blocks whose solvers
     # round it differently: the labels follow `blocks`, not that rounding
     blocks = block_sectors(table66)
-    levels = block_levels(blocks, LatticeParams(1.0, 0.0, 0.0), 6,
-                          [None] * len(blocks))
+    levels, = block_levels(blocks, [LatticeParams(1.0, 0.0, 0.0)], 6)
     energies = [e for e, _ in levels]
     assert energies == sorted(energies)
     assert np.ptp(energies[1:]) < DEGENERACY_TOL
     order = [tpl.block for tpl in blocks]
     positions = [order.index(block) for _, block in levels[1:]]
     assert positions == sorted(positions)
+
+
+@pytest.mark.parametrize("g, J", [((1.0, 1.0), (0.0, 0.5)), ((0.0, 1.0), (0.5, 0.0))],
+                         ids=["mi_sf", "sf_mi"])
+def test_warm_started_block_levels_match_dense_eigh(table66, g, J):
+    # each block walks the trajectory from its previous lowest vector, asking
+    # for several levels at VECTOR_TOL: every merged level must be that of
+    # dense eigh on each block, repeated by the block's multiplicity
+    plan = RampPlan(RampSchedule(*g), RampSchedule(*J), RampSchedule(0.0, 0.0), 1.0)
+    points = [trajectory_point(plan, float(s)) for s in np.linspace(0.0, 1.0, 9)]
+    blocks = block_sectors(table66)
+    for p, levels in zip(points, block_levels(blocks, points, 6)):
+        dense = np.sort([e for tpl in blocks
+                         for e in np.linalg.eigvalsh(tpl.assemble(p.g, p.J, p.delta).toarray())
+                         for _ in range(tpl.block.multiplicity)])
+        assert np.abs([e for e, _ in levels] - dense[:6]).max() <= 1e-12, p
 
 
 def mi_sf_plan(T=15 * math.pi, rj=1.0):
@@ -356,21 +370,23 @@ def test_level_tol_solves_meet_the_kato_temple_bound(table66, config):
     # keep both that bound and the level itself within 1e-12 of dense eigh
     plan = load_config(CONFIGS / config).plan
     blocks = block_sectors(table66)
-    warm, previous = [[None] for _ in blocks], None
-    for s in np.linspace(0.0, 1.0, 33)[::4]:
-        p = trajectory_point(plan, float(s))
-        for k, tpl in enumerate(blocks):
+    points = [trajectory_point(plan, float(s)) for s in np.linspace(0.0, 1.0, 33)[::4]]
+    for k, tpl in enumerate(blocks):
+        walk, x = block_levels([tpl], points, 1), None
+        for p, ((theta, block),) in zip(points, walk):
             h = tpl.assemble(p.g, p.J, p.delta)
             dense = np.linalg.eigvalsh(h.toarray())
+            assert block == tpl.block
+            assert theta == pytest.approx(dense[0], abs=1e-12)
             if k == 0:
-                e0, e1, previous = symmetric_pair(h, v0=previous)
+                e0, e1, x = symmetric_pair(h, v0=x)
                 assert [e0, e1] == pytest.approx(dense[:2], abs=1e-12)
-                theta, x = e0, previous
+                theta = e0
             else:
-                (theta, block), = block_levels([tpl], p, 1, warm[k])
-                assert block == tpl.block
-                assert theta == pytest.approx(dense[0], abs=1e-12)
-                x = warm[k][0]
+                # block_levels' own walk: the same solve from the same start
+                w, v = _lowest_eigh(h, 1, x, LEVEL_TOL)
+                assert w[0] == theta
+                x = v[:, 0]
             r = h @ x - theta * x
             delta = dense[dense > dense[0] + DEGENERACY_TOL][0] - dense[0]
             assert np.dot(r, r) / delta <= 1e-12
@@ -415,9 +431,9 @@ def test_only_level_reporting_solves_stop_at_level_tol(table66, sector66, monkey
     assert solves(lambda: propagate._checkpoint(sector66, plan, 0.5, psi, None)) == vector
     assert solves(lambda: sweeps.run_rho1_map(rho1)) == vector
     # three levels: more than the multiplicity of every block
-    assert solves(lambda: block_levels(blocks, p, 3, [None] * len(blocks))) == vector
+    assert solves(lambda: block_levels(blocks, [p], 3)) == vector
     assert solves(lambda: symmetric_pair(h)) == {LEVEL_TOL}
-    assert solves(lambda: block_levels(blocks, p, 1, [None] * len(blocks))) == {LEVEL_TOL}
+    assert solves(lambda: block_levels(blocks, [p], 1)) == {LEVEL_TOL}
 
 
 def test_convergence_error_names_the_tolerance_and_dimension(sector66, monkeypatch):
