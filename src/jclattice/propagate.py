@@ -36,7 +36,6 @@ from scipy.linalg.lapack import dstev
 
 from .operators import HamiltonianTemplates, matvec
 from .ramp import RampPlan
-from .spectrum import ground_state
 
 DEFAULT_TOL = 1e-8
 DEFAULT_STEPS = 256
@@ -64,21 +63,11 @@ class NormBlowUp(PropagationError):
 
 
 @dataclass
-class Checkpoint:
-    t: float
-    g: float
-    J: float
-    delta: float
-    norm: float
-    overlap_instantaneous_ground: float
-
-
-@dataclass
 class EvolutionResult:
     final_state: np.ndarray
     norm_drift: float
     step_count: int
-    checkpoints: list = field(default_factory=list)
+    states: list = field(default_factory=list)  # psi at each checkpoint time
     error_estimate: float = 0.0  # ||psi_2n - psi_n|| / RICHARDSON_SCALE, accepted run
 
 
@@ -109,10 +98,10 @@ def evolve(
     estimate ||psi_2n - psi_n|| / RICHARDSON_SCALE (the module docstring).
 
     `decay` is the real diagonal D (`templates.dissipative_rates`), None for
-    H alone. `checkpoints` = n >= 2 adds rows at t = 0, t = T and evenly
-    between, each with the instantaneous-ground overlap (one eigensolve per
-    row). The step count doubles at most MAX_REFINEMENTS times. A psi0
-    whose norm is zero or not finite raises ValueError.
+    H alone. With `checkpoints` = n >= 2 the run's segments end at n times,
+    t = 0, t = T and evenly between, and `states` holds psi at each. The
+    step count doubles at most MAX_REFINEMENTS times. A psi0 whose norm is
+    zero or not finite raises ValueError.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (templates.dim,):
@@ -154,12 +143,9 @@ def evolve(
             estimate = float(np.linalg.norm(psi - previous)) / RICHARDSON_SCALE
             nrm = np.linalg.norm(psi)
             if estimate <= tol * max(1.0, nrm):
-                rows, ground = [], None
-                for u, s in zip(marks, saved):
-                    row, ground = _checkpoint(templates, plan, u, s, ground)
-                    rows.append(row)
+                # without checkpoints, saved holds only t = 0 and t = T
                 return EvolutionResult(psi, float(abs(nrm / norm0 - 1.0)),
-                                       int(counts.sum()), rows, estimate)
+                                       int(counts.sum()), saved[:checkpoints], estimate)
         previous = psi
         steps *= 2
     raise StepSizeUnderflow(f"tolerance {tol} not met after {MAX_REFINEMENTS} "
@@ -264,15 +250,3 @@ def _expmv(a, psi, tol, basis, hermitian):
                 return out
         zdscal(1.0 / h_next, w, overwrite_x=True)
     raise StepSizeUnderflow(f"{MAX_KRYLOV} Krylov vectors missed {tol:.3g}")
-
-
-def _checkpoint(templates, plan, u, psi, previous):
-    """Checkpoint row at fraction u and its ground vector; the solve starts
-    from the previous checkpoint's ground vector."""
-    p = plan.params_at_fraction(u)
-    h = templates.assemble(p.g, p.J, p.delta)
-    ground = ground_state(h, v0=previous).vector
-    nrm = float(np.linalg.norm(psi))
-    row = Checkpoint(u * plan.total_time, p.g, p.J, p.delta, nrm,
-                     fidelity(psi / nrm, ground))
-    return row, ground

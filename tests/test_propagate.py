@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from jclattice import sweeps
 from jclattice.basis import LatticeShape, enumerate_basis
+from jclattice.config import RunConfig
 from jclattice.operators import HamiltonianTemplates, symmetric_isometry
 from jclattice.propagate import (
     MAX_KRYLOV,
@@ -41,6 +43,14 @@ def reversed_plan(plan):
 def constant_plan(T, g=1.0, J=0.2, d=0.0):
     return RampPlan(RampSchedule(g, g), RampSchedule(J, J),
                     RampSchedule(d, d), T)
+
+
+def checkpoint_rows(templates, plan, psi0, checkpoints, steps):
+    """The ramp driver's checkpoint rows (t, g, J, Delta, norm, overlap with
+    the instantaneous ground state) of a Hermitian run at the default tol."""
+    ctx = sweeps.SimContext(RunConfig(steps=steps), templates, psi0, None)
+    rows, _ = sweeps._run_plan(ctx, plan, checkpoints)
+    return rows
 
 
 def test_fidelity_basics():
@@ -133,7 +143,7 @@ def test_dissipative_norm_decays(table33, templates33):
     res = evolve_dissipative(templates33, plan, psi0, kappa=0.05, gamma=0.0,
                              convention="number-conserving",
                              initial_steps=4000, checkpoints=6)
-    norms = [c.norm for c in res.checkpoints]
+    norms = [np.linalg.norm(psi) for psi in res.states]
     assert all(np.diff(norms) < 0)
     assert np.linalg.norm(res.final_state) < 1.0
 
@@ -171,11 +181,11 @@ def test_step_underflow(table33, templates33, monkeypatch):
 def test_checkpoints_schema(table33, templates33):
     plan = plan_mi_sf(2 * math.pi)
     psi0 = mi_ground_state(table33, 0.0, 1.0)
-    res = evolve(templates33, plan, psi0, initial_steps=1000, checkpoints=4)
-    assert len(res.checkpoints) == 4
-    assert res.checkpoints[0].t == 0.0
-    assert res.checkpoints[-1].t == pytest.approx(2 * math.pi)
-    assert res.checkpoints[0].overlap_instantaneous_ground == pytest.approx(1.0, abs=1e-9)
+    rows = checkpoint_rows(templates33, plan, psi0, 4, steps=1000)
+    assert len(rows) == 4
+    assert rows[0][0] == 0.0
+    assert rows[-1][0] == pytest.approx(2 * math.pi)
+    assert rows[0][5] == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError, match="only t = 0"):
         evolve(templates33, plan, psi0, checkpoints=1)
 
@@ -229,21 +239,18 @@ def test_small_index_ramp_keeps_fourth_order(table33, templates33, rj):
 
 def test_checkpoints_at_exact_times_with_one_solve_each(table33, templates33,
                                                         monkeypatch):
-    import jclattice.propagate as propagate
-
     solves = []
 
     def counting(h, **kwargs):
         solves.append(h.shape)
         return ground_state(h, **kwargs)
 
-    monkeypatch.setattr(propagate, "ground_state", counting)
+    monkeypatch.setattr(sweeps, "ground_state", counting)
     T = 2 * math.pi
     plan = plan_sf_mi(T, 1 / 3)
-    res = evolve(templates33, plan, sf_ground_state(table33),
-                 initial_steps=8, checkpoints=7)
+    rows = checkpoint_rows(templates33, plan, sf_ground_state(table33), 7, steps=8)
     assert len(solves) == 7
-    assert [c.t for c in res.checkpoints] == pytest.approx(
+    assert [row[0] for row in rows] == pytest.approx(
         [k / 6 * T for k in range(7)], rel=1e-15, abs=0.0)
     # a checkpoint holds the state of a run that ends at its time
     half = RampPlan(*(RampSchedule(s.start, s.value_at_fraction(0.5), s.index)
@@ -251,8 +258,7 @@ def test_checkpoints_at_exact_times_with_one_solve_each(table33, templates33,
     psi = evolve(templates33, half, sf_ground_state(table33)).final_state
     p = plan.params_at_fraction(0.5)
     gs = ground_state(templates33.assemble_copy(p.g, p.J, p.delta)).vector
-    assert res.checkpoints[3].overlap_instantaneous_ground == pytest.approx(
-        fidelity(psi, gs), abs=1e-7)
+    assert rows[3][5] == pytest.approx(fidelity(psi, gs), abs=1e-7)
 
 
 def test_norm_blowup_guard_short_runs(table33, templates33, monkeypatch):

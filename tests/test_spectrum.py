@@ -7,9 +7,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg.lapack import dstein
 
-from jclattice import propagate, spectrum, sweeps
+from jclattice import spectrum, sweeps
 from jclattice.basis import LatticeShape, enumerate_basis
-from jclattice.config import GridSpec, load_config
+from jclattice.config import GridSpec, RunConfig, load_config
 from jclattice.operators import (
     Block,
     HamiltonianTemplates,
@@ -401,8 +401,8 @@ def test_level_tol_solves_meet_the_kato_temple_bound(table66, config):
 
 
 def test_only_level_reporting_solves_stop_at_level_tol(table66, sector66, monkeypatch):
-    # a solve whose vector becomes a state (a ramp target, a checkpoint's
-    # ground vector, rho1) stops at VECTOR_TOL; a solve that reports only
+    # a solve whose vector becomes a state (a ramp's checkpoint and target
+    # ground vectors, rho1) stops at VECTOR_TOL; a solve that reports only
     # levels stops at LEVEL_TOL
     seen = []
     lanczos = spectrum._lanczos
@@ -420,7 +420,7 @@ def test_only_level_reporting_solves_stop_at_level_tol(table66, sector66, monkey
         return set(seen)
 
     h = sector66.assemble(1.0, 0.2, 0.0)
-    plan = mi_sf_plan()
+    plan = mi_sf_plan(2 * math.pi)
     psi = sector66.isometry.T @ mi_ground_state(table66, 0.0, 1.0)
     rho1 = dataclasses.replace(load_config(CONFIGS / "rho1_map.cfg"), out=None,
                                j_grid=GridSpec(0.2, 0.2, 1), d_grid=GridSpec(0.0, 0.0, 1))
@@ -428,7 +428,8 @@ def test_only_level_reporting_solves_stop_at_level_tol(table66, sector66, monkey
     p = LatticeParams(1.0, 0.2, 0.0)
     vector = {1e-12}
     assert solves(lambda: ground_state(h)) == vector
-    assert solves(lambda: propagate._checkpoint(sector66, plan, 0.5, psi, None)) == vector
+    ramp = sweeps.SimContext(RunConfig(), sector66, psi, None)
+    assert solves(lambda: sweeps._run_plan(ramp, plan, checkpoints=3)) == vector
     assert solves(lambda: sweeps.run_rho1_map(rho1)) == vector
     # three levels: more than the multiplicity of every block
     assert solves(lambda: block_levels(blocks, [p], 3)) == vector

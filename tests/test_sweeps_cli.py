@@ -2,6 +2,7 @@ import io
 import math
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -218,6 +219,25 @@ def test_run_ramp_csv_schema(tmp_path):
     assert len([l for l in lines if not l.startswith("#")]) == 4
     assert lines[-1].startswith("# summary F=")
     assert 0.0 <= summary.fidelity_raw <= 1 + 1e-9
+
+
+@pytest.mark.parametrize("checkpoints", [0, 2, 5])
+def test_one_ground_state_solve_per_checkpoint(monkeypatch, checkpoints):
+    # the walk over the checkpoints ends at t = T, whose ground state is
+    # also the fidelity target; without checkpoints that target is the walk.
+    # Every binding of ground_state in the package is counted.
+    solves = []
+
+    def counting(h, v0=None):
+        solves.append(v0 is None)
+        return ground_state(h, v0)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jclattice") and getattr(module, "ground_state", None) is ground_state:
+            monkeypatch.setattr(module, "ground_state", counting)
+    run_ramp(small_cfg(checkpoints=checkpoints))
+    # cold at the first point, then warm-started from the one before
+    assert solves == [True] + [False] * (max(checkpoints, 1) - 1)
 
 
 def test_phase_diagram_grid_and_determinism(tmp_path):
