@@ -145,7 +145,9 @@ def _read(key: str, kind: type, text: str, where: str):
     factor = 1.0
     if number.endswith("pi"):
         factor = math.pi
-        number = number[:-2].strip() or "1"
+        number = number[:-2].strip()
+        if number in ("", "+", "-"):  # a bare `pi`, `-pi` or `+pi`
+            number += "1"
     try:
         value = float(number) * factor
     except ValueError:

@@ -17,7 +17,8 @@ The runs use templates on the fully symmetric sector
 (`operators.symmetric_sector`: k = 0 and mirror-even, built from orbit
 representatives), whose matrices are used as they are. The minimal gap
 along a ramping trajectory (`gap_scan`) is the separation of the two
-lowest levels of that sector, the two a ramp can reach. `symmetric_pair`
+lowest levels of that sector, the two a ramp can reach; its curve holds
+that pair at each coarse point. `symmetric_pair`
 also takes a full-space H with its translation T and solves its k = 0
 sector, P^T H P, where the isometry P from `operators.symmetric_isometry`
 holds one normalised translation-orbit sum per column:
@@ -26,9 +27,9 @@ P P^T = (1/L) sum_m T^m.
 Levels over all sectors merge those of every real block of the dihedral
 group (`operators.block_sectors`), each labelled by its block
 (`block_levels`), each block walking the trajectory alone, warm-started
-from its own previous lowest vector. The gap over all sectors adds the
-lowest level of the other blocks to the symmetric pair, which holds the
-ground state for J >= 0.
+from its own previous lowest vector. The gap over all sectors
+(`sweeps.run_gap_scan`) adds the lowest level of the other blocks to the
+symmetric pair of `gap_scan`, which holds the ground state for J >= 0.
 
 Each solve stops once every wanted Ritz pair (theta, x) has a residual
 ||r|| = ||H x - theta x|| <= max(tol |theta|, m eps ||T_m||), read as
@@ -95,7 +96,7 @@ class GapReport:
     s: float
     params: LatticeParams
     gap: float
-    curve: list = field(default_factory=list)  # (s, params, gap_sym[, gap_any]) rows
+    curve: list = field(default_factory=list)  # (s, params, E0, E1) rows
 
 
 def start_vector(dim: int) -> np.ndarray:
@@ -103,11 +104,7 @@ def start_vector(dim: int) -> np.ndarray:
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
-    lead = np.argmax(np.abs(v))
-    if np.iscomplexobj(v):
-        phase = v[lead] / abs(v[lead])
-        return v / phase
-    return v if v[lead] > 0 else -v
+    return v if v[np.argmax(np.abs(v))] > 0 else -v
 
 
 def _lowest_eigh(h, k: int, v0=None, tol: float = VECTOR_TOL):
@@ -303,21 +300,18 @@ def gap_scan(
     plan: RampPlan,
     resolution: int = 33,
     refine_tol: float = 1e-4,
-    blocks=None,
 ) -> GapReport:
     """Locate the minimal symmetric gap along the plan's trajectory.
 
     `templates` act on the (0, +) block (`operators.symmetric_sector`);
-    the gap is that of its two lowest levels. Coarse scan over
-    `resolution` equispaced s points, then golden-section refinement of s
-    to `refine_tol` > 0. Flat scans report the leftmost minimum. Raises
-    DegeneracyError when any sampled gap drops below 10x DEGENERACY_TOL
-    (suspected level crossing). With `blocks`, the templates of every
-    other dihedral block (`operators.block_sectors`), each coarse row also
-    holds the gap over all sectors, from the symmetric pair and the lowest
-    level of the other blocks (`block_levels`): enough for J >= 0, where
-    the ground state is symmetric, so a plan that reaches J < 0 is
-    refused. Each solve starts from the previous point's in its block.
+    the gap is that of its two lowest levels (`symmetric_pair`), each
+    solve starting from the previous point's vector. Coarse scan over
+    `resolution` equispaced s points, each a curve row (s, params, E0,
+    E1), then golden-section refinement of s to `refine_tol` > 0. Flat
+    scans report the leftmost minimum. Raises DegeneracyError when any
+    sampled gap drops below 10x DEGENERACY_TOL (suspected level crossing).
+    A plan that reaches J < 0, where the ground state can leave the
+    symmetric sector, is refused.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
@@ -330,7 +324,7 @@ def gap_scan(
                          "can leave the symmetric sector")
     previous = None
 
-    def gap_at(s: float):
+    def pair_at(s: float):
         nonlocal previous
         p = trajectory_point(plan, s)
         h = templates.assemble(p.g, p.J, p.delta)
@@ -340,17 +334,15 @@ def gap_scan(
             raise DegeneracyError(
                 f"symmetric gap {gap!r} at s={s} suggests a level crossing"
             )
-        return gap, p, (e0, e1)
+        return float(s), p, e0, e1
+
+    def gap_at(s: float) -> float:
+        _, _, e0, e1 = pair_at(s)
+        return e1 - e0
 
     svals = np.linspace(0.0, 1.0, resolution)
-    coarse = [gap_at(s) for s in svals]
-    gaps = np.array([gap for gap, _, _ in coarse])
-    curve = [(float(s), p, gap) for s, (gap, p, _) in zip(svals, coarse)]
-    if blocks is not None:
-        others = block_levels(blocks, [p for _, p, _ in coarse], 1)
-        for i, ((_, _, pair), lowest) in enumerate(zip(coarse, others)):
-            levels = sorted([*pair] + [e for e, b in lowest for _ in range(b.multiplicity)])
-            curve[i] += (levels[1] - levels[0],)
+    curve = [pair_at(s) for s in svals]
+    gaps = np.array([e1 - e0 for _, _, e0, e1 in curve])
 
     # flat within solver noise (LEVEL_TOL bounds each level's error by
     # ||r||^2 / delta, under 1e-13 at L = 6): leftmost-minimum tie-break
@@ -360,8 +352,7 @@ def gap_scan(
         s_gp, gap_gp = float(svals[i_min]), float(gaps[i_min])
     else:
         s_gp, gap_gp = _golden_section(
-            lambda s: gap_at(s)[0],
-            float(svals[i_min - 1]), float(svals[i_min + 1]), refine_tol,
+            gap_at, float(svals[i_min - 1]), float(svals[i_min + 1]), refine_tol,
         )
     return GapReport(s_gp, trajectory_point(plan, s_gp), gap_gp, curve)
 

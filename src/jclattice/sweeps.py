@@ -450,14 +450,15 @@ def run_rho1_map(cfg: RunConfig, threads: int = 1, resume: bool = False):
     orbits = DihedralOrbits(_run_table(cfg))
     block = Block(0, 1, cfg.sites)
     templates = orbits.templates(block)
-    # a symmetric ground state reads a_i^dag a_j as its group average
-    corr, diag = (orbits.correlator(block, cfg.rho_i, j) for j in (cfg.rho_j, cfg.rho_i))
+    # a symmetric ground state reads a_i^dag a_j as its group average, and
+    # <n_i> as <sum_j n_j> / L
+    corr = orbits.correlator(block, cfg.rho_i, cfg.rho_j)
     params = [(jv, dv) for jv in cfg.j_grid.values() for dv in cfg.d_grid.values()]
 
     def point(jv, dv):
         vec = ground_state(templates.assemble(cfg.plan.g.start, jv, dv)).vector
-        num = float(np.real(vec @ (corr @ vec)))
-        den = float(np.real(vec @ (diag @ vec)))
+        num = float(vec @ (corr @ vec))
+        den = float(vec @ (templates.number_diag * vec)) / cfg.sites
         if den < 1e-12:
             raise ConfigError("rho1 divides by <n> = %s at rho_i = %d, too few "
                               "photons in the ground state at J = %s, Delta = %s"
@@ -473,17 +474,18 @@ def run_gap_scan(cfg: RunConfig) -> GapReport:
     written to `cfg.out` when it is set.
 
     The symmetric gap is that of the two lowest states of the sector ramps
-    evolve in (k = 0, mirror-even). E_gap_any, the gap over all sectors,
-    comes from the lowest levels of every real dihedral block, the
-    symmetric one first (`gap_scan`)."""
+    evolve in (k = 0, mirror-even; `gap_scan`). E_gap_any, the gap over all
+    sectors, adds the lowest level of every other real dihedral block
+    (`block_levels`): the symmetric E0 is the ground state for J >= 0."""
     _require_nonnegative_j((cfg.plan.J.start, cfg.plan.J.stop), "the gap scan")
-    sector, *blocks = block_sectors(_run_table(cfg))
+    sector, *others = block_sectors(_run_table(cfg))
     report = gap_scan(sector, cfg.plan, resolution=cfg.resolution,
-                      refine_tol=cfg.refine_tol, blocks=blocks)
-    rows = [
-        (s, p.g, p.J, p.delta, gap_sym, gap_any)
-        for (s, p, gap_sym, gap_any) in report.curve
-    ]
+                      refine_tol=cfg.refine_tol)
+    lowest = block_levels(others, [p for _, p, _, _ in report.curve], 1)
+    # a level of another block degenerate with E0 can round below it
+    rows = [(s, p.g, p.J, p.delta, e1 - e0,
+             max(min([e1, *(e for e, _ in low)]) - e0, 0.0))
+            for (s, p, e0, e1), low in zip(report.curve, lowest)]
     rows.append((report.s, report.params.g, report.params.J,
                  report.params.delta, report.gap, ""))
     if cfg.out:

@@ -42,6 +42,7 @@ from jclattice.propagate import evolve, evolve_dissipative, fidelity
 from jclattice.ramp import RampPlan, RampSchedule, trajectory_point
 from jclattice.spectrum import (
     _lowest_eigh,
+    block_levels,
     gap_scan,
     ground_state,
     start_vector,
@@ -519,7 +520,7 @@ def test_gap_scan_refuses_a_plan_below_zero_hopping():
     # bounds no gap over all sectors
     table = enumerate_basis(LatticeShape(4, 5))
     full = HamiltonianTemplates(table)
-    sector, *blocks = block_sectors(table)
+    sector = symmetric_sector(table)
     plan = RampPlan(RampSchedule(0.2, 0.2), RampSchedule(-0.25, -0.4),
                     RampSchedule(1.0, 1.0), 1.0)
     for s in np.linspace(0.0, 1.0, 4):
@@ -529,9 +530,8 @@ def test_gap_scan_refuses_a_plan_below_zero_hopping():
         assert e0 > w[1] + 1e-3
     for j in [(-0.25, -0.4), (-0.1, 0.5), (0.5, -0.1)]:
         plan = RampPlan(plan.g, RampSchedule(*j), plan.delta, plan.total_time)
-        for kwargs in ({}, {"blocks": blocks}):
-            with pytest.raises(ValueError, match="symmetric sector"):
-                gap_scan(sector, plan, resolution=16, **kwargs)
+        with pytest.raises(ValueError, match="symmetric sector"):
+            gap_scan(sector, plan, resolution=16)
 
 
 def test_gap_scan_refuses_every_block_but_the_symmetric_one():
@@ -671,6 +671,19 @@ def test_sector_rho1_matches_full_space(shape):
                                     abs=1e-10)
 
 
+@pytest.mark.parametrize("shape", [*SHAPES, LatticeShape(7, 7), LatticeShape(4, 5),
+                                   LatticeShape(5, 3), LatticeShape(6, 4)], ids=str)
+def test_site_number_on_the_symmetric_block_is_the_total_over_sites(shape):
+    # the rho1 map divides by <n_i> read off the number diagonal: on the
+    # (0, +) block the group-averaged n_i is sum_j n_j / L
+    orbits = DihedralOrbits(enumerate_basis(shape))
+    block = Block(0, 1, shape.sites)
+    number = orbits.templates(block).number_diag
+    for i in range(1, shape.sites + 1):
+        n_i = orbits.correlator(block, i, i).toarray()
+        assert np.abs(n_i - np.diag(number / shape.sites)).max() <= 1e-15
+
+
 # --- warm starts ----------------------------------------------------------
 
 def test_warm_started_solves_match_cold_ones():
@@ -684,12 +697,15 @@ def test_warm_started_solves_match_cold_ones():
         assert abs(np.dot(warm.vector, cold.vector)) == pytest.approx(1.0, abs=1e-11)
         previous = warm.vector
 
-    plan = mi_sf_plan(1.0)
-    report = gap_scan(sector, plan, resolution=16,
-                      blocks=block_sectors(pair(LatticeShape(6, 6))[0])[1:])
-    for s, p, _, gap_any in report.curve:
+    # the gap over all sectors as the gap-scan driver merges it: the
+    # symmetric pair, each other block walking the points from its own
+    # previous vector
+    report = gap_scan(sector, mi_sf_plan(1.0), resolution=16)
+    points = [p for _, p, _, _ in report.curve]
+    others = block_levels(block_sectors(pair(LatticeShape(6, 6))[0])[1:], points, 1)
+    for (_, p, e0, e1), [(lowest, _)] in zip(report.curve, others):
         w, _ = _lowest_eigh(full.assemble_copy(p.g, p.J, p.delta), 2)
-        assert gap_any == pytest.approx(w[1] - w[0], abs=1e-10)
+        assert min(e1, lowest) - e0 == pytest.approx(w[1] - w[0], abs=1e-10)
 
 
 def test_warm_started_checkpoints_match_cold_solves(monkeypatch):

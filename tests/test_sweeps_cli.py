@@ -64,6 +64,22 @@ kappa = 1e-3
     assert cfg.kappa == 1e-3
 
 
+@pytest.mark.parametrize("text,value", [
+    ("pi", math.pi), ("-pi", -math.pi), ("+pi", math.pi), ("- pi", -math.pi),
+    ("-1pi", -math.pi), ("-0.5pi", -0.5 * math.pi), ("2PI", 2 * math.pi),
+])
+def test_numbers_may_end_in_pi(text, value):
+    # a bare sign before pi reads as +-1, as an empty factor reads as 1
+    cfg = build_config(parse_config_text(f"d0 = {text}\n"))
+    assert cfg.plan.delta.start == pytest.approx(value, rel=1e-15)
+
+
+@pytest.mark.parametrize("text", ["--pi", "1e-pi", "pi pi", "pi2"])
+def test_malformed_pi_numbers_are_refused(text):
+    with pytest.raises(ConfigError, match="expected a number"):
+        build_config(parse_config_text(f"d0 = {text}\n"))
+
+
 @pytest.mark.parametrize("path", sorted(
     [*CONFIGS.glob("*.cfg"), *(ROOT / "perfbench" / "configs").glob("*.cfg")]),
     ids=lambda path: str(path.relative_to(ROOT)))
@@ -657,6 +673,18 @@ def test_cli_basis_and_spectrum_and_gap(tmp_path, capsys):
 def test_gap_scan_without_an_output_returns_its_report():
     report = run_gap_scan(small_cfg(resolution=16))
     assert report.gap > 0 and len(report.curve) == 16
+
+
+def test_gap_over_all_sectors_is_never_negative(tmp_path):
+    # at J = 0 the lowest level of L = 4, N = 5 (the extra excitation on
+    # any one site) lies in several blocks, and another block's copy of it
+    # rounds 8.9e-16 below the symmetric E0
+    cfg = small_cfg(resolution=16, out=str(tmp_path / "gap.csv"))
+    cfg.sites, cfg.excitations = 4, 5
+    run_gap_scan(cfg)
+    rows = np.loadtxt(cfg.out, delimiter=",", skiprows=1, max_rows=16)
+    assert rows[0, 2] == 0 and 0 <= rows[0, 5] <= 1e-12
+    assert (rows[:, 5] >= 0).all() and (rows[:, 5] <= rows[:, 4]).all()
 
 
 def test_cli_phase_diagram_and_combine(tmp_path):
