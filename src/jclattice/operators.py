@@ -1,4 +1,4 @@
-"""Sparse operators over the fixed-excitation sector.
+"""Sparse operators (`Csr`) over the fixed-excitation sector.
 
 Energy convention: inside a fixed-N sector the bare frequencies only add
 the constant N*omega_z, so the Hamiltonian is assembled as
@@ -34,9 +34,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
 
+from ._compiled import sparsetools as _kernels
 from .basis import BasisTable, rank_keys, require_dim
 
 DISSIPATION_CONVENTIONS = ("literal-sigma-z", "number-conserving")
@@ -52,18 +51,95 @@ class LatticeParams:
     delta: float = 0.0
 
 
-def matvec(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+class Csr:
+    """A CSR matrix, run by scipy's compiled kernels in the order that
+    `scipy.sparse.csr_matrix` runs them, so each result has the same bits.
+    The package reads any object with `data`, `indices`, `indptr` and
+    `shape` as CSR. Copies share the index arrays, never written once built."""
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = tuple(shape)
+
+    @classmethod
+    def from_coo(cls, data, rows, cols, shape) -> Csr:
+        """Entries data[n] at (rows[n], cols[n]); repeated positions are summed."""
+        index = np.int32 if max(len(data), *shape) < 2**31 else np.int64
+        m = cls(np.empty_like(data), np.empty(len(data), index),
+                np.empty(shape[0] + 1, index), shape)
+        _kernels.coo_tocsr(*shape, len(data), np.asarray(rows, index),
+                           np.asarray(cols, index), data, m.indptr, m.indices, m.data)
+        structure = (m.indptr, m.indices)
+        if not _kernels.csr_has_canonical_format(shape[0], *structure):
+            if not _kernels.csr_has_sorted_indices(shape[0], *structure):
+                _kernels.csr_sort_indices(shape[0], *structure, m.data)
+            _kernels.csr_sum_duplicates(*shape, *structure, m.data)
+            m.indices, m.data = m.indices[:m.nnz], m.data[:m.nnz]
+        return m
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def rows(self) -> np.ndarray:  # the row of each stored entry
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    @property
+    def T(self) -> Csr:
+        """The transpose: coo_tocsr runs the counting sort of csr_tocsc."""
+        return Csr.from_coo(self.data, self.indices, self.rows(), self.shape[::-1])
+
+    def __add__(self, other) -> Csr:
+        """The sum; entries that add up to 0 are dropped."""
+        size = self.nnz + other.nnz
+        s = Csr(np.empty(size, np.result_type(self.data, other.data)),
+                np.empty(size, self.indices.dtype), np.empty_like(self.indptr), self.shape)
+        _kernels.csr_plus_csr(*self.shape, self.indptr, self.indices, self.data, other.indptr,
+                              other.indices, other.data, s.indptr, s.indices, s.data)
+        s.indices, s.data = s.indices[:s.nnz], s.data[:s.nnz]
+        return s
+
+    def __matmul__(self, x) -> np.ndarray:
+        """self @ x for a dense 1-D or 2-D x, complex if either is."""
+        x = np.asarray(x)
+        out = np.zeros((self.shape[0], *x.shape[1:]), np.result_type(self.data, x))
+        if x.ndim == 1:
+            return matvec(self, x, out)
+        if x.ndim != 2 or x.shape[0] != self.shape[1]:
+            raise ValueError(f"a {self.shape} matrix cannot multiply shape {x.shape}")
+        _kernels.csr_matvecs(*self.shape, x.shape[1], self.indptr, self.indices, self.data,
+                             x.ravel(), out.ravel())
+        return out
+
+    def copy(self) -> Csr:
+        return Csr(self.data.copy(), self.indices, self.indptr, self.shape)
+
+    def astype(self, dtype) -> Csr:
+        return Csr(self.data.astype(dtype), self.indices, self.indptr, self.shape)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, self.data.dtype)
+        _kernels.csr_todense(*self.shape, self.indptr, self.indices, self.data, out)
+        return out
+
+    def submatrix(self, keep) -> Csr:
+        """self[keep][:, keep] for a boolean mask, sorted rows kept in order."""
+        rows, new, n = self.rows(), np.cumsum(keep) - 1, int(np.count_nonzero(keep))
+        kept = keep[rows] & keep[self.indices]
+        return Csr.from_coo(self.data[kept], new[rows[kept]], new[self.indices[kept]], (n, n))
+
+
+def matvec(m, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = m @ x for a CSR m, bit for bit; `out` has the dtype of m @ x.
-    scipy's kernel under `@` without its dispatch, checks and new array,
-    which cost more than the product at a few hundred states. The one use
-    of the private `csr_matvec` (the tests compare it with `@`); it trusts
-    the lengths it is given, so they are checked here."""
+    The kernel of `Csr.__matmul__` without its checks and new array, which
+    cost more than the product at a few hundred states. It trusts the
+    lengths it is given, so they are checked here."""
     rows, cols = m.shape
     if x.shape != (cols,) or out.shape != (rows,):
         raise ValueError(f"matvec of a {rows}x{cols} matrix needs x of shape ({cols},)"
                          f" and out of ({rows},), got {x.shape} and {out.shape}")
     out.fill(0)  # the kernel adds m @ x to out
-    csr_matvec(rows, cols, m.indptr, m.indices, m.data, x, out)
+    _kernels.csr_matvec(rows, cols, m.indptr, m.indices, m.data, x, out)
     return out
 
 
@@ -124,30 +200,26 @@ def hopping_pairs(sites: int) -> list[tuple]:
     return bonds + [(b, a) for a, b in bonds]
 
 
-def _on_full_basis(table: BasisTable, moves, *args) -> sp.csr_matrix:
+def _on_full_basis(table: BasisTable, moves, *args) -> Csr:
     """The full-basis matrix of the term that `moves(table, keys, *args)`
     gives; a basis above the cap is refused before any move is built."""
     require_dim(table.dim, "the full basis")
     source, target, amplitude = moves(table, table.keys, *args)
-    m = sp.csr_matrix((amplitude, (table.rank(target), source)),
-                      shape=(table.dim, table.dim))
-    m.sum_duplicates()
-    m.sort_indices()
-    return m
+    return Csr.from_coo(amplitude, table.rank(target), source, (table.dim, table.dim))
 
 
-def build_coupling(table: BasisTable) -> sp.csr_matrix:
+def build_coupling(table: BasisTable) -> Csr:
     """sum_j (a_j^dag sig_j^- + sig_j^+ a_j) = dH/dg."""
     return _on_full_basis(table, coupling_moves)
 
 
-def build_hopping(table: BasisTable) -> sp.csr_matrix:
+def build_hopping(table: BasisTable) -> Csr:
     """sum_j (a_j^dag a_{j+1} + a_{j+1}^dag a_j) with periodic boundary
     (`hopping_pairs`). The -J factor is applied at composition time."""
     return _on_full_basis(table, photon_moves, hopping_pairs(table.shape.sites))
 
 
-def build_correlator(table: BasisTable, i: int, j: int) -> sp.csr_matrix:
+def build_correlator(table: BasisTable, i: int, j: int) -> Csr:
     """a_i^dag a_j for 1-based sites i, j (sector-closed since i != j moves
     one photon and i == j is the site photon number)."""
     L = table.shape.sites
@@ -156,14 +228,12 @@ def build_correlator(table: BasisTable, i: int, j: int) -> sp.csr_matrix:
     return _on_full_basis(table, photon_moves, [(i - 1, j - 1)])
 
 
-def build_translation(table: BasisTable) -> sp.csr_matrix:
+def build_translation(table: BasisTable) -> Csr:
     """Permutation matrix T shifting every configuration by one site."""
     require_dim(table.dim, "the full basis")
     rows = table.rank(table.rolled(table.keys, 1))
-    return sp.csr_matrix(
-        (np.ones(table.dim), (rows, np.arange(table.dim))),
-        shape=(table.dim, table.dim),
-    )
+    return Csr.from_coo(np.ones(table.dim), rows, np.arange(table.dim),
+                        (table.dim, table.dim))
 
 
 class Block(NamedTuple):
@@ -192,13 +262,13 @@ def dihedral_blocks(sites: int) -> list[Block]:
             for parity in ((1, -1) if (2 * q) % sites == 0 else (1,))]
 
 
-def symmetric_isometry(translation) -> sp.csr_matrix:
+def symmetric_isometry(translation) -> Csr:
     """Isometry P (dim x d) onto the k = 0 states of the permutation matrix
     `translation`: P P^T is the average over its powers. An orbit is
     labelled by its smallest index, spread along the permutation until it
     settles; column c is the normalised sum over the c-th orbit by label."""
-    m = sp.csr_matrix(translation, copy=True)
-    m.sum_duplicates()
+    m = Csr.from_coo(np.asarray(translation.data), Csr.rows(translation),
+                     translation.indices, translation.shape)  # any CSR, summed
     dim = m.shape[0]
     if (m.shape != (dim, dim) or m.nnz != dim or np.any(m.data != 1)
             or not np.array_equal(np.sort(m.indices), np.arange(dim))):
@@ -207,8 +277,8 @@ def symmetric_isometry(translation) -> sp.csr_matrix:
     while not np.array_equal(label, spread := np.minimum(label, label[m.indices])):
         label = spread
     _, column, size = np.unique(label, return_inverse=True, return_counts=True)
-    return sp.csr_matrix((1.0 / np.sqrt(size[column]), column, np.arange(dim + 1)),
-                         shape=(dim, len(size)))
+    return Csr(1.0 / np.sqrt(size[column]), column.astype(np.int32),
+               np.arange(dim + 1, dtype=np.int32), (dim, len(size)))
 
 
 class DihedralOrbits:
@@ -299,7 +369,7 @@ class DihedralOrbits:
         require_dim(np.count_nonzero(kept), f"block {tuple(block)}")
         return kernel, index, np.sqrt(np.where(kept, z2, 1.0))
 
-    def restrict(self, columns, located) -> sp.csr_matrix:
+    def restrict(self, columns, located) -> Csr:
         """The block (`columns`) of an operator that commutes with the
         group, from its `_located` moves on the representatives, symmetrised
         to the last bit: (m + m^T) / 2."""
@@ -316,12 +386,12 @@ class DihedralOrbits:
         vals = amplitude * weight / (norm[target].T[:, None] * norm[source].T[None, :])
         ok = (rows >= 0) & (cols >= 0)
         dim = np.count_nonzero(index >= 0)
-        m = sp.csr_matrix((vals[ok], (rows[ok], cols[ok])), shape=(dim, dim))
-        m = ((m + m.T) * 0.5).tocsr()
-        m.sort_indices()
+        m = Csr.from_coo(vals[ok], rows[ok], cols[ok], (dim, dim))
+        m = m + m.T  # both canonical, so the sum is too
+        m.data *= 0.5
         return m
 
-    def correlator(self, block, i: int, j: int) -> sp.csr_matrix:
+    def correlator(self, block, i: int, j: int) -> Csr:
         """The block of the group average (1/2L) sum_e a_e(i)^dag a_e(j),
         for 1-based sites i, j. Between group-invariant states, those of
         the (0, +) block, its matrix elements are those of a_i^dag a_j."""
@@ -343,8 +413,8 @@ class DihedralOrbits:
         isometry = None
         if block.q == 0 and block.parity == 1:
             column, dim = rank_keys(self.reps, self.canonical), self.table.dim
-            isometry = sp.csr_matrix((1.0 / np.sqrt(self.orbit_size[column]), column,
-                                      np.arange(dim + 1)), shape=(dim, len(self.reps)))
+            isometry = Csr(1.0 / np.sqrt(self.orbit_size[column]), column.astype(np.int32),
+                           np.arange(dim + 1, dtype=np.int32), (dim, len(self.reps)))
         parts = (*site_totals(self.table, rep), self.restrict(columns, self._coupling),
                  self.restrict(columns, self._hopping))
         return HamiltonianTemplates(self.table, parts, block, isometry)
@@ -378,28 +448,26 @@ class HamiltonianTemplates:
         self.number_diag, self.qubit_up_diag, self.coupling, self.hopping = parts
         self.dim = len(self.number_diag)
 
-        self._pattern = (abs(self.coupling) + abs(self.hopping)
-                        + sp.identity(self.dim, format="csr")).tocsr()
-        self._pattern.sort_indices()
+        # parts tagged by bits 1, 2 and 4: each is canonical, with no stored 0, so
+        # its k-th entry is the k-th entry of the pattern that carries its bit
+        def tagged(m, bit):
+            return Csr(np.full(m.nnz, float(bit)), m.indices, m.indptr, m.shape)
 
-        def keys(m):  # row * dim + col of each stored entry, in storage order
-            coo = m.tocoo()
-            return coo.row.astype(np.int64) * self.dim + coo.col
+        eye = np.arange(self.dim)
+        self._pattern = (tagged(self.coupling, 1) + tagged(self.hopping, 2)
+                         + Csr.from_coo(np.full(self.dim, 4.0), eye, eye, (self.dim, self.dim)))
+        tags = self._pattern.data.astype(np.int8)
 
-        union = keys(self._pattern)
-
-        def aligned(part):
-            vec = np.zeros(union.size)
-            vec[np.searchsorted(union, keys(part))] = part.data
+        def aligned(part, bit):
+            vec = np.zeros(tags.size)
+            vec[tags & bit > 0] = part.data
             return vec
 
-        self.data_coupling = aligned(self.coupling)
-        self.data_hopping = aligned(self.hopping)
-        self.diag_positions = np.searchsorted(
-            union, np.arange(self.dim, dtype=np.int64) * (self.dim + 1))
-        self.data_number = np.zeros(union.size)
-        self.data_number[self.diag_positions] = self.number_diag
-        self._scratch = np.empty(union.size)
+        self.data_coupling = aligned(self.coupling, 1)
+        self.data_hopping = aligned(self.hopping, 2)
+        self.diag_positions = np.flatnonzero(tags & 4)
+        self.data_number = aligned(self.number_diag, 4)
+        self._scratch = np.empty(tags.size)
 
     def dissipative_rates(self, kappa: float, gamma: float,
                           convention: str = "literal-sigma-z") -> np.ndarray:
@@ -440,9 +508,9 @@ class HamiltonianTemplates:
         out -= np.multiply(self.data_hopping, J, out=scratch)
         return out
 
-    def assemble(self, g: float, J: float, delta: float) -> sp.csr_matrix:
+    def assemble(self, g: float, J: float, delta: float) -> Csr:
         """Hamiltonian at the given couplings on the shared pattern, in a
-        matrix of the caller's own."""
+        matrix whose data is the caller's own (`Csr.copy`)."""
         h = self._pattern.copy()
         self.data_for(g, J, delta, out=h.data)
         return h

@@ -30,10 +30,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zdscal
-from scipy.linalg.lapack import dstev
 
+from ._compiled import blas, lapack
 from .operators import HamiltonianTemplates, matvec
 from .ramp import RampPlan
 
@@ -48,6 +46,8 @@ NORM_BLOWUP_FACTOR = 1e6
 GAUSS_NODES = np.array([0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6])
 # weights of H at the two Gauss points in a step's first exponential
 CF4_WEIGHTS = np.array([3 + 2 * math.sqrt(3), 3 - 2 * math.sqrt(3)]) / 12
+dznrm2, zaxpy, zdotc, zdscal, dstev = (blas.dznrm2, blas.zaxpy, blas.zdotc, blas.zdscal,
+                                       lapack.dstev)
 
 
 class PropagationError(RuntimeError):
@@ -236,6 +236,7 @@ def _expmv(a, psi, tol, basis, hermitian):
         lead *= h_next / max(j, 1)
         if lead <= bound:
             if not hermitian:
+                from scipy.linalg import expm  # here, so only dissipative runs load it
                 f = expm(-1j * hess[: j + 1, : j + 1])[:, 0]
             elif j:
                 theta, s, _ = dstev(band[0, : j + 1], band[1, :j])

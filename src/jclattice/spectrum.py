@@ -2,11 +2,11 @@
 
 Every eigensolve runs the Lanczos recurrence (`_lanczos`) above a
 dense-fallback cutoff and full `eigh` below it; the dense path doubles as
-the oracle in tests. The recurrence applies a CSR matrix through the bare
-kernel `operators.matvec`. The cutoff is conservative: on one BLAS
-thread a cold two-level solve to `VECTOR_TOL` already beats `eigh` at
-114-155 states (0.9-1.3 ms against 1.5-1.8 ms), and at the 500 states of
-the six-site symmetric sector takes 2.0 ms against 29.7 ms.
+the oracle in tests. The recurrence applies any CSR matrix (`operators.Csr`
+or scipy's) by the bare kernel `operators.matvec`. The cutoff is
+conservative: on one BLAS thread a cold two-level solve to `VECTOR_TOL`
+beats `eigh` at 114-155 states (0.9-1.3 ms against 1.5-1.8 ms), and at
+the 500 states of the six-site symmetric sector takes 2.0 ms, not 29.7.
 The Lanczos start vector comes from a fixed seed: a naively chosen
 deterministic vector such as all-ones can be *exactly* orthogonal
 to the ground state (it is, for the Mott product state), which stalls
@@ -58,11 +58,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.blas import daxpy, ddot, dnrm2, dscal
-from scipy.linalg.lapack import dstebz, dstein
 
-from .operators import (HamiltonianTemplates, LatticeParams, matvec,
+from ._compiled import blas, lapack
+from .operators import (Csr, HamiltonianTemplates, LatticeParams, matvec,
                         symmetric_isometry)
 from .ramp import RampPlan, trajectory_point
 
@@ -73,6 +71,8 @@ LEVEL_TOL = 1e-8  # Lanczos tol of a solve that reports only levels
 LANCZOS_MAX_STEPS = 300  # steps of one solve
 _LANCZOS_SEED = 20260811
 _EPS = np.finfo(float).eps
+daxpy, ddot, dnrm2, dscal = blas.daxpy, blas.ddot, blas.dnrm2, blas.dscal
+dstebz, dstein = lapack.dstebz, lapack.dstein
 
 
 class DegeneracyError(RuntimeError):
@@ -111,17 +111,16 @@ def _lowest_eigh(h, k: int, v0=None, tol: float = VECTOR_TOL):
     dim = h.shape[0]
     k = min(k, dim)
     if dim <= DENSE_CUTOFF or k >= dim - 1:
-        w, v = np.linalg.eigh(h.toarray() if sp.issparse(h) else np.asarray(h))
+        w, v = np.linalg.eigh(h.toarray() if hasattr(h, "toarray") else np.asarray(h))
         return w[:k], v[:, :k]
-    if not (sp.issparse(h) and h.format == "csr"):  # the format `matvec` reads
-        h = sp.csr_matrix(h)
+    h = Csr(h.data, h.indices, h.indptr, h.shape)  # any CSR matrix
     w, v = _lanczos(h, k, start_vector(dim) if v0 is None else v0, tol)
     if w.max() > 0:
         # a zero row (a photon-free state at g = 0) is a level 0 that only v0
         # puts in the Krylov space: solve the rest, add each zero row once
-        live = np.asarray(abs(h).sum(axis=1)).ravel() > 0
+        live = np.bincount(h.rows(), np.abs(h.data), dim) > 0
         if not live.all():
-            w, v_live = _lowest_eigh(h[live][:, live], k, tol=tol)
+            w, v_live = _lowest_eigh(h.submatrix(live), k, tol=tol)
             zero = np.flatnonzero(~live)[:k]
             v = np.zeros((dim, len(w) + len(zero)), v_live.dtype)
             v[live, :len(w)] = v_live
@@ -285,8 +284,9 @@ def symmetric_pair(h, translation=None, v0=None):
     """
     p = None
     if translation is not None:
-        p = symmetric_isometry(translation)
-        h = (p.T @ h @ p).tocsr()  # the product is CSC
+        p, rows = symmetric_isometry(translation), Csr.rows(h)  # P: one entry a row
+        h = Csr.from_coo(h.data * p.data[rows] * p.data[h.indices], p.indices[rows],
+                         p.indices[h.indices], (p.shape[1],) * 2)
         v0 = None if v0 is None else p.T @ v0
     if h.shape[0] < 2:
         raise ValueError("the symmetric sector holds one state: no symmetric gap")

@@ -12,6 +12,11 @@ from jclattice.operators import (CANCELLED, HamiltonianTemplates, build_coupling
                                  build_hopping, symmetric_sector)
 
 
+def sparse(m) -> sp.csr_matrix:
+    """A package matrix (`operators.Csr`) as a scipy CSR matrix of its own."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape, copy=True)
+
+
 @pytest.fixture(scope="session")
 def table33():
     return enumerate_basis(LatticeShape(3, 3))
@@ -319,7 +324,7 @@ def restricted(block, isometry) -> sp.csr_matrix:
 def oracle_blocks(table: BasisTable, blocks) -> list[tuple]:
     """(P, number diagonal, qubit-up diagonal, coupling, hopping) of each
     block, restricted as P^T B P from the full-space operators."""
-    full = (build_coupling(table), build_hopping(table))
+    full = (sparse(build_coupling(table)), sparse(build_hopping(table)))
     photons, qubits = site_arrays(table)
     out = []
     for p in block_isometries(table, blocks):

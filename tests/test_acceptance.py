@@ -28,7 +28,7 @@ from jclattice.spectrum import gap_scan, ground_state
 from jclattice.states import mi_ground_state, sf_ground_state, simulate_sf_pulse
 from jclattice.sweeps import combine_max_fidelity, run_phase_diagram
 
-from conftest import dimension_oracle, sweep_rate_at_gap, velocity_at_value
+from conftest import dimension_oracle, sparse, sweep_rate_at_gap, velocity_at_value
 
 T15 = 15 * math.pi
 _CACHE = {}
@@ -266,8 +266,8 @@ def test_criterion_11_property_suite():
     leak_ok = leakage <= 1e-8
     details.append(f"leakage {leakage:.1e}")
 
-    h = tpl.assemble_copy(1.0, 0.122, 0.0)
-    t = tpl.translation
+    h = sparse(tpl.assemble_copy(1.0, 0.122, 0.0))
+    t = sparse(tpl.translation)
     comm = (h @ t - t @ h).tocsr()
     comm_max = 0.0 if comm.nnz == 0 else float(np.abs(comm.data).max())
     comm_ok = comm_max <= 1e-12

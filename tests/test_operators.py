@@ -14,7 +14,7 @@ from jclattice.operators import (
 )
 from jclattice.states import mi_ground_state, sf_ground_state
 
-from conftest import index_of, kron_sector_hamiltonian, site_arrays
+from conftest import index_of, kron_sector_hamiltonian, site_arrays, sparse
 
 
 def max_abs(m):
@@ -22,7 +22,7 @@ def max_abs(m):
 
 
 def hamiltonian(table, g, J=0.0, delta=0.0):
-    return HamiltonianTemplates(table).assemble_copy(g, J, delta)
+    return sparse(HamiltonianTemplates(table).assemble_copy(g, J, delta))
 
 
 def test_single_site_doublet_eigenvalues():
@@ -56,7 +56,7 @@ def test_single_site_hopping_is_zero():
 def test_two_site_bond_is_doubled():
     # periodic indexing over j = 1, 2 hits the single bond twice
     table = enumerate_basis(LatticeShape(2, 1))
-    hop = build_hopping(table)
+    hop = sparse(build_hopping(table))
     a = index_of(table, ((1, 0), (0, 0)))
     b = index_of(table, ((0, 0), (1, 0)))
     assert hop[a, b] == pytest.approx(2.0)
@@ -65,7 +65,7 @@ def test_two_site_bond_is_doubled():
 
 def test_three_site_single_hop_element():
     table = enumerate_basis(LatticeShape(3, 1))
-    hop = build_hopping(table)
+    hop = sparse(build_hopping(table))
     src = index_of(table, ((1, 0), (0, 0), (0, 0)))
     dst = index_of(table, ((0, 0), (1, 0), (0, 0)))
     assert hop[dst, src] == pytest.approx(1.0)
@@ -75,7 +75,7 @@ def test_bosonic_matrix_elements_sqrt_n():
     # single-site coupling block: <n-1, up| a sigma^+ |n, down> = sqrt(n)
     for n in range(1, 5):
         table = enumerate_basis(LatticeShape(1, n))
-        coup = build_coupling(table)
+        coup = sparse(build_coupling(table))
         src = index_of(table, ((n, 0),))
         dst = index_of(table, ((n - 1, 1),))
         assert coup[dst, src] == pytest.approx(np.sqrt(n))
@@ -83,14 +83,14 @@ def test_bosonic_matrix_elements_sqrt_n():
 
 def test_hamiltonian_reduces_to_h0_without_hopping():
     table = enumerate_basis(LatticeShape(3, 2))
-    h0 = sp.diags(-0.3 * site_totals(table, table.keys)[0]) + 0.8 * build_coupling(table)
+    h0 = sp.diags(-0.3 * site_totals(table, table.keys)[0]) + 0.8 * sparse(build_coupling(table))
     diff = hamiltonian(table, g=0.8, J=0.0, delta=-0.3) - h0
     assert max_abs(diff.tocsr()) == 0.0
 
 
 def test_exact_structural_symmetry():
     table = enumerate_basis(LatticeShape(3, 3))
-    for m in (build_coupling(table), build_hopping(table),
+    for m in (sparse(build_coupling(table)), sparse(build_hopping(table)),
               hamiltonian(table, g=1.0, J=0.37, delta=0.21)):
         diff = (m - m.T).tocsr()
         assert max_abs(diff) == 0.0
@@ -98,7 +98,7 @@ def test_exact_structural_symmetry():
 
 def test_translation_invariance_commutator():
     table = enumerate_basis(LatticeShape(3, 3))
-    t = build_translation(table)
+    t = sparse(build_translation(table))
     for g, J, d in ((1.0, 0.2, 0.0), (0.5, 0.45, -0.8), (2.0, 0.0, 1.3)):
         h = hamiltonian(table, g=g, J=J, delta=d)
         comm = (h @ t - t @ h).tocsr()
@@ -107,7 +107,7 @@ def test_translation_invariance_commutator():
 
 def test_translation_is_orthogonal_permutation():
     table = enumerate_basis(LatticeShape(4, 2))
-    t = build_translation(table)
+    t = sparse(build_translation(table))
     eye = t.T @ t
     assert np.allclose(eye.toarray(), np.eye(table.dim))
     power = t.copy()
@@ -132,7 +132,7 @@ def test_deep_mott_ground_energy_at_unit_filling(table66, templates66):
 
 def test_correlator_diagonal_is_photon_number():
     table = enumerate_basis(LatticeShape(3, 2))
-    c11 = build_correlator(table, 1, 1)
+    c11 = sparse(build_correlator(table, 1, 1))
     assert np.allclose(c11.diagonal(), site_arrays(table)[0][:, 0])
 
 
@@ -164,7 +164,7 @@ def test_sector_closure_no_out_of_sector_indices():
     table = enumerate_basis(LatticeShape(3, 3))
     for m in (build_coupling(table), build_hopping(table),
               build_correlator(table, 1, 3), build_translation(table)):
-        coo = m.tocoo()
+        coo = sparse(m).tocoo()
         assert coo.row.min() >= 0 and coo.row.max() < table.dim
         assert coo.col.min() >= 0 and coo.col.max() < table.dim
 
@@ -208,8 +208,8 @@ def test_against_kron_product_oracle():
 
 def test_templates_match_direct_assembly(table33, templates33):
     direct = (sp.diags(-0.2 * site_totals(table33, table33.keys)[0])
-              + 0.9 * build_coupling(table33) - 0.31 * build_hopping(table33))
-    templated = templates33.assemble_copy(0.9, 0.31, -0.2)
+              + 0.9 * sparse(build_coupling(table33)) - 0.31 * sparse(build_hopping(table33)))
+    templated = sparse(templates33.assemble_copy(0.9, 0.31, -0.2))
     assert max_abs((direct - templated).tocsr()) < 1e-15
 
 
@@ -232,12 +232,12 @@ def test_assemble_returns_a_matrix_its_caller_owns(templates33):
     tpl.assemble(0.2, 0.0, 1.5)
     assert h2 is not h1 and not np.shares_memory(h1.data, h2.data)
     assert np.array_equal(h1.data, kept.data)
-    assert max_abs(h1 - kept) == 0.0
+    assert max_abs(sparse(h1) - sparse(kept)) == 0.0
 
 
 def test_matvec_is_bitwise_the_scipy_product(sector66):
-    # the one use of scipy's private CSR kernel: a scipy release that
-    # changes it fails here instead of drifting
+    # the package calls scipy's private CSR kernels itself: a scipy release
+    # that changes csr_matvec fails here instead of drifting
     rng = np.random.default_rng(11)
     for tpl in (sector66, HamiltonianTemplates(enumerate_basis(LatticeShape(4, 4)))):
         h = tpl.assemble_copy(0.9, 0.31, -0.2)
@@ -246,7 +246,7 @@ def test_matvec_is_bitwise_the_scipy_product(sector66):
         real = rng.standard_normal(tpl.dim)
         for m in (h, dissipative):
             for x in (real, real + 1j * rng.standard_normal(tpl.dim)):
-                expected = m @ x
+                expected = sparse(m) @ x
                 out = np.full(tpl.dim, np.nan, dtype=expected.dtype)
                 assert matvec(m, x, out) is out
                 assert np.array_equal(out, expected)

@@ -410,7 +410,7 @@ def test_hermitian_krylov_exponential_of_an_eigenvector(sector66):
 def test_dense_expm_only_on_the_dissipative_path(table33, templates33,
                                                  monkeypatch):
     # a Hermitian step exponentiates its real tridiagonal by eigendecomposition
-    import jclattice.propagate as propagate
+    import scipy.linalg
 
     class DenseExpm(Exception):
         pass
@@ -418,7 +418,7 @@ def test_dense_expm_only_on_the_dissipative_path(table33, templates33,
     def refuse(m):
         raise DenseExpm
 
-    monkeypatch.setattr(propagate, "expm", refuse)
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
     plan, psi0 = plan_mi_sf(2 * math.pi), mi_ground_state(table33, 0.0, 1.0)
     res = evolve(templates33, plan, psi0, tol=1e-4, initial_steps=8)
     assert res.norm_drift <= 1e-8

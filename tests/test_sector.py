@@ -52,7 +52,7 @@ from jclattice.states import mi_ground_state, sf_ground_state
 from jclattice.sweeps import _journal, _load_progress, run_phase_diagram, run_rho1_map
 
 from conftest import (basis_states, block_isometries, index_of, oracle_blocks,
-                      restricted, translate_config)
+                      restricted, sparse, translate_config)
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SHAPES = [LatticeShape(L, L) for L in range(2, 7)]
@@ -197,12 +197,12 @@ def assert_same(a, b):
 def test_rank_built_operators_equal_loop_built(L, N):
     table = enumerate_basis(LatticeShape(L, N))
     dim = table.dim
-    assert_same(build_coupling(table), as_csr(loop_coupling(table), dim))
-    assert_same(build_hopping(table), as_csr(loop_hopping(table), dim))
-    assert_same(build_translation(table), as_csr(loop_translation(table), dim))
+    assert_same(sparse(build_coupling(table)), as_csr(loop_coupling(table), dim))
+    assert_same(sparse(build_hopping(table)), as_csr(loop_hopping(table), dim))
+    assert_same(sparse(build_translation(table)), as_csr(loop_translation(table), dim))
     for i, j in [(1, L), (L, 1), (1, 1 + L // 2)]:
         if i != j:
-            assert_same(build_correlator(table, i, j),
+            assert_same(sparse(build_correlator(table, i, j)),
                         as_csr(loop_correlator(table, i, j), dim))
     if L == N:
         assert np.array_equal(mi_ground_state(table, 0.3, 1.0),
@@ -266,7 +266,7 @@ def loop_projector(v, translation, sites):
 def test_isometry_spans_the_symmetric_projector(shape):
     table = enumerate_basis(shape)
     t = build_translation(table)
-    p = symmetric_isometry(t)
+    p = sparse(symmetric_isometry(t))
     gram = (p.T @ p).toarray()
     assert np.allclose(gram, np.eye(p.shape[1]), atol=1e-15)
     rng = np.random.default_rng(11)
@@ -277,7 +277,7 @@ def test_isometry_spans_the_symmetric_projector(shape):
     # a relabelled basis has the same orbits
     perm = rng.permutation(table.dim)
     q = sp.csr_matrix((np.ones(table.dim), (perm, np.arange(table.dim))))
-    p2 = symmetric_isometry((q @ t @ q.T).tocsr())
+    p2 = sparse(symmetric_isometry((q @ sparse(t) @ q.T).tocsr()))
     assert p2.shape == p.shape
     assert np.allclose((p2 @ p2.T).toarray(), (q @ p @ p.T @ q.T).toarray())
 
@@ -290,8 +290,8 @@ def test_isometry_refuses_a_non_permutation():
 @pytest.mark.parametrize("shape", SHAPES[:4], ids=str)
 def test_dihedral_isometry_spans_the_group_average(shape):
     table = enumerate_basis(shape)
-    t, r = build_translation(table), as_csr(loop_reflection(table), table.dim)
-    p = symmetric_sector(table).isometry
+    t, r = sparse(build_translation(table)), as_csr(loop_reflection(table), table.dim)
+    p = sparse(symmetric_sector(table).isometry)
     assert np.allclose((p.T @ p).toarray(), np.eye(p.shape[1]), atol=1e-15)
     average = sp.csr_matrix((table.dim, table.dim))
     power = sp.identity(table.dim, format="csr")
@@ -306,7 +306,7 @@ def test_dihedral_isometry_spans_the_group_average(shape):
 def test_blocks_commute_with_the_mirror_exactly(shape):
     table, full, _ = pair(shape)
     r = as_csr(loop_reflection(table), table.dim)
-    for block in (full.coupling, full.hopping, sp.diags(full.number_diag)):
+    for block in (sparse(full.coupling), sparse(full.hopping), sp.diags(full.number_diag)):
         block = sp.csr_matrix(block)
         assert_same((r @ block).tocsr(), (block @ r).tocsr())
 
@@ -355,7 +355,7 @@ GENERIC = (0.83, 0.27, -0.31)
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_blocks_are_isometries_onto_invariant_subspaces(shape):
     table, full, _ = pair(shape)
-    h = full.assemble_copy(*GENERIC)
+    h = sparse(full.assemble_copy(*GENERIC))
     blocks = block_sectors(table)
     assert sum(b.block.multiplicity * b.dim for b in blocks) == table.dim
     assert blocks[0].block == Block(0, 1, shape.sites)
@@ -363,13 +363,13 @@ def test_blocks_are_isometries_onto_invariant_subspaces(shape):
         assert abs(p.T @ p - sp.identity(b.dim)).max() <= 1e-12
         hp = h @ p
         assert abs(hp - p @ (p.T @ hp)).max() <= 1e-12
-        assert abs(b.assemble_copy(*GENERIC) - p.T @ hp).max() <= 1e-12
+        assert abs(sparse(b.assemble_copy(*GENERIC)) - p.T @ hp).max() <= 1e-12
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_merged_block_spectra_equal_the_full_spectrum(shape):
     table, full, _ = pair(shape)
-    h = full.assemble_copy(*GENERIC)
+    h = sparse(full.assemble_copy(*GENERIC))
     merged = np.sort([w for b in block_sectors(table) for w in
                       np.linalg.eigvalsh(b.assemble_copy(*GENERIC).toarray())
                       for _ in range(b.block.multiplicity)])
@@ -445,7 +445,7 @@ def test_representative_blocks_equal_the_restricted_full_space_operators(L, N):
         assert tpl.dim == p.shape[1]
         assert np.array_equal(tpl.number_diag, number)
         assert np.array_equal(tpl.qubit_up_diag, qubits)
-        for m, ref in ((tpl.coupling, coupling), (tpl.hopping, hopping)):
+        for m, ref in ((sparse(tpl.coupling), coupling), (sparse(tpl.hopping), hopping)):
             assert (m != m.T).nnz == 0
             assert abs(m - ref).max() <= 1e-13
         if block[:2] == (0, 1):
@@ -461,8 +461,8 @@ def test_group_averaged_correlator_is_the_symmetric_part_of_the_restricted_one(L
     orbits = DihedralOrbits(table)
     p = orbits.templates(Block()).isometry
     for i, j in [(1, 4), (1, 1), (2, 3)]:
-        ref = restricted(build_correlator(table, i, j), p)
-        assert abs(orbits.correlator(Block(), i, j) - ref).max() <= 1e-14
+        ref = restricted(sparse(build_correlator(table, i, j)), sparse(p))
+        assert abs(sparse(orbits.correlator(Block(), i, j)) - ref).max() <= 1e-14
 
 
 def test_a_block_that_does_not_fit_the_ring_is_refused():
@@ -473,8 +473,8 @@ def test_a_block_that_does_not_fit_the_ring_is_refused():
     half = orbits.templates(Block(2, 1, 12))
     same = orbits.templates(Block(1, 1, 6))
     assert (half.dim, same.dim) == (882, 882)
-    assert_same(half.coupling, same.coupling)
-    assert_same(half.hopping, same.hopping)
+    assert_same(sparse(half.coupling), sparse(same.coupling))
+    assert_same(sparse(half.hopping), sparse(same.hopping))
 
 
 def test_no_run_builds_a_full_space_operator(tmp_path, monkeypatch):
@@ -579,7 +579,7 @@ def test_sector_ground_energies_and_gaps_match_full_space(shape):
         assert ground_state(h_sector).energy == pytest.approx(e_full, abs=1e-10)
 
         e0, e1, _ = symmetric_pair(h_sector)
-        ref = deflation_oracle(h_full, full.translation, shape.sites,
+        ref = deflation_oracle(sparse(h_full), full.translation, shape.sites,
                                dense=table.dim <= 1100,
                                reflection=as_csr(loop_reflection(table),
                                                  table.dim))
@@ -605,7 +605,7 @@ def test_symmetric_pair_on_the_gap_trajectories_equals_the_k0_pair(config):
 def test_sector_matrix_is_exactly_symmetric():
     # at L = 6, P^T B P alone is off by one ulp in a few entries
     _, _, sector = pair(LatticeShape(6, 6))
-    h = sector.assemble_copy(1.0, 0.3, -0.2)
+    h = sparse(sector.assemble_copy(1.0, 0.3, -0.2))
     assert (h != h.T).nnz == 0
     assert sector.translation is None  # no T is left to apply on a block
 
