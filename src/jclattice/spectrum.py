@@ -30,6 +30,9 @@ group (`operators.block_sectors`), each labelled by its block
 from its own previous lowest vector. The gap over all sectors
 (`sweeps.run_gap_scan`) adds the lowest level of the other blocks to the
 symmetric pair of `gap_scan`, which holds the ground state for J >= 0.
+There each other block's warm-started solve stops once its lowest level
+is shown above the symmetric E1 of that point (`block_levels` with
+`bounds`), since it then cannot set the minimum.
 
 Each solve stops once every wanted Ritz pair (theta, x) has a residual
 ||r|| = ||H x - theta x|| <= max(tol |theta|, m eps ||T_m||), read as
@@ -107,18 +110,30 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v if v[np.argmax(np.abs(v))] > 0 else -v
 
 
-def _lowest_eigh(h, k: int, v0=None, tol: float = VECTOR_TOL):
+def _lowest_eigh(h, k: int, v0=None, tol: float = VECTOR_TOL, bound=None):
+    """The lowest k eigenpairs of a symmetric CSR `h`, ascending. With a
+    `bound`, a Lanczos solve may stop once its lowest level is shown above
+    it (see `_lanczos`), and then returns no level, only its Ritz vector."""
     dim = h.shape[0]
     k = min(k, dim)
     if dim <= DENSE_CUTOFF or k >= dim - 1:
         w, v = np.linalg.eigh(h.toarray() if hasattr(h, "toarray") else np.asarray(h))
         return w[:k], v[:, :k]
     h = Csr(h.data, h.indices, h.indptr, h.shape)  # any CSR matrix
-    w, v = _lanczos(h, k, start_vector(dim) if v0 is None else v0, tol)
+    # a cold start's first Ritz values can clear the bound while its Krylov
+    # space barely holds a level below it (one 0.46 below, at J = 0.5 of the
+    # six-site MI -> SF trajectory), and a zero row (such as a photon-free
+    # state's at g = 0) is a level 0 that only v0 puts there: neither stops
+    # early
+    if v0 is None or bound is not None and bound >= 0 and not _live_rows(h).all():
+        bound = None
+    w, v = _lanczos(h, k, start_vector(dim) if v0 is None else v0,
+                    tol, bound)
+    if not len(w):  # above the bound
+        return w, v
     if w.max() > 0:
-        # a zero row (a photon-free state at g = 0) is a level 0 that only v0
-        # puts in the Krylov space: solve the rest, add each zero row once
-        live = np.bincount(h.rows(), np.abs(h.data), dim) > 0
+        # solve the rest, add each zero row once
+        live = _live_rows(h)
         if not live.all():
             w, v_live = _lowest_eigh(h.submatrix(live), k, tol=tol)
             zero = np.flatnonzero(~live)[:k]
@@ -130,7 +145,11 @@ def _lowest_eigh(h, k: int, v0=None, tol: float = VECTOR_TOL):
     return w[order], v[:, order]
 
 
-def _lanczos(h, k: int, v0, tol: float):
+def _live_rows(h: Csr) -> np.ndarray:  # rows that hold a nonzero entry
+    return np.bincount(h.rows(), np.abs(h.data), h.shape[0]) > 0
+
+
+def _lanczos(h, k: int, v0, tol: float, bound=None):
     """Lowest k eigenpairs of a real symmetric CSR `h` by the Lanczos
     recurrence.
 
@@ -145,6 +164,14 @@ def _lanczos(h, k: int, v0, tol: float):
     residuals ||h x_i - theta_i x_i|| = beta_m |s_mi|, and the solve stops
     once each is at most max(tol |theta_i|, m eps ||T_m||), the second term
     being the rounding floor that a level at 0 meets.
+
+    Given a `bound`, a solve also stops at a check step once
+    theta_1 - beta_m |s_m1| > bound: some level lies within the residual of
+    theta_1 (Parlett, The Symmetric Eigenvalue Problem, ch. 4), and that
+    it is the lowest is what the tolerance stop assumes too, and it holds
+    only for a v0 near the lowest vector (see `_lowest_eigh`). The solve
+    then returns no level, only the Ritz vector of theta_1, which can still
+    warm-start a solve nearby.
 
     A row that vanishes marks an invariant Krylov space, whose Ritz pairs
     are exact (beta_m = 0). For k = 1 it holds the lowest level that v0
@@ -185,11 +212,12 @@ def _lanczos(h, k: int, v0, tol: float):
             if fresh:  # and the lowest Ritz pair of the growing block
                 t, sf = _lowest_ritz(alpha[fresh:m], beta[fresh:m], 1)
                 tails += zip(t, sf[:, -1])
-            if len(theta) == k and all(b * abs(e) <= max(tol * abs(t), floor)
-                                       for t, e in tails):
+            done = len(theta) == k and all(b * abs(e) <= max(tol * abs(t), floor)
+                                           for t, e in tails)
+            if done or bound is not None and theta[0] - b * abs(s[0, -1]) > bound:
                 x = s @ rows[:m]
                 x /= np.linalg.norm(x, axis=1)[:, None]
-                return theta, x.T
+                return theta if done else theta[:0], x.T
         if invariant:
             fresh = m
             w[:] = np.random.default_rng(_LANCZOS_SEED + m).standard_normal(dim)
@@ -237,7 +265,7 @@ def ground_state(h, v0=None) -> EigenPair:
     return EigenPair(float(w[0]), _fix_sign(v[:, 0]))
 
 
-def block_levels(blocks, points, count: int) -> list[list[tuple]]:
+def block_levels(blocks, points, count: int, bounds=None) -> list[list[tuple]]:
     """The lowest `count` levels over all `blocks` (templates from
     `operators.block_sectors`) at each of the parameters `points`: one
     ascending list per point, each level as (energy, block that holds it).
@@ -249,14 +277,20 @@ def block_levels(blocks, points, count: int) -> list[list[tuple]]:
     to `VECTOR_TOL`. Levels within DEGENERACY_TOL of the lowest of them are
     one level: their energies stay ascending, and their blocks keep the
     order of `blocks`, not that of the solvers' rounding.
+
+    With `bounds`, one per point, a block's warm-started solve may stop once
+    its lowest level there is shown above that point's bound, and the block
+    then gives no level at that point. The bounds are fixed in advance, not
+    the levels of other blocks, so no block's walk depends on another's.
     """
     levels = [[] for _ in points]
+    bounds = [None] * len(points) if bounds is None else bounds
     for k, tpl in enumerate(blocks):
         width, v0 = tpl.block.multiplicity, None
         wanted = -(-count // width)
-        for at, p in zip(levels, points):
+        for at, p, bound in zip(levels, points, bounds):
             w, v = _lowest_eigh(tpl.assemble(p.g, p.J, p.delta), wanted, v0,
-                                LEVEL_TOL if wanted == 1 else VECTOR_TOL)
+                                LEVEL_TOL if wanted == 1 else VECTOR_TOL, bound)
             v0 = v[:, 0]
             at += [(float(e), k) for e in w for _ in range(width)]
     merged = []

@@ -476,12 +476,15 @@ def run_gap_scan(cfg: RunConfig) -> GapReport:
     The symmetric gap is that of the two lowest states of the sector ramps
     evolve in (k = 0, mirror-even; `gap_scan`). E_gap_any, the gap over all
     sectors, adds the lowest level of every other real dihedral block
-    (`block_levels`): the symmetric E0 is the ground state for J >= 0."""
+    (`block_levels`): the symmetric E0 is the ground state for J >= 0. Each
+    other block's solve stops once its lowest level is shown above the
+    symmetric E1 at that point, since it then cannot lower the minimum."""
     _require_nonnegative_j((cfg.plan.J.start, cfg.plan.J.stop), "the gap scan")
     sector, *others = block_sectors(_run_table(cfg))
     report = gap_scan(sector, cfg.plan, resolution=cfg.resolution,
                       refine_tol=cfg.refine_tol)
-    lowest = block_levels(others, [p for _, p, _, _ in report.curve], 1)
+    lowest = block_levels(others, [p for _, p, _, _ in report.curve], 1,
+                          [e1 for _, _, _, e1 in report.curve])
     # a level of another block degenerate with E0 can round below it
     rows = [(s, p.g, p.J, p.delta, e1 - e0,
              max(min([e1, *(e for e, _ in low)]) - e0, 0.0))

@@ -400,6 +400,75 @@ def test_level_tol_solves_meet_the_kato_temple_bound(table66, config):
                 assert np.linalg.norm(r) <= VECTOR_TOL * abs(gs.energy)
 
 
+def stopped_solves(monkeypatch) -> list:
+    """(matrix, bound) of every solve from now on that stops above its bound."""
+    stopped, lanczos = [], spectrum._lanczos
+
+    def recording(h, k, v0, tol, bound=None):
+        w, v = lanczos(h, k, v0, tol, bound)
+        if not len(w):
+            stopped.append((h, bound))
+        return w, v
+
+    monkeypatch.setattr(spectrum, "_lanczos", recording)
+    return stopped
+
+
+@pytest.mark.parametrize("config,sites", [("gap_mi_sf.cfg", 6), ("gap_sf_mi.cfg", 6),
+                                          ("gap_mi_sf.cfg", 5), ("gap_sf_mi.cfg", 5),
+                                          ("reversed", 6)])
+def test_solves_stopped_above_e1_have_no_level_below_it(monkeypatch, tmp_path, config,
+                                                        sites):
+    # an other block's solve in the gap scan stops once its lowest Ritz value
+    # less its residual clears the symmetric E1: dense eigvalsh must then put
+    # that block's lowest level above E1. At L = 5 every block lies under
+    # DENSE_CUTOFF, which is lowered so that Lanczos solves them all. The
+    # reversed MI -> SF trajectory starts cold at J = 0.5, where the (1, +)
+    # block lies 0.46 below E1 and a cold solve's first Ritz values clear it
+    if sites == 5:
+        monkeypatch.setattr(spectrum, "DENSE_CUTOFF", 20)
+    stopped = stopped_solves(monkeypatch)
+    if config == "reversed":
+        cfg = load_config(CONFIGS / "gap_mi_sf.cfg")
+        cfg.plan = dataclasses.replace(cfg.plan, J=RampSchedule(0.5, 0.0))
+    else:
+        cfg = load_config(CONFIGS / config)
+    cfg = dataclasses.replace(cfg, sites=sites, excitations=sites,
+                              out=str(tmp_path / "gap.csv"))
+    report = sweeps.run_gap_scan(cfg)
+    s_of = {e1: s for s, _, _, e1 in report.curve}
+    for h, bound in stopped:
+        assert np.linalg.eigvalsh(h.toarray())[0] > bound, (s_of[bound], h.shape)
+    at = {s_of[bound] for _, bound in stopped}
+    assert 0.0 not in at  # each walk starts cold there
+    if config == "gap_sf_mi.cfg":
+        assert 0.03125 in at  # next to g = 0, where the (0, +) block has a zero row
+    elif config == "gap_mi_sf.cfg":
+        # at s = 0.28-0.375 a block below E1 sets E_gap_any, beside the
+        # blocks stopped above it
+        assert {0.28125, 0.3125, 0.34375, 0.375} <= at
+    if sites == 5:  # the whole column against dense levels of every block
+        _, *others = block_sectors(enumerate_basis(LatticeShape(5, 5)))
+        with open(tmp_path / "gap.csv") as fh:
+            rows = [line.split(",") for line in fh if line[0].isdigit()][:-1]
+        for (s, p, e0, e1), row in zip(report.curve, rows):
+            lowest = min(np.linalg.eigvalsh(tpl.assemble(p.g, p.J, p.delta).toarray())[0]
+                         for tpl in others)
+            assert float(row[5]) == pytest.approx(max(min(e1, lowest) - e0, 0.0), abs=1e-12)
+
+
+def test_a_zero_row_keeps_its_level_under_a_bound(sector66):
+    # at g = 0 the all-qubits-up row is zero: its level 0 lies under a bound
+    # >= 0 even when the start vector, and so the Krylov space, misses it
+    h = sector66.assemble_copy(0.0, 0.1, 1.0)
+    v0 = (np.bincount(h.rows(), np.abs(h.data), h.shape[0]) > 0).astype(float)
+    w, _ = _lowest_eigh(h, 1, v0, LEVEL_TOL, bound=0.5)
+    assert w == pytest.approx([0.0], abs=1e-12)
+    # a bound below the zero level may still stop the solve above it
+    w, v = _lowest_eigh(h, 1, v0, LEVEL_TOL, bound=-0.5)
+    assert len(w) == 0 and v.shape == (h.shape[0], 1)
+
+
 def test_only_level_reporting_solves_stop_at_level_tol(table66, sector66, monkeypatch):
     # a solve whose vector becomes a state (a ramp's checkpoint and target
     # ground vectors, rho1) stops at VECTOR_TOL; a solve that reports only
@@ -407,9 +476,9 @@ def test_only_level_reporting_solves_stop_at_level_tol(table66, sector66, monkey
     seen = []
     lanczos = spectrum._lanczos
 
-    def recording_lanczos(h, k, v0, tol):
+    def recording_lanczos(h, k, v0, tol, bound=None):
         seen.append(tol)
-        return lanczos(h, k, v0, tol)
+        return lanczos(h, k, v0, tol, bound)
 
     monkeypatch.setattr(spectrum, "_lanczos", recording_lanczos)
 
