@@ -7,11 +7,13 @@ or scipy's) by the bare kernel `operators.matvec`. The cutoff is
 conservative: on one BLAS thread a cold two-level solve to `VECTOR_TOL`
 beats `eigh` at 114-155 states (0.9-1.3 ms against 1.5-1.8 ms), and at
 the 500 states of the six-site symmetric sector takes 2.0 ms, not 29.7.
-The Lanczos start vector comes from a fixed seed: a naively chosen
-deterministic vector such as all-ones can be *exactly* orthogonal
-to the ground state (it is, for the Mott product state), which stalls
-Krylov convergence in exact arithmetic. Repeated solves along a
-trajectory pass the previous ground vector as `v0` instead.
+The Lanczos start vector (`start_vector`) hashes each index from a fixed
+seed (splitmix64): a naively chosen deterministic vector such as all-ones
+can be *exactly* orthogonal to the ground state (it is, for the Mott
+product state), which stalls Krylov convergence in exact arithmetic. A
+solve that restarts from an invariant Krylov space hashes from another
+seed. Repeated solves along a trajectory pass the previous ground vector
+as `v0` instead.
 
 The runs use templates on the fully symmetric sector
 (`operators.symmetric_sector`: k = 0 and mirror-even, built from orbit
@@ -73,6 +75,7 @@ VECTOR_TOL = 1e-12  # Lanczos tol of a solve whose vector is used
 LEVEL_TOL = 1e-8  # Lanczos tol of a solve that reports only levels
 LANCZOS_MAX_STEPS = 300  # steps of one solve
 _LANCZOS_SEED = 20260811
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's state increment
 _EPS = np.finfo(float).eps
 daxpy, ddot, dnrm2, dscal = blas.daxpy, blas.ddot, blas.dnrm2, blas.dscal
 dstebz, dstein = lapack.dstebz, lapack.dstein
@@ -102,8 +105,16 @@ class GapReport:
     curve: list = field(default_factory=list)  # (s, params, E0, E1) rows
 
 
-def start_vector(dim: int) -> np.ndarray:
-    return np.random.default_rng(_LANCZOS_SEED).standard_normal(dim)
+def start_vector(dim: int, seed: int) -> np.ndarray:
+    """The first `dim` outputs of splitmix64 from `seed`, mapped to
+    [-0.5, 0.5): a fixed vector with no pattern that a Hamiltonian's
+    symmetries could make orthogonal to its ground state, computed in
+    wrapping uint64 arithmetic without a random generator."""
+    z = np.uint64(seed) + np.arange(1, dim + 1, dtype=np.uint64) * _GOLDEN_GAMMA
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53 - 0.5
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -127,7 +138,7 @@ def _lowest_eigh(h, k: int, v0=None, tol: float = VECTOR_TOL, bound=None):
     # early
     if v0 is None or bound is not None and bound >= 0 and not _live_rows(h).all():
         bound = None
-    w, v = _lanczos(h, k, start_vector(dim) if v0 is None else v0,
+    w, v = _lanczos(h, k, start_vector(dim, _LANCZOS_SEED) if v0 is None else v0,
                     tol, bound)
     if not len(w):  # above the bound
         return w, v
@@ -220,7 +231,7 @@ def _lanczos(h, k: int, v0, tol: float, bound=None):
                 return theta if done else theta[:0], x.T
         if invariant:
             fresh = m
-            w[:] = np.random.default_rng(_LANCZOS_SEED + m).standard_normal(dim)
+            w[:] = start_vector(dim, _LANCZOS_SEED + m)
             for _ in range(2):
                 w -= (rows[:m] @ w) @ rows[:m]
             b = dnrm2(w)

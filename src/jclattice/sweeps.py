@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import os
 import sys
 from dataclasses import dataclass
@@ -134,13 +133,12 @@ class Journal(NamedTuple):
 
 
 def _journal(cfg: RunConfig, command: str) -> Journal | None:
-    """`<out>.progress`, headed by a hash of the command and of every config
-    value but `out`; None when the run writes no output."""
+    """`<out>.progress`, headed by the command and every config value but
+    `out`, as one line of `ascii()`; None when the run writes no output."""
     if not cfg.out:
         return None
-    run = repr((command, dataclasses.replace(cfg, out=None)))
-    digest = hashlib.sha256(run.encode("utf-8")).hexdigest()
-    return Journal(cfg.out + ".progress", f"# {command} config sha256={digest}")
+    run = (command, dataclasses.replace(cfg, out=None))
+    return Journal(cfg.out + ".progress", ascii(run))
 
 
 def _load_progress(path: str, header: str) -> dict:

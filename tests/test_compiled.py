@@ -22,6 +22,8 @@ from conftest import sparse
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SLOW = ("scipy.sparse", "scipy.linalg", "scipy._lib._array_api")
+# numpy.random pulls in secrets, hmac and _hashlib (OpenSSL); runs need none
+UNUSED = ("numpy.random", "secrets", "hmac", "hashlib", "_hashlib")
 
 
 def run_python(script: str, *args) -> None:
@@ -130,7 +132,9 @@ def test_runs_load_neither_scipy_sparse_nor_scipy_linalg(tmp_path):
     lattice = "L = 4\nN = 4\ng0 = 1\ngT = 1\nJ0 = 0\nJT = 0.5\nT = 2pi\n"
     configs = {
         "ramp": lattice + "init = mi\n",
-        "gap-scan": lattice + "resolution = 16\n",
+        # six sites: its blocks, unlike those at four, are above DENSE_CUTOFF
+        "gap-scan": "L = 6\nN = 6\ng0 = 1\ngT = 1\nJ0 = 0\nJT = 0.5\nT = 2pi\n"
+                    "resolution = 16\n",
         "spectrum": lattice + "resolution = 16\ncount = 3\n",
         "rho1-map": "L = 4\nN = 4\ng0 = 1\nJ_min = 0\nJ_max = 0.4\nJ_points = 2\n"
                     "d_min = -1\nd_max = 1\nd_points = 2\nrho_i = 1\nrho_j = 3\n",
@@ -143,7 +147,8 @@ def test_runs_load_neither_scipy_sparse_nor_scipy_linalg(tmp_path):
         command = "ramp" if name == "dissipative" else name
         argv[name] = [command, "--config", str(tmp_path / f"{name}.cfg"),
                       "--out", str(tmp_path / f"{name}.csv")]
-    argv["rho1-map"] += ["--threads", "2"]
+    # rho1-map twice: serially, then on a fork pool of two workers
+    argv["rho1-map pooled"] = argv["rho1-map"] + ["--threads", "2"]
     dissipative = argv.pop("dissipative")
     run_python(textwrap.dedent(f"""
         import sys
@@ -151,13 +156,14 @@ def test_runs_load_neither_scipy_sparse_nor_scipy_linalg(tmp_path):
         from jclattice.cli import main
         from jclattice.operators import HamiltonianTemplates
 
-        def loaded():
-            return [name for name in {SLOW!r} if name in sys.modules]
+        def loaded(names={SLOW!r}):
+            return [name for name in names if name in sys.modules]
 
         for argv in {list(argv.values())!r}:
             assert main(argv) == 0, argv
         HamiltonianTemplates(enumerate_basis(LatticeShape(6, 6)))
         assert loaded() == [], loaded()
+        assert loaded({UNUSED!r}) == [], loaded({UNUSED!r})
         assert main({dissipative!r}) == 0
         assert "scipy.linalg" in loaded(), loaded()
     """))

@@ -41,6 +41,7 @@ from jclattice.operators import (
 from jclattice.propagate import evolve, evolve_dissipative, fidelity
 from jclattice.ramp import RampPlan, RampSchedule, trajectory_point
 from jclattice.spectrum import (
+    _LANCZOS_SEED,
     _lowest_eigh,
     block_levels,
     gap_scan,
@@ -564,7 +565,7 @@ def deflation_oracle(h, translation, sites, dense: bool, reflection=None):
         m = np.column_stack([deflated(col) for col in np.eye(dim)])
         return np.linalg.eigvalsh((m + m.T) / 2)[:2]
     op = spla.LinearOperator((dim, dim), matvec=deflated, dtype=float)
-    w = spla.eigsh(op, k=2, which="SA", v0=start_vector(dim), tol=1e-12,
+    w = spla.eigsh(op, k=2, which="SA", v0=start_vector(dim, _LANCZOS_SEED), tol=1e-12,
                    return_eigenvectors=False)
     return np.sort(w)
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 import math
 import pathlib
@@ -380,6 +382,48 @@ def test_resume_refuses_another_runs_journal(tmp_path, monkeypatch, capsys):
 
     assert main(argv[:-1]) == 0  # without --resume the journal starts afresh
     assert not journal.exists()
+
+
+def test_journal_header_is_the_run_on_one_ascii_line(tmp_path, monkeypatch):
+    # an init_file path with a non-ASCII character and a newline
+    state = tmp_path / "\u03c8\nstate.npy"
+    np.save(state, sweeps.initial_state(small_cfg(), sweeps._run_table(small_cfg())))
+    run, grid = GRIDS["phase-diagram"]
+    full = tmp_path / "full.csv"
+    run(small_cfg(init="file", init_file=str(state), out=str(full), **grid))
+
+    out = tmp_path / "res.csv"
+    cfg = small_cfg(init="file", init_file=str(state), out=str(out), **grid)
+    monkeypatch.setattr(sweeps, "ground_state", solves_until(2, []))
+    with pytest.raises(Interrupted):
+        run(cfg)
+    header, *points = (tmp_path / "res.csv.progress").read_bytes().split(b"\n")
+    assert len(points) == 2 + 1  # two points, then what follows the last newline
+    assert header.decode("ascii").startswith("('phase-diagram', RunConfig(")
+    assert b"init_file='" + ascii(str(state))[1:-1].encode("ascii") + b"'" in header
+
+    monkeypatch.setattr(sweeps, "ground_state", ground_state)
+    run(cfg, resume=True)
+    assert out.read_bytes() == full.read_bytes()
+
+
+def test_resume_refuses_a_journal_headed_by_a_hash(tmp_path, capsys):
+    # journals were once headed by a SHA-256 of the same (command, config)
+    # in place of the run itself; such a journal is another run's
+    path = tmp_path / "a.cfg"
+    path.write_text("L = 3\nN = 3\nT = 2pi\nsteps = 64\ntol = 1e-4\n"
+                    "JT_min = 0\nJT_max = 0.4\nJT_points = 2\n"
+                    "dT_min = 0\ndT_max = 0\ndT_points = 1\n")
+    run = repr(("phase-diagram", dataclasses.replace(load_config(path), out=None)))
+    journal = tmp_path / "g.csv.progress"
+    journal.write_text(f"# phase-diagram config "
+                       f"sha256={hashlib.sha256(run.encode()).hexdigest()}\n0,0.5\n")
+    out = tmp_path / "g.csv"
+    assert main(["phase-diagram", "--config", str(path), "--out", str(out),
+                 "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert str(journal) in err and "another command or config" in err
+    assert not out.exists()
 
 
 def test_write_csv_is_atomic(tmp_path):
